@@ -14,6 +14,7 @@ from .bn_text import (
     SYMBOLS,
     VOWEL_SIGNS,
     Category,
+    CorpusStats,
     FrequencyTable,
     GraphemeUnit,
     classify_char,
@@ -22,7 +23,9 @@ from .bn_text import (
     count_frequencies,
     count_unit_bigrams,
     merge,
+    merge_stats,
     rank_by_frequency,
+    read_corpus,
     scan_units,
     unit_for,
 )

@@ -51,6 +51,10 @@ class GraphemeUnit:
     def text(self) -> str:
         return "".join(chr(cp) for cp in self.codepoints)
 
+    def __hash__(self):
+        # the generated hash would also hash the Enum category, in Python code
+        return hash(self.codepoints)
+
     def __repr__(self):
         # the glyph reads better than the codepoint tuple in test output
         return f"GraphemeUnit({self.text!r})"
@@ -224,45 +228,38 @@ def scan_units(text: str) -> tuple[list[GraphemeUnit], int]:
     return units, skipped
 
 
-def _count(text: str, source_bytes: int) -> FrequencyTable:
+def count_frequencies(text: str) -> FrequencyTable:
+    """Count every typable unit in ``text`` in one pass."""
     # Counter over the raw text is a single pass; classification then
     # happens once per distinct character.
-    char_counts = Counter(text)
     counts: dict[GraphemeUnit, int] = {}
     skipped = 0
-    for ch, n in char_counts.items():
+    for ch, n in Counter(text).items():
         unit = _UNIT_BY_CP.get(ord(ch))
         if unit is None:
             skipped += n
         else:
-            counts[unit] = counts.get(unit, 0) + n
-    return FrequencyTable(counts, sum(counts.values()), source_bytes, skipped)
+            counts[unit] = n
+    return FrequencyTable(counts, sum(counts.values()), len(text.encode("utf-8")), skipped)
 
 
-def count_frequencies(text: str) -> FrequencyTable:
-    """Count every typable unit in ``text`` in one pass."""
-    return _count(text, len(text.encode("utf-8")))
+def decode_corpus(raw: bytes, source: str) -> str:
+    """UTF-8 text of corpus bytes; invalid bytes raise :class:`CorpusDecodeError`."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusDecodeError(source, exc.start, exc.reason) from None
 
 
 def read_corpus(path) -> str:
     """Read a UTF-8 file; invalid bytes raise :class:`CorpusDecodeError`."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusDecodeError(str(path), exc.start, exc.reason) from None
+        return decode_corpus(fh.read(), str(path))
 
 
 def count_file(path) -> FrequencyTable:
     """Count one UTF-8 corpus file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusDecodeError(str(path), exc.start, exc.reason) from None
-    return _count(text, len(raw))
+    return count_frequencies(read_corpus(path))
 
 
 def count_files(paths) -> FrequencyTable:
@@ -299,6 +296,84 @@ def count_unit_bigrams(units: Sequence[GraphemeUnit]) -> dict[tuple[GraphemeUnit
     """Counts of adjacent unit pairs in a typable unit sequence."""
     pairs = Counter(zip(units, units[1:]))
     return dict(pairs)
+
+
+# CorpusStats keeps its typable sequence as one code scalar per unit, the
+# unit's index in ALL_UNITS: a text of Latin-1 scalars, which Python
+# iterates, hashes and counts much faster than Bengali ones.
+_CODE_BY_UNIT: dict[GraphemeUnit, str] = {u: chr(i) for i, u in enumerate(ALL_UNITS)}
+_CODE_BY_CP: dict[int, str] = {u.codepoints[0]: chr(i) for i, u in enumerate(ALL_UNITS)}
+
+
+@dataclass(frozen=True)
+class CorpusStats:
+    """Unit and adjacent-pair counts: enough for every typing metric.
+
+    ``table`` holds the unit counts, skipped scalars and source bytes.
+    ``bigrams`` counts adjacent units of the typable sequence of the whole
+    corpus, so a pair that spans two sources counts like any other.
+    ``typable`` is that sequence, one code scalar per unit; it locates a
+    unit a layout lacks and lets evaluation recount without it. Build
+    instances with :meth:`from_text` or :meth:`from_units`, and combine
+    shards with :func:`merge_stats`.
+    """
+
+    table: FrequencyTable
+    bigrams: Mapping[tuple[GraphemeUnit, GraphemeUnit], int]
+    typable: str
+
+    @classmethod
+    def from_text(cls, text: str) -> "CorpusStats":
+        """Statistics of a text; non-typable scalars are skipped and tallied."""
+        codes = dict(_CODE_BY_CP)
+        codes.update(dict.fromkeys(cp for cp in map(ord, set(text)) if cp not in _CODE_BY_CP))
+        typable = text.translate(codes)
+        return _counted(typable, len(text.encode("utf-8")), len(text) - len(typable))
+
+    @classmethod
+    def from_units(cls, units: Iterable[GraphemeUnit]) -> "CorpusStats":
+        """Statistics of a sequence of units from :data:`ALL_UNITS`."""
+        try:
+            typable = "".join([_CODE_BY_UNIT[u] for u in units])
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a typable unit") from None
+        return _counted(typable, 0, 0)
+
+    def first_position(self, unit: GraphemeUnit) -> int:
+        """Index of the first ``unit`` in the typable sequence, -1 if absent."""
+        return self.typable.find(_CODE_BY_UNIT[unit])
+
+    def without(self, units: Iterable[GraphemeUnit]) -> "CorpusStats":
+        """The statistics after deleting every occurrence of ``units``.
+
+        Deletion joins each deleted run's neighbours into a new pair.
+        """
+        typable = self.typable.translate({ord(_CODE_BY_UNIT[u]): None for u in units})
+        return _counted(typable, self.table.source_bytes, self.table.skipped)
+
+
+def _counted(typable: str, source_bytes: int, skipped: int) -> CorpusStats:
+    units = ALL_UNITS
+    counts = {units[ord(c)]: n for c, n in Counter(typable).items()}
+    bigrams = {(units[ord(a)], units[ord(b)]): n
+               for (a, b), n in Counter(zip(typable, typable[1:])).items()}
+    return CorpusStats(FrequencyTable(counts, len(typable), source_bytes, skipped),
+                       bigrams, typable)
+
+
+def merge_stats(a: CorpusStats, b: CorpusStats) -> CorpusStats:
+    """Statistics of ``a``'s corpus followed by ``b``'s.
+
+    Associative, with ``CorpusStats.from_text("")`` as identity; the pair
+    across the seam is added, so shards merge to the single-pass result.
+    """
+    bigrams = dict(a.bigrams)
+    for pair, n in b.bigrams.items():
+        bigrams[pair] = bigrams.get(pair, 0) + n
+    if a.typable and b.typable:
+        seam = (ALL_UNITS[ord(a.typable[-1])], ALL_UNITS[ord(b.typable[0])])
+        bigrams[seam] = bigrams.get(seam, 0) + 1
+    return CorpusStats(merge(a.table, b.table), bigrams, a.typable + b.typable)
 
 
 def format_frequency_tsv(table: FrequencyTable) -> str:

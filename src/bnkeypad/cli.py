@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import bn_text
-from .bn_text import Category, FrequencyTable, count_unit_bigrams, scan_units
+from .bn_text import Category, CorpusStats, FrequencyTable, scan_units
 from .ergonomics import (
     KEYPAD_KEYS,
     ErgonomicModel,
@@ -27,7 +27,7 @@ from .ergonomics import (
     load_model,
     rank_keys,
 )
-from .errors import CorpusDecodeError, KeypadError, UsageError
+from .errors import KeypadError, UsageError
 from .layout import (
     Layout,
     PlacementPolicy,
@@ -230,7 +230,14 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     if ergonomics is not None:
         ergonomics = paths([ergonomics])[0]
     max_units = pick("max_units")
+    if max_units is not None:
+        max_units = int(max_units)
+        if max_units <= 0:
+            raise UsageError(f"--max-units must be positive, got {max_units}")
     slots_per_key = pick("slots_per_key")
+    max_iters = int(pick("max_iters"))
+    if max_iters < 0:
+        raise UsageError(f"--max-iters must be >= 0, got {max_iters}")
 
     return RunConfig(
         command=args.command,
@@ -245,9 +252,9 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         strategy=str(pick("strategy")),
         method=str(pick("method")),
         jam_weight=float(pick("jam_weight")),
-        max_units=int(max_units) if max_units is not None else None,
+        max_units=max_units,
         slots_per_key=int(slots_per_key) if slots_per_key is not None else None,
-        max_iters=int(pick("max_iters")),
+        max_iters=max_iters,
         report_format=str(pick("report_format")),
         skip_untypable=bool(pick("skip_untypable")),
         override_guard=bool(pick("override_guard")),
@@ -280,41 +287,25 @@ def _emit(config: RunConfig, text: str) -> None:
 
 
 def _model(config: RunConfig) -> ErgonomicModel:
-    if config.ergonomics is not None:
-        return load_model(config.ergonomics, config.extension_penalty, config.angle_weight)
-    return default_model(config.extension_penalty, config.angle_weight)
+    try:
+        if config.ergonomics is not None:
+            return load_model(config.ergonomics, config.extension_penalty,
+                              config.angle_weight)
+        return default_model(config.extension_penalty, config.angle_weight)
+    except ValueError as exc:  # e.g. a non-finite or negative cost parameter
+        raise UsageError(str(exc)) from None
 
 
 def _read_source(path: Path) -> str:
     """One corpus source: a UTF-8 file, or standard input for '-'."""
     if str(path) == "-":
-        raw = sys.stdin.buffer.read()
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusDecodeError("<stdin>", exc.start, exc.reason) from None
+        return bn_text.decode_corpus(sys.stdin.buffer.read(), "<stdin>")
     return bn_text.read_corpus(path)
 
 
-def _load_corpus(paths) -> list[str]:
-    """Read every corpus source exactly once (stdin cannot be re-read)."""
-    return [_read_source(p) for p in paths]
-
-
-def _table_of(texts) -> FrequencyTable:
-    table = FrequencyTable.empty()
-    for text in texts:
-        table = bn_text.merge(table, bn_text.count_frequencies(text))
-    return table
-
-
-def _units_of(texts) -> list:
-    """Typable units of all corpus sources, concatenated in argument order."""
-    units = []
-    for text in texts:
-        text_units, _skipped = scan_units(text)
-        units.extend(text_units)
-    return units
+def _load_corpus(paths) -> str:
+    """All corpus sources, each read once (stdin cannot be re-read), joined in order."""
+    return "".join([_read_source(p) for p in paths])
 
 
 def _format_report_tsv(report: EvaluationReport) -> str:
@@ -339,18 +330,20 @@ def _report_dict(report: EvaluationReport) -> dict:
         "unit_count": report.unit_count,
         "press_count": report.press_count,
         "per_key_load": {key: report.per_key_load[key] for key in KEYPAD_KEYS},
+        "skipped_scalars": report.skipped_scalars,
+        "skipped_units": report.skipped_units,
     }
 
 
 def _cmd_analyze(config: RunConfig) -> int:
-    table = _table_of(_load_corpus(config.corpus))
+    table = bn_text.count_frequencies(_load_corpus(config.corpus))
     sys.stderr.write(f"analyzed {table.total} units, skipped {table.skipped} scalars\n")
     _emit(config, bn_text.format_frequency_tsv(table))
     return 0
 
 
 def _cmd_build_layout(config: RunConfig) -> int:
-    table = _table_of(_load_corpus(config.corpus))
+    table = bn_text.count_frequencies(_load_corpus(config.corpus))
     model = _model(config)
     policy = PlacementPolicy(strategy=Strategy(config.strategy))
     layout = build_layout(table, model, policy, name=config.layout_name)
@@ -361,8 +354,8 @@ def _cmd_build_layout(config: RunConfig) -> int:
 def _cmd_evaluate(config: RunConfig) -> int:
     layout = load_layout(config.layouts[0])
     model = _model(config)
-    units = _units_of(_load_corpus(config.corpus))
-    report = evaluate(units, layout, model, skip_untypable=config.skip_untypable)
+    stats = CorpusStats.from_text(_load_corpus(config.corpus))
+    report = evaluate(stats, layout, model, skip_untypable=config.skip_untypable)
     if config.report_format == "json":
         _emit(config, json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n")
     else:
@@ -372,11 +365,11 @@ def _cmd_evaluate(config: RunConfig) -> int:
 
 def _cmd_compare(config: RunConfig) -> int:
     model = _model(config)
-    units = _units_of(_load_corpus(config.corpus))
+    stats = CorpusStats.from_text(_load_corpus(config.corpus))
     rows = []
     for path in config.layouts:
         layout = load_layout(path)
-        report = evaluate(units, layout, model, skip_untypable=config.skip_untypable)
+        report = evaluate(stats, layout, model, skip_untypable=config.skip_untypable)
         rows.append((layout.name or path.stem, report))
     if config.report_format == "json":
         payload = [dict(layout=name, **_report_dict(report)) for name, report in rows]
@@ -406,19 +399,20 @@ def _cmd_transcribe(config: RunConfig) -> int:
 
 
 def _cmd_optimize(config: RunConfig) -> int:
-    texts = _load_corpus(config.corpus)
-    table = _table_of(texts)
+    stats = CorpusStats.from_text(_load_corpus(config.corpus))
     model = _model(config)
-    consonant_table = table.restricted([Category.CONSONANT])
+    consonant_table = stats.table.restricted([Category.CONSONANT])
     instance = consonant_instance(consonant_table, model,
                                   max_units=config.max_units,
                                   slots_per_key=config.slots_per_key)
     chosen = FrequencyTable.from_counts(dict(instance.units))
     bigrams = None
     if config.jam_weight > 0:
-        bigrams = restrict_bigrams(count_unit_bigrams(_units_of(texts)),
-                                   [u for u, _ in instance.units])
-    objective = Objective(chosen, model, config.jam_weight, bigrams)
+        bigrams = restrict_bigrams(stats.bigrams, [u for u, _ in instance.units])
+    try:
+        objective = Objective(chosen, model, config.jam_weight, bigrams)
+    except ValueError as exc:  # out-of-range or non-finite jam weight
+        raise UsageError(str(exc)) from None
     sys.stderr.write(f"method={config.method} units={len(instance.units)} "
                      f"slots={len(instance.key_slots)} jam_weight={config.jam_weight:g}\n")
     if config.method == "exhaustive":
@@ -443,14 +437,12 @@ def reproduce_paper(corpus_paths, model: ErgonomicModel) -> tuple[Layout, Layout
     the reserved-key roles, per-layout metrics, and the measured key-jam
     reduction of the proposed layout over the baseline.
     """
-    texts = _load_corpus(corpus_paths)
-    table = _table_of(texts)
-    proposed = build_layout(table, model, PlacementPolicy(Strategy.SERPENTINE),
+    stats = CorpusStats.from_text(_load_corpus(corpus_paths))
+    proposed = build_layout(stats.table, model, PlacementPolicy(Strategy.SERPENTINE),
                             name="serpentine")
-    baseline = build_layout(table, model, PlacementPolicy(Strategy.SEQUENTIAL),
+    baseline = build_layout(stats.table, model, PlacementPolicy(Strategy.SEQUENTIAL),
                             name="sequential")
-    units = _units_of(texts)
-    reports = [(layout, evaluate(units, layout, model))
+    reports = [(layout, evaluate(stats, layout, model))
                for layout in (proposed, baseline)]
     ranking = rank_keys(model, [str(d) for d in range(1, 10)])
     jam_proposed = reports[0][1].jam_rate

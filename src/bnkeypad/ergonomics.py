@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 from typing import Iterable, Mapping
 
 from .errors import MissingKeyError, ModelSyntaxError
@@ -67,10 +68,11 @@ class ErgonomicModel:
         missing = [k for k in KEYPAD_KEYS if k not in self.entries]
         if missing:
             raise ValueError(f"model must cover all 12 keys; missing {missing}")
-        if self.extension_penalty < 0:
-            raise ValueError("extension_penalty must be >= 0")
-        if self.angle_weight <= 0:
-            raise ValueError("angle_weight must be > 0")
+        if not (isfinite(self.extension_penalty) and self.extension_penalty >= 0):
+            raise ValueError(f"extension_penalty must be finite and >= 0, "
+                             f"got {self.extension_penalty}")
+        if not (isfinite(self.angle_weight) and self.angle_weight > 0):
+            raise ValueError(f"angle_weight must be finite and > 0, got {self.angle_weight}")
 
 
 # Measured IJ angles and MJ directions for the digit keys; the bottom row

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import ceil, fsum
+from math import ceil, fsum, isfinite
 from typing import Mapping, NamedTuple
 
 from .bn_text import Category, FrequencyTable, GraphemeUnit, rank_by_frequency
@@ -36,8 +36,6 @@ from .layout import Layout
 GUARD_MAX_UNITS = 10
 GUARD_MAX_SLOTS = 12
 
-_KEY_INDEX = {key: i for i, key in enumerate(KEYPAD_KEYS)}
-
 
 @dataclass(frozen=True)
 class Objective:
@@ -49,8 +47,8 @@ class Objective:
     bigram_counts: Mapping[tuple[GraphemeUnit, GraphemeUnit], int] | None = None
 
     def __post_init__(self):
-        if self.jam_weight < 0:
-            raise ValueError("jam_weight must be >= 0")
+        if not (isfinite(self.jam_weight) and self.jam_weight >= 0):
+            raise ValueError(f"jam_weight must be finite and >= 0, got {self.jam_weight}")
         if self.jam_weight > 0 and self.bigram_counts is None:
             raise ValueError("jam_weight > 0 requires bigram_counts")
         if self.bigram_counts is not None:
@@ -256,7 +254,7 @@ def solve_greedy(instance: AssignmentInstance, objective: Objective) -> tuple[La
                                        instance.units[i][0].codepoints))
     slot_order = sorted(range(len(instance.key_slots)),
                         key=lambda j: (instance.key_slots[j].cost,
-                                       _KEY_INDEX[instance.key_slots[j].key],
+                                       KEYPAD_KEYS.index(instance.key_slots[j].key),
                                        instance.key_slots[j].slot_index))
     assign = [0] * len(instance.units)
     for i, j in zip(unit_order, slot_order):

@@ -6,16 +6,18 @@ until a timeout (or cursor move) separates it from the first, so the jam
 count is the direct measure of that friction. KSPC (keystrokes per
 character) and the flexibility-weighted expected cost per unit quantify
 raw typing effort.
+
+Every metric follows from unit counts and adjacent-pair counts
+(:class:`~bnkeypad.bn_text.CorpusStats`), so :func:`evaluate` never builds
+a trace; :func:`transcribe` and :func:`decode` exist for trace output.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import fsum
 from typing import Mapping, Sequence
 
-from .bn_text import GraphemeUnit
+from .bn_text import CorpusStats, GraphemeUnit
 from .ergonomics import KEYPAD_KEYS, ErgonomicModel, key_cost
 from .errors import CorruptTraceError, UntypableUnitError
 from .layout import Layout
@@ -40,7 +42,12 @@ class KeystrokeTrace:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Typing metrics for one (text, layout, model) combination."""
+    """Typing metrics for one (text, layout, model) combination.
+
+    ``skipped_scalars`` counts the corpus scalars outside the typable
+    inventory; ``skipped_units`` the typable units the layout lacks,
+    dropped under ``skip_untypable``. Neither enters the metrics.
+    """
 
     kspc: float
     expected_cost: float
@@ -48,6 +55,8 @@ class EvaluationReport:
     per_key_load: Mapping[str, float]
     unit_count: int
     press_count: int
+    skipped_scalars: int = 0
+    skipped_units: int = 0
 
 
 def transcribe(units: Sequence[GraphemeUnit], layout: Layout,
@@ -97,25 +106,49 @@ def decode(trace: KeystrokeTrace, layout: Layout) -> list[GraphemeUnit]:
     return out
 
 
-def evaluate(units: Sequence[GraphemeUnit], layout: Layout, model: ErgonomicModel,
-             skip_untypable: bool = False) -> EvaluationReport:
-    """KSPC, expected per-unit cost, jam rate, and per-key load."""
-    trace = transcribe(units, layout, skip_untypable=skip_untypable)
-    unit_count = len(trace.boundaries)
-    press_count = len(trace.presses)
+def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
+             model: ErgonomicModel, skip_untypable: bool = False) -> EvaluationReport:
+    """KSPC, expected per-unit cost, jam rate, and per-key load.
 
-    cost_terms = []
-    for _pos, (start, end) in trace.boundaries:
-        key = trace.presses[start]
-        cost_terms.append((end - start) * key_cost(model, key))
+    ``corpus`` is a :class:`CorpusStats` or a typable unit sequence. The
+    work grows with the distinct units and pairs, not the corpus length.
+    A unit absent from the layout raises :class:`UntypableUnitError` at
+    its first position, unless ``skip_untypable`` deletes its occurrences,
+    which makes their neighbours adjacent.
+    """
+    stats = corpus if isinstance(corpus, CorpusStats) else CorpusStats.from_units(corpus)
+    missing = [u for u in stats.table.counts if layout.position(u) is None]
+    skipped_units = 0
+    if missing:
+        if not skip_untypable:
+            unit = min(missing, key=stats.first_position)
+            raise UntypableUnitError(unit, stats.first_position(unit))
+        kept = stats.without(missing)
+        skipped_units = stats.table.total - kept.table.total
+        stats = kept
 
+    cost = {key: key_cost(model, key) for key in KEYPAD_KEYS}
+    presses = dict.fromkeys(KEYPAD_KEYS, 0)
+    # expected cost: the exact sum of count * fl(taps * cost), held as
+    # numerator / scale with a power-of-two scale, rounded once
+    numerator, scale = 0, 1
+    for unit, count in stats.table.counts.items():
+        key, taps = layout.position(unit)
+        presses[key] += count * taps
+        num, den = (taps * cost[key]).as_integer_ratio()
+        if den > scale:
+            numerator *= den // scale
+            scale = den
+        numerator += count * num * (scale // den)
+    jams = sum(n for (a, b), n in stats.bigrams.items()
+               if layout.position(a)[0] == layout.position(b)[0])
+
+    unit_count = stats.table.total
+    press_count = sum(presses.values())
     kspc = press_count / unit_count if unit_count else 1.0
-    expected_cost = fsum(cost_terms) / unit_count if unit_count else 0.0
-    jam_rate = len(trace.jam_positions) / max(1, unit_count - 1)
-    press_by_key = Counter(trace.presses)
-    per_key_load = {
-        key: (press_by_key.get(key, 0) / press_count if press_count else 0.0)
-        for key in KEYPAD_KEYS
-    }
+    expected_cost = numerator / scale / unit_count if unit_count else 0.0
+    jam_rate = jams / max(1, unit_count - 1)
+    per_key_load = {key: (presses[key] / press_count if press_count else 0.0)
+                    for key in KEYPAD_KEYS}
     return EvaluationReport(kspc, expected_cost, jam_rate, per_key_load,
-                            unit_count, press_count)
+                            unit_count, press_count, stats.table.skipped, skipped_units)

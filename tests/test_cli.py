@@ -266,6 +266,32 @@ def test_optimize_guard(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1].startswith("E_TOO_LARGE\t")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--jam-weight", "nan"], ["--jam-weight", "inf"], ["--jam-weight", "-1"],
+    ["--extension-penalty", "nan"], ["--angle-weight", "nan"], ["--angle-weight", "0"],
+    ["--max-units", "0"], ["--max-units", "-1"],
+    ["--max-iters", "-1", "--method", "local"],
+])
+def test_optimize_rejects_bad_parameters(tmp_path, capsys, flags):
+    out = tmp_path / "opt.tsv"
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), *flags, "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("E_USAGE\t")
+    assert not out.exists()
+
+
+def test_config_limits_are_checked_like_flags(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"max_units": 0}), encoding="utf-8")
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("E_USAGE\t")
+
+
+def test_evaluate_rejects_non_finite_model_parameters(capsys):
+    assert main(["evaluate", "--layout", str(TOY_LAYOUT_PATH), "--corpus", str(CORPUS_PATH),
+                 "--extension-penalty", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("E_USAGE\t")
+
+
 def test_reproduce_paper_artifacts(tmp_path, capsys):
     out_dir = tmp_path / "run1"
     assert main(["reproduce-paper", "--corpus", str(CORPUS_PATH),

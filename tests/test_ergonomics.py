@@ -126,6 +126,16 @@ def test_model_must_cover_all_keys(model):
         ErgonomicModel(entries)
 
 
+@pytest.mark.parametrize("params", [
+    dict(extension_penalty=float("nan")), dict(extension_penalty=float("inf")),
+    dict(extension_penalty=-1.0), dict(angle_weight=float("nan")),
+    dict(angle_weight=float("inf")), dict(angle_weight=0.0),
+])
+def test_model_rejects_non_finite_and_out_of_range_parameters(params):
+    with pytest.raises(ValueError):
+        default_model(**params)
+
+
 def test_model_tsv_roundtrip(model, tmp_path):
     text = format_model_tsv(model)
     parsed = parse_model_tsv(text)

@@ -161,6 +161,13 @@ def test_objective_validation(model):
         Objective(freq, model, jam_weight=1.0, bigram_counts={(KA, KHA): 1})
 
 
+@pytest.mark.parametrize("jam_weight", [float("nan"), float("inf")])
+def test_objective_rejects_non_finite_jam_weight(model, jam_weight):
+    freq = FrequencyTable.from_counts({KA: 1})
+    with pytest.raises(ValueError):
+        Objective(freq, model, jam_weight, bigram_counts={(KA, KA): 1})
+
+
 def test_objective_agrees_with_evaluate_on_matching_corpus(model, corpus_table):
     consonant_table = corpus_table.restricted([Category.CONSONANT])
     instance = consonant_instance(consonant_table, model)

@@ -1,0 +1,226 @@
+"""Corpus statistics and the count-based evaluator against a trace-based reference."""
+
+import json
+import random
+from collections import Counter
+from dataclasses import replace
+from math import fsum
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CORPUS_PATH, random_full_layout
+
+from bnkeypad import bn_text
+from bnkeypad.bn_text import (
+    ALL_UNITS,
+    CorpusStats,
+    FrequencyTable,
+    count_frequencies,
+    count_unit_bigrams,
+    merge_stats,
+    scan_units,
+    unit_for,
+)
+from bnkeypad.cli import main
+from bnkeypad.ergonomics import KEYPAD_KEYS, default_model, key_cost
+from bnkeypad.errors import UntypableUnitError
+from bnkeypad.layout import Layout, PlacementPolicy, Strategy, build_layout
+from bnkeypad.transcribe import EvaluationReport, evaluate, transcribe
+
+KA, KHA, GA = (unit_for(c) for c in "কখগ")
+MODEL = default_model()
+
+
+# ---------------------------------------------------------------------------
+# reference: the press-by-press evaluation the count-based one replaced
+# ---------------------------------------------------------------------------
+
+def trace_evaluate(units, layout, model, skip_untypable=False) -> EvaluationReport:
+    trace = transcribe(units, layout, skip_untypable=skip_untypable)
+    unit_count = len(trace.boundaries)
+    press_count = len(trace.presses)
+    cost_terms = [(end - start) * key_cost(model, trace.presses[start])
+                  for _pos, (start, end) in trace.boundaries]
+    press_by_key = Counter(trace.presses)
+    return EvaluationReport(
+        kspc=press_count / unit_count if unit_count else 1.0,
+        expected_cost=fsum(cost_terms) / unit_count if unit_count else 0.0,
+        jam_rate=len(trace.jam_positions) / max(1, unit_count - 1),
+        per_key_load={key: (press_by_key.get(key, 0) / press_count if press_count else 0.0)
+                      for key in KEYPAD_KEYS},
+        unit_count=unit_count,
+        press_count=press_count,
+        skipped_units=len(trace.skipped_positions),
+    )
+
+
+def assert_same_outcome(units, layout, skip_untypable):
+    """The stats evaluator equals the reference, errors included, field for field."""
+    try:
+        want = trace_evaluate(units, layout, MODEL, skip_untypable)
+    except UntypableUnitError as exc:
+        with pytest.raises(UntypableUnitError) as got:
+            evaluate(units, layout, MODEL, skip_untypable)
+        assert (got.value.unit, got.value.position) == (exc.unit, exc.position)
+        return
+    assert evaluate(units, layout, MODEL, skip_untypable) == want
+
+
+def partial_layout(rng: random.Random) -> Layout:
+    """A random layout missing a random part of the inventory."""
+    full = random_full_layout(rng)
+    dropped = set(rng.sample(ALL_UNITS, rng.randint(0, len(ALL_UNITS))))
+    slots = {key: tuple(u for u in units if u not in dropped)
+             for key, units in full.slots.items()}
+    return Layout(slots=slots, roles={}, name="partial")
+
+
+unit_lists = st.lists(st.sampled_from(ALL_UNITS), max_size=120)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), unit_lists)
+def test_stats_evaluator_equals_trace_on_full_layouts(rng, units):
+    assert_same_outcome(units, random_full_layout(rng), skip_untypable=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), unit_lists, st.booleans())
+def test_stats_evaluator_equals_trace_on_partial_layouts(rng, units, skip_untypable):
+    assert_same_outcome(units, partial_layout(rng), skip_untypable)
+
+
+def test_empty_and_single_unit_match_trace():
+    layout = random_full_layout(random.Random(3))
+    for units in ([], [KA], [KA, KA]):
+        assert_same_outcome(units, layout, skip_untypable=False)
+    report = evaluate([], layout, MODEL)
+    assert (report.kspc, report.expected_cost, report.jam_rate) == (1.0, 0.0, 0.0)
+    assert set(report.per_key_load.values()) == {0.0}
+
+
+def test_skip_untypable_collapses_adjacency():
+    layout = Layout(slots={"4": (KHA, GA)}, roles={}, name="toy")
+    # KA is missing: deleting it makes KHA and GA adjacent on key 4
+    units = [KHA, KA, KA, GA]
+    report = evaluate(units, layout, MODEL, skip_untypable=True)
+    assert report == trace_evaluate(units, layout, MODEL, skip_untypable=True)
+    assert report.jam_rate == 1.0
+    assert report.unit_count == 2
+    assert report.skipped_units == 2
+
+
+def test_untypable_position_is_the_first_missing_unit():
+    layout = Layout(slots={"2": (KA,)}, roles={}, name="toy")
+    with pytest.raises(UntypableUnitError) as exc_info:
+        evaluate([KA, KA, GA, KHA, GA], layout, MODEL)
+    assert exc_info.value.unit == GA
+    assert exc_info.value.position == 2
+
+
+def test_fixture_reports_equal_trace(corpus_units, corpus_table):
+    stats = CorpusStats.from_text(bn_text.read_corpus(CORPUS_PATH))
+    for strategy in (Strategy.SERPENTINE, Strategy.SEQUENTIAL):
+        layout = build_layout(corpus_table, MODEL, PlacementPolicy(strategy))
+        want = trace_evaluate(corpus_units, layout, MODEL)
+        got = evaluate(stats, layout, MODEL)
+        assert got.skipped_scalars == stats.table.skipped > 0
+        assert got == replace(want, skipped_scalars=got.skipped_scalars)
+
+
+# ---------------------------------------------------------------------------
+# CorpusStats
+# ---------------------------------------------------------------------------
+
+texts = st.text(alphabet=st.sampled_from("কখগা ি্।x9\n\u200c"), max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts)
+def test_stats_agree_with_table_and_bigram_counts(text):
+    stats = CorpusStats.from_text(text)
+    units, skipped = scan_units(text)
+    assert stats.table == count_frequencies(text)
+    assert stats.table.skipped == skipped
+    assert stats.bigrams == count_unit_bigrams(units)
+    from_units = CorpusStats.from_units(units)
+    assert from_units.table.counts == stats.table.counts
+    assert (from_units.bigrams, from_units.typable) == (stats.bigrams, stats.typable)
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts, texts, texts)
+def test_merge_is_associative_and_equals_one_pass(a, b, c):
+    sa, sb, sc = (CorpusStats.from_text(t) for t in (a, b, c))
+    left = merge_stats(merge_stats(sa, sb), sc)
+    assert left == merge_stats(sa, merge_stats(sb, sc))
+    assert left == CorpusStats.from_text(a + b + c)
+    empty = CorpusStats.from_text("")
+    assert merge_stats(empty, sa) == sa == merge_stats(sa, empty)
+
+
+def test_from_units_rejects_units_outside_the_inventory():
+    stranger = bn_text.GraphemeUnit((0x0041,), bn_text.Category.SYMBOL, "A")
+    with pytest.raises(ValueError):
+        CorpusStats.from_units([KA, stranger])
+
+
+def test_without_deletes_and_rejoins():
+    stats = CorpusStats.from_units([KHA, KA, GA, KA])
+    kept = stats.without([KA])
+    assert kept == CorpusStats.from_units([KHA, GA])
+    assert kept.bigrams == {(KHA, GA): 1}
+    assert stats.first_position(GA) == 2
+    assert stats.first_position(unit_for("ঘ")) == -1
+
+
+def test_stats_table_counts_skipped_scalars_and_bytes():
+    stats = CorpusStats.from_text("কx খ\n")
+    assert stats.table == FrequencyTable.from_counts(
+        {KA: 1, KHA: 1, bn_text.SPACE_UNIT: 1}, source_bytes=9, skipped=2)
+
+
+# ---------------------------------------------------------------------------
+# CLI: pairs across sources, skipped counts in JSON
+# ---------------------------------------------------------------------------
+
+def test_bigrams_cross_corpus_files_like_their_concatenation(tmp_path, capsys):
+    layout_path = tmp_path / "layout.tsv"
+    layout_path.write_text("keypad-layout v1\n2\tU+0995,U+0996\n4\tU+0997\n0\tU+0020\n",
+                           encoding="utf-8")
+    # "ক" ends one file and "খ", on the same key, starts the next: a jam
+    parts = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    parts[0].write_text("গক", encoding="utf-8")
+    parts[1].write_text("খ গ", encoding="utf-8")
+    whole = tmp_path / "ab.txt"
+    whole.write_text("গকখ গ", encoding="utf-8")
+    outputs = []
+    for corpus in (parts, [whole]):
+        assert main(["evaluate", "--layout", str(layout_path), "--format", "json",
+                     "--corpus", *map(str, corpus)]) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    stats = merge_stats(*(CorpusStats.from_text(p.read_text(encoding="utf-8"))
+                          for p in parts))
+    assert stats.bigrams[(KA, KHA)] == 1
+    assert stats == CorpusStats.from_text(whole.read_text(encoding="utf-8"))
+
+
+def test_evaluate_json_reports_skipped_input(tmp_path, capsys):
+    layout_path = tmp_path / "toy.tsv"
+    layout_path.write_text("keypad-layout v1\n2\tU+0995\n4\tU+0996\n", encoding="utf-8")
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("কxগখ9গ", encoding="utf-8")
+    assert main(["evaluate", "--layout", str(layout_path), "--corpus", str(corpus),
+                 "--format", "json", "--skip-untypable"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["skipped_scalars"], payload["skipped_units"]) == (2, 2)
+    assert payload["unit_count"] == 2
+    assert main(["compare", "--layouts", str(layout_path), "--corpus", str(corpus),
+                 "--format", "json", "--skip-untypable"]) == 0
+    [row] = json.loads(capsys.readouterr().out)
+    assert (row["skipped_scalars"], row["skipped_units"]) == (2, 2)
+    assert main(["evaluate", "--layout", str(layout_path), "--corpus", str(corpus)]) == 1
+    assert capsys.readouterr().err.startswith("E_UNTYPABLE\t")
