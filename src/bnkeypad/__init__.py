@@ -19,7 +19,6 @@ from .bn_text import (
     GraphemeUnit,
     classify_char,
     count_file,
-    count_files,
     count_frequencies,
     count_unit_bigrams,
     merge,
@@ -47,7 +46,6 @@ from .layout import (
     Role,
     Strategy,
     build_layout,
-    lookup,
     parse,
     serialize,
 )

@@ -262,14 +262,6 @@ def count_file(path) -> FrequencyTable:
     return count_frequencies(read_corpus(path))
 
 
-def count_files(paths) -> FrequencyTable:
-    """Count several files and merge the per-file tables."""
-    table = FrequencyTable.empty()
-    for path in paths:
-        table = merge(table, count_file(path))
-    return table
-
-
 def merge(a: FrequencyTable, b: FrequencyTable) -> FrequencyTable:
     """Pointwise sum of two tables (associative, commutative, empty identity)."""
     counts = dict(a.counts)

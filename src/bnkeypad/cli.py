@@ -59,6 +59,13 @@ _DEFAULTS = {
     "override_guard": False,
 }
 
+# --config values are converted and checked like the flags' text.
+_NUMERIC = {"extension_penalty": float, "angle_weight": float, "jam_weight": float,
+            "max_units": int, "slots_per_key": int, "max_iters": int}
+_CHOICES = {"report_format": ("tsv", "json"), "strategy": ("serpentine", "sequential"),
+            "method": ("greedy", "exhaustive", "local")}
+_SWITCHES = ("skip_untypable", "override_guard")
+
 _CONFIG_KEYS = set(_DEFAULTS) | {"ergonomics", "max_units", "slots_per_key"}
 
 
@@ -118,7 +125,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("build-layout", help="build a layout from corpus frequencies")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
-    p.add_argument("--strategy", choices=["serpentine", "sequential"])
+    p.add_argument("--strategy", choices=_CHOICES["strategy"])
     p.add_argument("--name", dest="layout_name")
     p.add_argument("-o", "--output", metavar="FILE")
     _add_model_flags(p)
@@ -127,7 +134,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="typing metrics of a layout on a corpus")
     p.add_argument("--layout", required=True, metavar="FILE")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
-    p.add_argument("--format", dest="report_format", choices=["tsv", "json"])
+    p.add_argument("--format", dest="report_format", choices=_CHOICES["report_format"])
     p.add_argument("--skip-untypable", action="store_true", default=None,
                    dest="skip_untypable")
     p.add_argument("-o", "--output", metavar="FILE")
@@ -137,7 +144,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compare", help="metrics of several layouts side by side")
     p.add_argument("--layouts", nargs="+", required=True, metavar="FILE")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
-    p.add_argument("--format", dest="report_format", choices=["tsv", "json"])
+    p.add_argument("--format", dest="report_format", choices=_CHOICES["report_format"])
     p.add_argument("--skip-untypable", action="store_true", default=None,
                    dest="skip_untypable")
     p.add_argument("-o", "--output", metavar="FILE")
@@ -155,7 +162,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("optimize", help="search consonant placements for minimum cost")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
     p.add_argument("--jam-weight", type=float, dest="jam_weight")
-    p.add_argument("--method", choices=["greedy", "exhaustive", "local"])
+    p.add_argument("--method", choices=_CHOICES["method"])
     p.add_argument("--max-units", type=int, dest="max_units")
     p.add_argument("--slots-per-key", type=int, dest="slots_per_key")
     p.add_argument("--max-iters", type=int, dest="max_iters")
@@ -188,7 +195,22 @@ def _load_config_file(path: str) -> dict:
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise UsageError(f"config file {path}: unknown key(s) {', '.join(unknown)}")
-    return data
+    return {name: _config_value(path, name, value) for name, value in data.items()}
+
+
+def _config_value(path: str, name: str, value):
+    """One --config value, converted and checked the way argparse treats its flag."""
+    if name in _NUMERIC:
+        try:
+            return _NUMERIC[name](str(value))
+        except ValueError:
+            pass
+    elif name in _CHOICES:
+        if value in _CHOICES[name]:
+            return value
+    elif isinstance(value, bool if name in _SWITCHES else str):  # a switch, or a path
+        return value
+    raise UsageError(f"config file {path}: invalid value {value!r} for {name}")
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
@@ -229,15 +251,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     ergonomics = pick("ergonomics")
     if ergonomics is not None:
         ergonomics = paths([ergonomics])[0]
-    max_units = pick("max_units")
-    if max_units is not None:
-        max_units = int(max_units)
-        if max_units <= 0:
-            raise UsageError(f"--max-units must be positive, got {max_units}")
-    slots_per_key = pick("slots_per_key")
-    max_iters = int(pick("max_iters"))
-    if max_iters < 0:
-        raise UsageError(f"--max-iters must be >= 0, got {max_iters}")
+    limits = {"max_units": 1, "slots_per_key": 1, "max_iters": 0}
+    for name, low in limits.items():
+        value = pick(name)
+        if value is not None and value < low:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
 
     return RunConfig(
         command=args.command,
@@ -247,17 +265,17 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         output=Path(args.output) if getattr(args, "output", None) else None,
         out_dir=Path(args.out_dir) if getattr(args, "out_dir", None) else None,
         ergonomics=ergonomics,
-        extension_penalty=float(pick("extension_penalty")),
-        angle_weight=float(pick("angle_weight")),
-        strategy=str(pick("strategy")),
-        method=str(pick("method")),
-        jam_weight=float(pick("jam_weight")),
-        max_units=max_units,
-        slots_per_key=int(slots_per_key) if slots_per_key is not None else None,
-        max_iters=max_iters,
-        report_format=str(pick("report_format")),
-        skip_untypable=bool(pick("skip_untypable")),
-        override_guard=bool(pick("override_guard")),
+        extension_penalty=pick("extension_penalty"),
+        angle_weight=pick("angle_weight"),
+        strategy=pick("strategy"),
+        method=pick("method"),
+        jam_weight=pick("jam_weight"),
+        max_units=pick("max_units"),
+        slots_per_key=pick("slots_per_key"),
+        max_iters=pick("max_iters"),
+        report_format=pick("report_format"),
+        skip_untypable=pick("skip_untypable"),
+        override_guard=pick("override_guard"),
         layout_name=getattr(args, "layout_name", None),
     )
 

@@ -3,8 +3,8 @@
 Each key press bends the thumb's interphalangeal joint (IJ) to some angle
 and moves the metacarpophalangeal joint (MJ) either forward (flexion) or
 laterally (extension). Flexion keys are easier than extension keys, and
-within each group a wider IJ angle is easier. The scalar cost reproduces
-that ordering:
+within each group a wider IJ angle is easier. With the default
+parameters the scalar cost reproduces that ordering:
 
     cost = angle_weight * (180 - ij_angle) / 180 + extension_penalty * [extension]
 
@@ -105,22 +105,21 @@ def default_model(extension_penalty: float = 1.0, angle_weight: float = 1.0) -> 
 
 
 def rank_keys(model: ErgonomicModel, keys: Iterable[str]) -> list[str]:
-    """Keys ordered from most to least flexible.
+    """Keys ordered from most to least flexible, i.e. by ascending ``key_cost``.
 
-    Flexion keys precede extension keys; within each group wider IJ angle
-    first; exact ties fall back to keypad order of the key identifiers.
+    Exact cost ties fall back to keypad order of the key identifiers. With
+    the default parameters every flexion key precedes every extension key.
     """
-    keys = list(keys)
-    for key in keys:
-        if key not in model.entries:
-            raise MissingKeyError(f"key {key!r} is not in the ergonomic model")
-    return sorted(keys, key=lambda k: (model.entries[k].extension,
-                                       -model.entries[k].ij_angle,
-                                       _KEY_INDEX[k]))
+    return sorted(keys, key=lambda k: (key_cost(model, k), _KEY_INDEX[k]))
 
 
 def key_cost(model: ErgonomicModel, key: str) -> float:
-    """Scalar press cost for one key; monotone with the flexibility ranking."""
+    """Scalar press cost for one key; ``rank_keys`` orders keys by it.
+
+    Every extension key costs more than every flexion key whenever
+    ``extension_penalty >= angle_weight``; below that, a wide-angle
+    extension key can cost less than a narrow-angle flexion key.
+    """
     entry = model.entries.get(key)
     if entry is None:
         raise MissingKeyError(f"key {key!r} is not in the ergonomic model")

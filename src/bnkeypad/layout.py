@@ -133,11 +133,6 @@ class Layout:
         return [u for key in KEYPAD_KEYS for u in self.slots[key]]
 
 
-def lookup(layout: Layout, unit: GraphemeUnit) -> tuple[str, int] | None:
-    """(key, slot index) for a unit, or ``None`` when not in the layout."""
-    return layout.position(unit)
-
-
 def deal_serpentine(units, keys) -> dict[str, tuple[GraphemeUnit, ...]]:
     """Deal an ordered unit list boustrophedon: forward, reversed, forward, ...
 

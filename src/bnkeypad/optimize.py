@@ -10,9 +10,16 @@ units land on the same key, weighted by ``jam_weight``:
 With ``jam_weight = 0`` the greedy assignment (most frequent unit on the
 cheapest slot) is provably optimal, so the exhaustive solver mainly
 serves as an oracle for testing and for probing the cost/jamming
-trade-off on small instances. All objective sums use ``math.fsum`` so
-that mathematically equal values compare equal regardless of summation
-order.
+trade-off on small instances.
+
+The three solvers and ``objective_value`` share one evaluator: a scorer
+built once from the objective and a list of slots (a cost and a key
+each), which scores an integer vector giving each unit's slot. Local search swaps two
+entries of that vector and builds one ``Layout`` at the end. Ties break
+toward the lexicographically smallest assignment vector in exhaustive
+search and toward the first swap in scan order in local search. All
+objective sums use ``math.fsum`` so that mathematically equal values
+compare equal regardless of summation order.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 from math import ceil, fsum, isfinite
+from operator import mul
 from typing import Mapping, NamedTuple
 
 from .bn_text import Category, FrequencyTable, GraphemeUnit, rank_by_frequency
@@ -123,81 +131,84 @@ def restrict_bigrams(bigram_counts: Mapping[tuple[GraphemeUnit, GraphemeUnit], i
             if pair[0] in keep and pair[1] in keep}
 
 
+def _scorer(objective: Objective, units, slots):
+    """The one evaluator of the objective, over index arrays.
+
+    ``units`` lists (unit, count) in assignment order and must match the
+    objective's frequency table; ``slots`` are ``KeySlot``s, of which only
+    the cost and the key count. The returned function scores a vector in
+    which ``assign[i]`` is the slot of unit i.
+    """
+    counts = objective.freq.counts
+    if len(units) != len(counts) or any(counts.get(u) != c for u, c in units):
+        raise ValueError("instance frequencies must match the objective's frequency table")
+    total = objective.freq.total
+    p = [c / total if total else 0.0 for _, c in units]
+    costs = [s.cost for s in slots]
+    keys = [s.key for s in slots]
+    pairs = []
+    jam_weight = objective.jam_weight
+    if jam_weight > 0 and objective.bigram_counts:
+        btotal = sum(objective.bigram_counts.values())
+        index = {u: i for i, (u, _) in enumerate(units)}
+        if btotal:
+            pairs = [(index[a], index[b], c / btotal)
+                     for (a, b), c in objective.bigram_counts.items()]
+    cost_of = costs.__getitem__
+
+    def score(assign) -> float:
+        # map keeps the hot loop of exhaustive search out of bytecode
+        value = fsum(map(mul, p, map(cost_of, assign)))
+        if pairs:
+            value += jam_weight * fsum(
+                pab for ia, ib, pab in pairs if keys[assign[ia]] == keys[assign[ib]])
+        return value
+
+    return score
+
+
+def _layout_scorer(layout: Layout, objective: Objective):
+    """Scorer over the positions that a layout gives the objective's units.
+
+    Units are listed in scan order (keypad key, then tap count) and unit i
+    starts on slot i. Returns the scorer and (unit, slot) per unit.
+    """
+    counts = objective.freq.counts
+    for unit in counts:
+        if layout.position(unit) is None:
+            raise IncompleteLayoutError(f"unit {unit.display} is not placed in the layout")
+    model = objective.model
+    placed = [(unit, KeySlot(key, taps, taps * key_cost(model, key))) for key in KEYPAD_KEYS
+              for taps, unit in enumerate(layout.slots[key], start=1) if unit in counts]
+    score = _scorer(objective, [(u, counts[u]) for u, _ in placed], [s for _, s in placed])
+    return score, placed
+
+
 def objective_value(layout: Layout, objective: Objective) -> float:
     """Objective of a layout; every unit of the table must be placed."""
-    total = objective.freq.total
-    terms = []
-    keys_by_unit: dict[GraphemeUnit, str] = {}
-    for unit, count in objective.freq.counts.items():
-        spot = layout.position(unit)
-        if spot is None:
-            raise IncompleteLayoutError(f"unit {unit.display} is not placed in the layout")
-        key, taps = spot
-        keys_by_unit[unit] = key
-        if total:
-            terms.append((count / total) * (taps * key_cost(objective.model, key)))
-    value = fsum(terms)
-    if objective.jam_weight > 0 and objective.bigram_counts:
-        btotal = sum(objective.bigram_counts.values())
-        if btotal:
-            jam_terms = [count / btotal
-                         for (a, b), count in objective.bigram_counts.items()
-                         if keys_by_unit[a] == keys_by_unit[b]]
-            value += objective.jam_weight * fsum(jam_terms)
-    return value
+    score, placed = _layout_scorer(layout, objective)
+    return score(range(len(placed)))
 
 
-def _check_instance_matches(instance: AssignmentInstance, objective: Objective) -> None:
-    # keeps the fast per-assignment valuation and objective_value consistent
-    counts = objective.freq.counts
-    if len(instance.units) != len(counts) or any(
-            counts.get(u) != c for u, c in instance.units):
-        raise ValueError("instance frequencies must match the objective's frequency table")
+def _assignment_layout(instance: AssignmentInstance, assign, name: str):
+    """Layout of an assignment vector, and the vector with the layout's slots.
 
-
-def _prepared(instance: AssignmentInstance, objective: Objective):
-    total = sum(c for _, c in instance.units)
-    p = [c / total if total else 0.0 for _, c in instance.units]
-    slot_costs = [s.cost for s in instance.key_slots]
-    slot_keys = [s.key for s in instance.key_slots]
-    pair_terms = []
-    if objective.jam_weight > 0 and objective.bigram_counts:
-        btotal = sum(objective.bigram_counts.values())
-        index = {u: i for i, (u, _) in enumerate(instance.units)}
-        if btotal:
-            pair_terms = [(index[a], index[b], c / btotal)
-                          for (a, b), c in objective.bigram_counts.items()]
-    return p, slot_costs, slot_keys, pair_terms
-
-
-def _assignment_value(p, slot_costs, slot_keys, pair_terms, jam_weight, assign) -> float:
-    value = fsum(p[i] * slot_costs[assign[i]] for i in range(len(p)))
-    if pair_terms:
-        value += jam_weight * fsum(
-            pab for ia, ib, pab in pair_terms
-            if slot_keys[assign[ia]] == slot_keys[assign[ib]])
-    return value
-
-
-def _assignment_layout(instance: AssignmentInstance, assign, name: str) -> Layout:
-    # unused lower slots are compacted away; at an optimum this never
-    # changes the value because slot costs are nondecreasing per key
-    chosen: dict[str, list[tuple[int, GraphemeUnit]]] = {}
-    for i, (unit, _) in enumerate(instance.units):
-        slot = instance.key_slots[assign[i]]
-        chosen.setdefault(slot.key, []).append((slot.slot_index, unit))
-    slots = {key: tuple(u for _, u in sorted(placed, key=lambda t: t[0]))
-             for key, placed in chosen.items()}
-    return Layout(slots=slots, roles={}, name=name)
-
-
-def _compacted_assignment(instance: AssignmentInstance, layout: Layout):
-    slot_index = {(s.key, s.slot_index): i for i, s in enumerate(instance.key_slots)}
-    assign = []
-    for unit, _ in instance.units:
-        key, taps = layout.position(unit)
-        assign.append(slot_index[(key, taps)])
-    return tuple(assign)
+    Unused lower slots are compacted away; at an optimum this never
+    changes the value because slot costs are nondecreasing per key.
+    """
+    chosen: dict[str, list[tuple[int, int]]] = {}
+    for i, j in enumerate(assign):
+        slot = instance.key_slots[j]
+        chosen.setdefault(slot.key, []).append((slot.slot_index, i))
+    slot_of = {(s.key, s.slot_index): j for j, s in enumerate(instance.key_slots)}
+    slots = {}
+    compacted = [0] * len(assign)
+    for key, placed in chosen.items():
+        placed.sort()
+        slots[key] = tuple(instance.units[i][0] for _, i in placed)
+        for taps, (_, i) in enumerate(placed, start=1):
+            compacted[i] = slot_of[(key, taps)]
+    return Layout(slots=slots, roles={}, name=name), compacted
 
 
 def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
@@ -217,24 +228,16 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
             f"instance has {n_units} units and {n_slots} slots; the exhaustive "
             f"guard allows {GUARD_MAX_UNITS} units and {GUARD_MAX_SLOTS} slots"
         )
-    _check_instance_matches(instance, objective)
-    p, slot_costs, slot_keys, pair_terms = _prepared(instance, objective)
-
+    score = _scorer(objective, instance.units, instance.key_slots)
     best_assign = None
     best_value = None
     for assign in permutations(range(n_slots), n_units):
-        value = _assignment_value(p, slot_costs, slot_keys, pair_terms,
-                                  objective.jam_weight, assign)
+        value = score(assign)
         if best_value is None or value < best_value:
             best_value = value
             best_assign = assign
-    if best_assign is None:  # zero units: the empty layout
-        return Layout(slots={}, roles={}, name="exhaustive"), 0.0
-    layout = _assignment_layout(instance, best_assign, "exhaustive")
-    value = _assignment_value(p, slot_costs, slot_keys, pair_terms,
-                              objective.jam_weight,
-                              _compacted_assignment(instance, layout))
-    return layout, value
+    layout, compacted = _assignment_layout(instance, best_assign, "exhaustive")
+    return layout, score(compacted)
 
 
 def solve_greedy(instance: AssignmentInstance, objective: Objective) -> tuple[Layout, float]:
@@ -246,9 +249,7 @@ def solve_greedy(instance: AssignmentInstance, objective: Objective) -> tuple[La
     if len(instance.units) > len(instance.key_slots):
         raise CapacityError(
             f"{len(instance.units)} units but only {len(instance.key_slots)} slots")
-    _check_instance_matches(instance, objective)
-    p, slot_costs, slot_keys, pair_terms = _prepared(instance, objective)
-
+    score = _scorer(objective, instance.units, instance.key_slots)
     unit_order = sorted(range(len(instance.units)),
                         key=lambda i: (-instance.units[i][1],
                                        instance.units[i][0].codepoints))
@@ -259,19 +260,8 @@ def solve_greedy(instance: AssignmentInstance, objective: Objective) -> tuple[La
     assign = [0] * len(instance.units)
     for i, j in zip(unit_order, slot_order):
         assign[i] = j
-    layout = _assignment_layout(instance, tuple(assign), "greedy")
-    value = _assignment_value(p, slot_costs, slot_keys, pair_terms,
-                              objective.jam_weight,
-                              _compacted_assignment(instance, layout))
-    return layout, value
-
-
-def _swap(layout: Layout, pos_a: tuple[str, int], pos_b: tuple[str, int]) -> Layout:
-    slots = {key: list(units) for key, units in layout.slots.items()}
-    (ka, ia), (kb, ib) = pos_a, pos_b
-    slots[ka][ia], slots[kb][ib] = slots[kb][ib], slots[ka][ia]
-    return Layout(slots={k: tuple(v) for k, v in slots.items()},
-                  roles=layout.roles, name=layout.name)
+    layout, compacted = _assignment_layout(instance, assign, "greedy")
+    return layout, score(compacted)
 
 
 def improve_local(start: Layout, objective: Objective,
@@ -282,24 +272,32 @@ def improve_local(start: Layout, objective: Objective,
     content stays put. Deterministic: the largest strict improvement is
     applied each round, ties resolved by the first swap in scan order.
     """
-    movable = set(objective.freq.counts)
-    current = start
-    value = objective_value(current, objective)
+    score, placed = _layout_scorer(start, objective)
+    n = len(placed)
+    assign = list(range(n))  # slot of unit i
+    held = list(range(n))  # unit on slot a
+    value = score(assign)
     for _ in range(max_iters):
-        positions = [(key, i)
-                     for key in KEYPAD_KEYS
-                     for i in range(len(current.slots[key]))
-                     if current.slots[key][i] in movable]
-        best_candidate = None
+        best_swap = None
         best_value = value
-        for a in range(len(positions)):
-            for b in range(a + 1, len(positions)):
-                candidate = _swap(current, positions[a], positions[b])
-                candidate_value = objective_value(candidate, objective)
+        for a in range(n):
+            for b in range(a + 1, n):
+                ua, ub = held[a], held[b]
+                assign[ua], assign[ub] = b, a
+                candidate_value = score(assign)
+                assign[ua], assign[ub] = a, b
                 if candidate_value < best_value:
                     best_value = candidate_value
-                    best_candidate = candidate
-        if best_candidate is None:
+                    best_swap = (a, b)
+        if best_swap is None:
             break
-        current, value = best_candidate, best_value
-    return current, value
+        a, b = best_swap
+        ua, ub = held[a], held[b]
+        assign[ua], assign[ub] = b, a
+        held[a], held[b] = ub, ua
+        value = best_value
+    slots = {key: list(placed) for key, placed in start.slots.items()}
+    for (_, slot), i in zip(placed, held):
+        slots[slot.key][slot.slot_index - 1] = placed[i][0]
+    return Layout(slots={k: tuple(v) for k, v in slots.items()},
+                  roles=start.roles, name=start.name), value

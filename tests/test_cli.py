@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, artifacts, determinism, config precedence."""
 
+import hashlib
 import json
 
 import pytest
@@ -271,6 +272,7 @@ def test_optimize_guard(tmp_path, capsys):
     ["--extension-penalty", "nan"], ["--angle-weight", "nan"], ["--angle-weight", "0"],
     ["--max-units", "0"], ["--max-units", "-1"],
     ["--max-iters", "-1", "--method", "local"],
+    ["--slots-per-key", "0"], ["--slots-per-key", "-2"],
 ])
 def test_optimize_rejects_bad_parameters(tmp_path, capsys, flags):
     out = tmp_path / "opt.tsv"
@@ -279,11 +281,45 @@ def test_optimize_rejects_bad_parameters(tmp_path, capsys, flags):
     assert not out.exists()
 
 
-def test_config_limits_are_checked_like_flags(tmp_path, capsys):
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({"max_units": 0}), encoding="utf-8")
-    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--config", str(config)]) == 2
+@pytest.mark.parametrize("config", [
+    {"max_units": 0}, {"max_units": "x"}, {"max_units": 2.5}, {"slots_per_key": 0},
+    {"jam_weight": "abc"}, {"jam_weight": True}, {"max_iters": None}, {"max_iters": -1},
+    {"strategy": "zigzag"}, {"method": "bogus"}, {"report_format": "xml"},
+    {"override_guard": "yes"}, {"ergonomics": 3},
+])
+def test_config_limits_are_checked_like_flags(tmp_path, capsys, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "opt.tsv"
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--config", str(path),
+                 "-o", str(out)]) == 2
     assert capsys.readouterr().err.startswith("E_USAGE\t")
+    assert not out.exists()
+
+
+def test_config_values_convert_like_flag_text(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"max_units": "6", "jam_weight": 1, "method": "local",
+                                "max_iters": 2}), encoding="utf-8")
+    configured = tmp_path / "configured.tsv"
+    flagged = tmp_path / "flagged.tsv"
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--config", str(path),
+                 "-o", str(configured)]) == 0
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--max-units", "6",
+                 "--jam-weight", "1", "--method", "local", "--max-iters", "2",
+                 "-o", str(flagged)]) == 0
+    assert configured.read_bytes() == flagged.read_bytes()
+
+
+def test_optimize_local_search_on_fixture_is_pinned(tmp_path, capsys):
+    out = tmp_path / "opt.tsv"
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--method", "local",
+                 "--jam-weight", "0.5", "-o", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == ["greedy start value=1.4447104247104248",
+                       "objective value=1.3973680823680823"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fed72509461a282ca21a0a3a8b7f2b0be57e506d150b70de1e1016562fd3c38c")
 
 
 def test_evaluate_rejects_non_finite_model_parameters(capsys):

@@ -61,6 +61,15 @@ def test_rank_keys_consonant_subset(model):
     assert rank_keys(model, DEFAULT_CONSONANT_KEYS) == ["2", "4", "5", "7", "3", "6", "8"]
 
 
+def test_rank_keys_follows_key_cost_without_extension_penalty():
+    # keys 3 and 7 both cost 100/180 once extension is free; keypad order breaks the tie
+    model = default_model(extension_penalty=0.0)
+    ranking = rank_keys(model, DEFAULT_CONSONANT_KEYS)
+    assert ranking == ["2", "4", "5", "3", "7", "6", "8"]
+    costs = [key_cost(model, k) for k in ranking]
+    assert costs == sorted(costs)
+
+
 def test_rank_keys_singleton(model):
     assert rank_keys(model, ["5"]) == ["5"]
 

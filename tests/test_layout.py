@@ -31,7 +31,6 @@ from bnkeypad.layout import (
     deal_serpentine,
     deal_sequential,
     load_layout,
-    lookup,
     parse,
     serialize,
 )
@@ -222,16 +221,16 @@ def test_missing_keys_normalized_to_empty():
 
 
 # ---------------------------------------------------------------------------
-# lookup
+# position
 # ---------------------------------------------------------------------------
 
-def test_lookup_examples(model):
+def test_position_examples(model):
     layout = build_layout(descending_table(), model)
     first_on_5 = layout.slots["5"][0]
-    assert lookup(layout, first_on_5) == ("5", 1)
-    assert lookup(layout, SPACE_UNIT) == ("0", 1)
+    assert layout.position(first_on_5) == ("5", 1)
+    assert layout.position(SPACE_UNIT) == ("0", 1)
     orphan = Layout(slots={"5": (unit_for("ক"),)})
-    assert lookup(orphan, unit_for("খ")) is None
+    assert orphan.position(unit_for("খ")) is None
 
 
 # ---------------------------------------------------------------------------

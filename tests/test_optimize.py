@@ -2,10 +2,19 @@
 
 import itertools
 import random
+from math import fsum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bnkeypad.bn_text import CONSONANTS, Category, FrequencyTable, unit_for
+from bnkeypad.bn_text import (
+    CONSONANTS,
+    INDEPENDENT_VOWELS,
+    Category,
+    FrequencyTable,
+    unit_for,
+)
 from bnkeypad.ergonomics import (
     KEYPAD_KEYS,
     Direction,
@@ -384,6 +393,104 @@ def test_local_only_moves_objective_units(model, corpus_table):
     assert improved.slots["1"] == start.slots["1"]  # symbols untouched
     assert improved.slots["0"] == start.slots["0"]
     assert value <= objective_value(start, objective)
+
+
+# ---------------------------------------------------------------------------
+# local search against a Layout-per-swap reference
+# ---------------------------------------------------------------------------
+
+def reference_objective_value(layout, objective):
+    """Objective by walking the layout, one term per unit of the table."""
+    total = objective.freq.total
+    terms = []
+    keys_by_unit = {}
+    for unit, count in objective.freq.counts.items():
+        spot = layout.position(unit)
+        if spot is None:
+            raise IncompleteLayoutError(f"unit {unit.display} is not placed in the layout")
+        key, taps = spot
+        keys_by_unit[unit] = key
+        if total:
+            terms.append((count / total) * (taps * key_cost(objective.model, key)))
+    value = fsum(terms)
+    if objective.jam_weight > 0 and objective.bigram_counts:
+        btotal = sum(objective.bigram_counts.values())
+        if btotal:
+            jam_terms = [count / btotal
+                         for (a, b), count in objective.bigram_counts.items()
+                         if keys_by_unit[a] == keys_by_unit[b]]
+            value += objective.jam_weight * fsum(jam_terms)
+    return value
+
+
+def reference_swap(layout, pos_a, pos_b):
+    slots = {key: list(units) for key, units in layout.slots.items()}
+    (ka, ia), (kb, ib) = pos_a, pos_b
+    slots[ka][ia], slots[kb][ib] = slots[kb][ib], slots[ka][ia]
+    return Layout(slots={k: tuple(v) for k, v in slots.items()},
+                  roles=layout.roles, name=layout.name)
+
+
+def reference_improve_local(start, objective, max_iters=100):
+    """Best-improvement hill climbing that builds and rescores a Layout per swap."""
+    movable = set(objective.freq.counts)
+    current = start
+    value = reference_objective_value(current, objective)
+    for _ in range(max_iters):
+        positions = [(key, i)
+                     for key in KEYPAD_KEYS
+                     for i in range(len(current.slots[key]))
+                     if current.slots[key][i] in movable]
+        best_candidate = None
+        best_value = value
+        for a in range(len(positions)):
+            for b in range(a + 1, len(positions)):
+                candidate = reference_swap(current, positions[a], positions[b])
+                candidate_value = reference_objective_value(candidate, objective)
+                if candidate_value < best_value:
+                    best_value = candidate_value
+                    best_candidate = candidate
+        if best_candidate is None:
+            break
+        current, value = best_candidate, best_value
+    return current, value
+
+
+def random_local_case(rng, jam_weight):
+    """A layout whose keys mix objective units with units the objective ignores."""
+    model = default_model(extension_penalty=rng.choice([0.0, 0.5, 1.0]),
+                          angle_weight=rng.choice([0.5, 1.0]))
+    keys = rng.sample(list(KEYPAD_KEYS), rng.randint(1, 4))
+    units = rng.sample(list(CONSONANTS) + list(INDEPENDENT_VOWELS), rng.randint(2, 10))
+    movable = units[:rng.randint(1, len(units))]
+    slots: dict[str, list] = {}
+    for unit in units:
+        slots.setdefault(rng.choice(keys), []).append(unit)
+    start = Layout(slots={k: tuple(v) for k, v in slots.items()}, name="start")
+    freq = FrequencyTable.from_counts({u: rng.randint(0, 50) for u in movable})
+    bigrams = None
+    if jam_weight > 0 or rng.random() < 0.5:
+        bigrams = {(rng.choice(movable), rng.choice(movable)): rng.randint(0, 10)
+                   for _ in range(rng.randint(0, 12))}
+    return start, Objective(freq, model, jam_weight, bigrams)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+       st.integers(0, 5))
+def test_local_equals_layout_per_swap_reference(rng, jam_weight, max_iters):
+    start, objective = random_local_case(rng, jam_weight)
+    layout, value = improve_local(start, objective, max_iters=max_iters)
+    ref_layout, ref_value = reference_improve_local(start, objective, max_iters=max_iters)
+    assert layout == ref_layout
+    assert value == ref_value
+    assert objective_value(layout, objective) == reference_objective_value(layout, objective)
+
+
+def test_local_rejects_incomplete_start(model):
+    objective = Objective(FrequencyTable.from_counts({KA: 1, KHA: 1}), model)
+    with pytest.raises(IncompleteLayoutError):
+        improve_local(Layout(slots={"5": (KA,)}), objective)
 
 
 def test_consonant_instance_shapes(model, corpus_table):
