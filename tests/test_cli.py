@@ -267,6 +267,18 @@ def test_optimize_guard(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines()[-1].startswith("E_TOO_LARGE\t")
 
 
+@pytest.mark.parametrize("method", ["greedy", "local", "exhaustive"])
+def test_optimize_rejects_corpus_without_consonants(tmp_path, capsys, method):
+    corpus = tmp_path / "latin.txt"
+    corpus.write_text("abc\n", encoding="utf-8")
+    out = tmp_path / "opt.tsv"
+    assert main(["optimize", "--corpus", str(corpus), "--method", method,
+                 "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("E_INCOMPLETE_ALPHABET\t")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--jam-weight", "nan"], ["--jam-weight", "inf"], ["--jam-weight", "-1"],
     ["--extension-penalty", "nan"], ["--angle-weight", "nan"], ["--angle-weight", "0"],

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import fsum
+from math import fsum, perm
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from bnkeypad.bn_text import (
     INDEPENDENT_VOWELS,
     Category,
     FrequencyTable,
+    count_unit_bigrams,
     unit_for,
 )
 from bnkeypad.ergonomics import (
@@ -23,12 +24,19 @@ from bnkeypad.ergonomics import (
     default_model,
     key_cost,
 )
-from bnkeypad.errors import CapacityError, IncompleteLayoutError, InstanceTooLargeError
+from bnkeypad.errors import (
+    CapacityError,
+    IncompleteAlphabetError,
+    IncompleteLayoutError,
+    InstanceTooLargeError,
+)
 from bnkeypad.layout import Layout
 from bnkeypad.optimize import (
     AssignmentInstance,
     KeySlot,
     Objective,
+    _assignment_layout,
+    _scorer,
     consonant_instance,
     improve_local,
     objective_value,
@@ -201,6 +209,9 @@ def test_instance_validation():
         AssignmentInstance(((KA, 1),), (KeySlot("2", 2, 1.0),))  # no slot 1
     with pytest.raises(ValueError):
         AssignmentInstance(((KA, 1),), (KeySlot("2", 1, 0.0),))  # zero cost
+    for cost in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            AssignmentInstance(((KA, 1),), (KeySlot("2", 1, cost),))
     with pytest.raises(ValueError):
         AssignmentInstance(((KA, 1),),
                            (KeySlot("2", 1, 2.0), KeySlot("2", 2, 1.0)))  # decreasing
@@ -333,6 +344,141 @@ def test_capacity_and_guard_errors(model):
     _, value = solve_exhaustive(big_instance, big_objective, override_guard=True)
     _, greedy_value = solve_greedy(big_instance, big_objective)
     assert value == greedy_value
+
+
+# ---------------------------------------------------------------------------
+# exhaustive search against full enumeration
+# ---------------------------------------------------------------------------
+
+def reference_solve_exhaustive(instance, objective):
+    """Score every injective assignment in lexicographic order; keep the first minimum."""
+    score = _scorer(objective, instance.units, instance.key_slots).score
+    best_assign = None
+    best_value = None
+    for assign in itertools.permutations(range(len(instance.key_slots)),
+                                         len(instance.units)):
+        value = score(assign)
+        if best_value is None or value < best_value:
+            best_value = value
+            best_assign = assign
+    layout, compacted = _assignment_layout(instance, best_assign, "exhaustive")
+    return layout, score(compacted)
+
+
+def random_exhaustive_case(rng, jam_weight):
+    """An instance of up to 7 units / 10 slots, rich in ties.
+
+    Key costs tie under ``flat_model``; slot costs can also be made equal
+    across keys; counts can be all equal or all zero; bigrams are sparse or
+    dense. Instances stay within 8P7 = 40,320 assignments so the reference
+    enumeration is quick.
+    """
+    model = rng.choice([flat_model(), default_model(),
+                        default_model(extension_penalty=0.0, angle_weight=0.5)])
+    keys = rng.sample(list(KEYPAD_KEYS), rng.randint(1, 5))
+    per_key = rng.randint(1, 10 // len(keys))
+    even = rng.random() < 0.3
+    key_slots = [KeySlot(key, s, s * (0.5 if even else key_cost(model, key)))
+                 for key in keys for s in range(1, per_key + 1)]
+    n_units = rng.randint(0, min(7, len(key_slots)))
+    while perm(len(key_slots), n_units) > 40_320:
+        n_units -= 1
+    units = rng.sample(list(CONSONANTS), n_units)
+    counts = rng.choice(["random", "equal", "zero"])
+    units_counts = [(u, {"random": rng.randint(0, 30), "equal": 7, "zero": 0}[counts])
+                    for u in units]
+    instance, freq = make_instance(units_counts, key_slots)
+    bigrams = None
+    if jam_weight > 0 or rng.random() < 0.5:
+        density = rng.choice([0.1, 0.5, 1.0])
+        bigrams = {(a, b): rng.randint(0, 9)
+                   for a, b in itertools.product(units, repeat=2) if rng.random() < density}
+    return instance, Objective(freq, model, jam_weight, bigrams)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.floats(0.0, 3.0))
+def test_exhaustive_equals_full_enumeration(rng, jam_weight):
+    instance, objective = random_exhaustive_case(rng, jam_weight)
+    layout, value = solve_exhaustive(instance, objective)
+    ref_layout, ref_value = reference_solve_exhaustive(instance, objective)
+    assert layout == ref_layout
+    assert value == ref_value
+
+
+def test_exhaustive_with_subnormal_slot_costs(model):
+    # products p * cost below the normal float range round by more than a
+    # relative 2**-53, which the rearrangement bound's slack does not cover
+    costs = {"2": (3.5e-323, 7e-323), "3": (1e-323, 1.5e-323), "4": (1.5e-323, 5e-323)}
+    key_slots = [KeySlot(k, s, c) for k, pair in costs.items()
+                 for s, c in enumerate(pair, start=1)]
+    counts = [845, 941, 186, 562, 368]
+    instance, freq = make_instance(list(zip(CONSONANTS, counts)), key_slots)
+    objective = Objective(freq, model)
+    assert solve_exhaustive(instance, objective) == reference_solve_exhaustive(instance, objective)
+
+
+# Instances at the guard's limit. Each has up to 239.5 M assignments, and
+# the bounds let exhaustive search finish in a fraction of a second; a
+# bound that stops pruning makes these tests run for minutes.
+
+def fixture_instance(corpus_table, corpus_units, model, n_units, keys, jam_weight=0.5):
+    instance = consonant_instance(corpus_table.restricted([Category.CONSONANT]), model,
+                                  max_units=n_units, keys=keys, slots_per_key=2)
+    chosen = [u for u, _ in instance.units]
+    pairs = restrict_bigrams(count_unit_bigrams(corpus_units), chosen)
+    objective = Objective(FrequencyTable.from_counts(dict(instance.units)), model,
+                          jam_weight, pairs)
+    return instance, objective
+
+
+# A unit paired with itself jams on any key, so with one slot per key every
+# placement still ties.
+@pytest.mark.parametrize("self_pairs", [False, True])
+def test_exhaustive_all_ties_at_guard_limit(self_pairs):
+    model = flat_model()
+    units = list(CONSONANTS[:10])
+    instance, freq = make_instance([(u, 3) for u in units],
+                                   [KeySlot(k, 1, key_cost(model, k)) for k in KEYPAD_KEYS])
+    if self_pairs:
+        objective = Objective(freq, model, 1.0, {(u, u): 2 for u in units})
+    else:
+        objective = Objective(freq, model)
+    layout, value = solve_exhaustive(instance, objective)
+    assert value == objective_value(layout, objective)
+    placement = Layout(slots={k: (u,) for k, u in zip(reversed(KEYPAD_KEYS), units)})
+    assert value == objective_value(placement, objective)
+
+
+def test_exhaustive_eight_units_ten_slots_is_pinned(corpus_table, corpus_units, model):
+    instance, objective = fixture_instance(corpus_table, corpus_units, model, 8,
+                                           ("2", "3", "4", "5", "6"))
+    _, value = solve_exhaustive(instance, objective)
+    # full enumeration of the 1,814,400 assignments gives the same value
+    assert value == 0.7860688270003268
+
+
+# jam weight 3 checks the jam part of the bounds: without it, this case
+# runs about 300 times longer. At jam weight 0.5, full enumeration of the
+# 239.5 M assignments gives the pinned value.
+@pytest.mark.parametrize("jam_weight, enumerated", [(0.5, 0.7554352186121139), (3.0, None)])
+def test_exhaustive_ten_units_twelve_slots(corpus_table, corpus_units, model,
+                                           jam_weight, enumerated):
+    instance, objective = fixture_instance(corpus_table, corpus_units, model, 10,
+                                           ("2", "3", "4", "5", "6", "7"), jam_weight)
+    layout, value = solve_exhaustive(instance, objective)
+    greedy, greedy_value = solve_greedy(instance, objective)
+    _, local_value = improve_local(greedy, objective)
+    assert value <= greedy_value
+    assert value <= local_value
+    assert value == objective_value(layout, objective)
+    if enumerated is not None:
+        assert value == enumerated
+
+
+def test_consonant_instance_needs_a_consonant(model):
+    with pytest.raises(IncompleteAlphabetError):
+        consonant_instance(FrequencyTable.from_counts({INDEPENDENT_VOWELS[0]: 4}), model)
 
 
 # ---------------------------------------------------------------------------
