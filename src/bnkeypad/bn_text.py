@@ -19,7 +19,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CorpusDecodeError
 
@@ -249,6 +249,22 @@ def decode_corpus(raw: bytes, source: str) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusDecodeError(source, exc.start, exc.reason) from None
+
+
+def decode_document(raw: bytes, syntax_error: Callable[[int, str], Exception]) -> str:
+    """UTF-8 text of a layout or model file's bytes.
+
+    An invalid byte raises ``syntax_error(line_no, message)`` with the
+    1-based line of the byte, counting lines as ``str.splitlines`` does.
+    """
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[:exc.start].decode("utf-8")
+        # the bad byte starts a new line when the text before it ends in a break
+        line_no = len((before + "?").splitlines())
+        raise syntax_error(line_no, f"invalid UTF-8 at byte offset {exc.start} "
+                                    f"({exc.reason})") from None
 
 
 def read_corpus(path) -> str:

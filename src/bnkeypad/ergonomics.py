@@ -20,6 +20,7 @@ from enum import Enum
 from math import isfinite
 from typing import Iterable, Mapping
 
+from .bn_text import decode_document
 from .errors import MissingKeyError, ModelSyntaxError
 
 KEYPAD_KEYS: tuple[str, ...] = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "*", "0", "#")
@@ -182,5 +183,7 @@ def parse_model_tsv(text: str, extension_penalty: float = 1.0,
 
 def load_model(path, extension_penalty: float = 1.0,
                angle_weight: float = 1.0) -> ErgonomicModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model_tsv(fh.read(), extension_penalty, angle_weight)
+    """Read and parse a model file; bytes that are not UTF-8 are a syntax error."""
+    with open(path, "rb") as fh:
+        return parse_model_tsv(decode_document(fh.read(), ModelSyntaxError),
+                               extension_penalty, angle_weight)

@@ -29,6 +29,7 @@ from .bn_text import (
     VOWEL_SIGNS,
     FrequencyTable,
     GraphemeUnit,
+    decode_document,
     parse_unit_token,
     unit_token,
 )
@@ -284,5 +285,6 @@ def parse(document: str) -> Layout:
 
 
 def load_layout(path) -> Layout:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Read and parse a layout file; bytes that are not UTF-8 are a syntax error."""
+    with open(path, "rb") as fh:
+        return parse(decode_document(fh.read(), LayoutSyntaxError))

@@ -18,12 +18,19 @@ bounds), so it returns the minimum that full enumeration returns.
 
 The three solvers and ``objective_value`` share one evaluator: a scorer
 built once from the objective and a list of slots (a cost and a key
-each), which scores an integer vector giving each unit's slot. Local search swaps two
-entries of that vector and builds one ``Layout`` at the end. Ties break
-toward the lexicographically smallest assignment vector in exhaustive
-search and toward the first swap in scan order in local search. All
-objective sums use ``math.fsum`` so that mathematically equal values
-compare equal regardless of summation order.
+each), which scores an integer vector giving each unit's slot. Its sums
+use ``math.fsum``, so mathematically equal values compare equal whatever
+the summation order. Ties break toward the lexicographically smallest
+assignment vector in exhaustive search and toward the first swap in scan
+order in local search.
+
+Both searches also use the scorer's terms in exact form (``_exact``):
+every product and pair weight as an integer over a power-of-two
+denominator. A sum of those integers, divided the way ``score`` divides,
+is the float ``score`` returns, because ``fsum`` and integer division both
+round correctly. Exhaustive search bounds subtrees with them; local search
+keeps the cost and jam sums of the current vector as integers, scores each
+swap from their change in O(1), and builds one ``Layout`` at the end.
 """
 
 from __future__ import annotations
@@ -193,6 +200,36 @@ def _scorer(objective: Objective, units, slots) -> _Scorer:
     return _Scorer(score, p, costs, keys, pairs, jam_weight)
 
 
+def _exact(scorer: _Scorer):
+    """The scorer's terms as integers over power-of-two denominators.
+
+    Returns ``(cost, den, pairs, jden)``: ``cost[i][j] / den`` is exactly the
+    product ``p[i] * costs[j]`` that ``score`` sums, and ``num / jden``
+    exactly the weight of the pair ``(a, b, num)``. Let C and J be integer
+    sums of these numerators. Both ``fsum`` and integer true division round
+    correctly, so ``C / den`` equals ``fsum`` of the products and
+    ``J / jden`` equals ``fsum`` of the weights.
+    """
+    p, costs, pairs = scorer.p, scorer.costs, scorer.pairs
+    if not all(map(isfinite, costs)):
+        raise ValueError("slot costs must be finite")
+    cost, den = _over_common_denominator([[pi * c for c in costs] for pi in p])  # score's floats
+    (weights,), jden = _over_common_denominator([[w for _, _, w in pairs]])
+    return cost, den, [(a, b, w) for (a, b, _), w in zip(pairs, weights)], jden
+
+
+def _over_common_denominator(rows: list[list[float]]) -> tuple[list[list[int]], int]:
+    """Numerators of rows of finite floats over their largest denominator, and it.
+
+    Every float denominator is a power of two, so the largest is a multiple
+    of each and the numerators are exact. Only the numerators are kept, which
+    holds down the memory of local search's units x slots table.
+    """
+    den = max((x.as_integer_ratio()[1] for row in rows for x in row), default=1)
+    return [[num * (den // d) for num, d in map(float.as_integer_ratio, row)]
+            for row in rows], den
+
+
 def _layout_scorer(layout: Layout, objective: Objective):
     """Scorer over the positions that a layout gives the objective's units.
 
@@ -206,14 +243,14 @@ def _layout_scorer(layout: Layout, objective: Objective):
     model = objective.model
     placed = [(unit, KeySlot(key, taps, taps * key_cost(model, key))) for key in KEYPAD_KEYS
               for taps, unit in enumerate(layout.slots[key], start=1) if unit in counts]
-    score = _scorer(objective, [(u, counts[u]) for u, _ in placed], [s for _, s in placed]).score
-    return score, placed
+    scorer = _scorer(objective, [(u, counts[u]) for u, _ in placed], [s for _, s in placed])
+    return scorer, placed
 
 
 def objective_value(layout: Layout, objective: Objective) -> float:
     """Objective of a layout; every unit of the table must be placed."""
-    score, placed = _layout_scorer(layout, objective)
-    return score(range(len(placed)))
+    scorer, placed = _layout_scorer(layout, objective)
+    return scorer.score(range(len(placed)))
 
 
 def _assignment_layout(instance: AssignmentInstance, assign, name: str):
@@ -301,17 +338,9 @@ def _branch_and_bound(scorer: _Scorer) -> list[int]:
       cost of any injective placement (rearrangement inequality), scaled
       down by ``_REARRANGEMENT_SLACK``. Skip when it is ``>`` the incumbent.
     """
-    score, p, costs, keys, pairs, jam_weight = scorer
+    score, p, costs, keys, _, jam_weight = scorer
     n_units, n_slots = len(p), len(costs)
-    products = [[pi * c for c in costs] for pi in p]  # the floats score sums
-    den = max((x.as_integer_ratio()[1] for row in products for x in row), default=1)
-    jden = max((w.as_integer_ratio()[1] for _, _, w in pairs), default=1)
-
-    def scaled(x, denominator):
-        num, d = x.as_integer_ratio()
-        return num * (denominator // d)
-
-    exact = [[scaled(x, den) for x in row] for row in products]
+    exact, den, pairs, jden = _exact(scorer)
     # rest[k][j]: units k, k+1, ... all on slot j
     rest = [[0] * n_slots]
     for row in reversed(exact):
@@ -322,12 +351,12 @@ def _branch_and_bound(scorer: _Scorer) -> list[int]:
     always = 0
     for a, b, w in pairs:
         if a == b:
-            always += scaled(w, jden)
+            always += w
         else:
-            links[max(a, b)].append((min(a, b), scaled(w, jden)))
+            links[max(a, b)].append((min(a, b), w))
     by_cost = sorted(range(n_slots), key=costs.__getitem__)
     p_desc = [sorted(p[k:], reverse=True) for k in range(n_units)]
-    normal = all(x == 0 or x >= float_info.min for row in products for x in row)
+    normal = all(x == 0 or x >= float_info.min for pi in p for x in map(pi.__mul__, costs))
     shrink = 1.0 - _REARRANGEMENT_SLACK if normal else 0.0
     cost_of = costs.__getitem__
 
@@ -397,31 +426,70 @@ def improve_local(start: Layout, objective: Objective,
     Only units in the objective's frequency table move; reserved-key
     content stays put. Deterministic: the largest strict improvement is
     applied each round, ties resolved by the first swap in scan order.
+
+    Each swap is scored in O(1) from a running state: the cost sum and the
+    jam sum as integer numerators (``_exact``) and, per unit and key, the
+    jam numerator of the unit's pairs with the units on that key. A
+    candidate's value is divided out with the float operations of the
+    shared scorer's ``score``, so it equals ``score`` of the swapped vector
+    bit for bit. Slot costs must be finite (``ValueError``).
     """
-    score, placed = _layout_scorer(start, objective)
+    scorer, placed = _layout_scorer(start, objective)
+    exact, den, pairs, jden = _exact(scorer)
+    jam_weight = scorer.jam_weight
     n = len(placed)
-    assign = list(range(n))  # slot of unit i
-    held = list(range(n))  # unit on slot a
-    value = score(assign)
+    key_ids: dict[str, int] = {}
+    key_of = [key_ids.setdefault(k, len(key_ids)) for k in scorer.keys]  # key of slot a
+    # pair[u][v]: jam numerator of the pairs (u, v) and (v, u), u != v;
+    # near[u][k]: sum of pair[u][v] over the units v on key k
+    pair = [[0] * n for _ in range(n)]
+    near = [[0] * len(key_ids) for _ in range(n)]
+    jam = 0
+    for a, b, w in pairs:
+        if key_of[a] == key_of[b]:
+            jam += w
+        if a != b:
+            pair[a][b] += w
+            pair[b][a] += w
+            near[a][key_of[b]] += w
+            near[b][key_of[a]] += w
+    cost = sum(exact[i][i] for i in range(n))
+    held = list(range(n))  # unit on slot a; unit i starts on slot i
+    value = cost / den + jam_weight * (jam / jden)  # score(range(n)); no pairs add 0.0
     for _ in range(max_iters):
         best_swap = None
-        best_value = value
+        best_value, best_cost, best_jam = value, cost, jam
         for a in range(n):
+            ua, ka = held[a], key_of[a]
+            row_a, near_a, pair_a = exact[ua], near[ua], pair[ua]
+            cost_a = cost - row_a[a]
             for b in range(a + 1, n):
-                ua, ub = held[a], held[b]
-                assign[ua], assign[ub] = b, a
-                candidate_value = score(assign)
-                assign[ua], assign[ub] = a, b
+                ub, kb = held[b], key_of[b]
+                row_b = exact[ub]
+                c = cost_a + row_a[b] + row_b[a] - row_b[b]
+                j = jam
+                if ka != kb:
+                    near_b = near[ub]
+                    j += near_a[kb] - near_a[ka] + near_b[ka] - near_b[kb] - 2 * pair_a[ub]
+                # the value is nondecreasing in c and in j, so a swap with
+                # both at least the best's cannot score strictly below it
+                if c >= best_cost and j >= best_jam:
+                    continue
+                candidate_value = c / den + jam_weight * (j / jden)
                 if candidate_value < best_value:
-                    best_value = candidate_value
+                    best_value, best_cost, best_jam = candidate_value, c, j
                     best_swap = (a, b)
         if best_swap is None:
             break
         a, b = best_swap
         ua, ub = held[a], held[b]
-        assign[ua], assign[ub] = b, a
+        ka, kb = key_of[a], key_of[b]
+        for v in range(n):
+            moved = pair[ua][v] - pair[ub][v]
+            near[v][ka] -= moved
+            near[v][kb] += moved
         held[a], held[b] = ub, ua
-        value = best_value
+        value, cost, jam = best_value, best_cost, best_jam
     slots = {key: list(placed) for key, placed in start.slots.items()}
     for (_, slot), i in zip(placed, held):
         slots[slot.key][slot.slot_index - 1] = placed[i][0]

@@ -9,8 +9,8 @@ from conftest import CORPUS_PATH, TOY_LAYOUT_PATH
 
 from bnkeypad import bn_text
 from bnkeypad.cli import main
-from bnkeypad.ergonomics import default_model, format_model_tsv
-from bnkeypad.layout import Role, load_layout
+from bnkeypad.ergonomics import default_model, format_model_tsv, load_model, parse_model_tsv
+from bnkeypad.layout import Role, load_layout, parse
 from bnkeypad.transcribe import evaluate
 
 MINI = ("কখক কা। "
@@ -181,6 +181,51 @@ def test_layout_syntax_error_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("E_LAYOUT_SYNTAX\t")
 
 
+@pytest.mark.parametrize("command", ["evaluate", "compare", "transcribe"])
+@pytest.mark.parametrize("document, line_no", [
+    (b"keypad-layout v1\nname\t\xff\n", 2),
+    (b"keypad-layout v1\r\nname\tx\r\n\r\n2\tU+0995,\xe0\xa6\n", 4),
+    (b"keypad-layout v1\rname\t\xc0\x80\r", 2),
+], ids=["lf", "crlf-truncated", "cr-overlong"])
+def test_layout_that_is_not_utf8_is_a_syntax_error(tmp_path, capsys, command, document,
+                                                   line_no):
+    bad = tmp_path / "bad_layout.tsv"
+    bad.write_bytes(document)
+    text_path = tmp_path / "text.txt"
+    text_path.write_text("কখ\n", encoding="utf-8")
+    argv = {"evaluate": ["--layout", str(bad), "--corpus", str(CORPUS_PATH)],
+            "compare": ["--layouts", str(bad), str(TOY_LAYOUT_PATH), "--corpus", str(CORPUS_PATH)],
+            "transcribe": ["--layout", str(bad), "--in", str(text_path),
+                           "--out", str(tmp_path / "trace.tsv")]}[command]
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"E_LAYOUT_SYNTAX\tline {line_no}: invalid UTF-8 at byte offset ")
+    assert err.count("\n") == 1
+
+
+def test_model_that_is_not_utf8_is_a_syntax_error(tmp_path, capsys):
+    bad = tmp_path / "model.tsv"
+    lines = format_model_tsv(default_model()).encode("utf-8").splitlines(keepends=True)
+    lines[3] = b"\xff" + lines[3]
+    bad.write_bytes(b"".join(lines))
+    assert main(["evaluate", "--layout", str(TOY_LAYOUT_PATH), "--corpus", str(CORPUS_PATH),
+                 "--ergonomics", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("E_MODEL_SYNTAX\tline 4: invalid UTF-8 at byte offset ")
+    assert err.count("\n") == 1
+
+
+def test_crlf_layout_and_model_files_parse_the_same(tmp_path):
+    layout_text = TOY_LAYOUT_PATH.read_text(encoding="utf-8")
+    model_text = format_model_tsv(default_model())
+    crlf_layout = tmp_path / "layout.tsv"
+    crlf_layout.write_bytes(layout_text.replace("\n", "\r\n").encode("utf-8"))
+    crlf_model = tmp_path / "model.tsv"
+    crlf_model.write_bytes(model_text.replace("\n", "\r\n").encode("utf-8"))
+    assert load_layout(crlf_layout) == parse(layout_text)
+    assert load_model(crlf_model) == parse_model_tsv(model_text)
+
+
 def test_determinism_byte_identical_outputs(tmp_path):
     out1 = tmp_path / "freq1.tsv"
     out2 = tmp_path / "freq2.tsv"
@@ -332,6 +377,22 @@ def test_optimize_local_search_on_fixture_is_pinned(tmp_path, capsys):
                        "objective value=1.3973680823680823"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "fed72509461a282ca21a0a3a8b7f2b0be57e506d150b70de1e1016562fd3c38c")
+
+
+@pytest.mark.parametrize("jam_weight, start, value, digest", [
+    ("2", "1.6474131274131274", "1.4385302445302446",
+     "030feefc5eed8f7917d022f663b7a67132fe2eaa5620ad16732ffb838cdbd818"),
+    ("7", "2.3230888030888033", "1.4854834834834834",
+     "9228c244df394d11eac9e2454c92e7f0d7e8bb3dbff5bacbcff3cd4e168bdeef"),
+])
+def test_optimize_local_search_on_fixture_is_pinned_at_higher_jam_weights(
+        tmp_path, capsys, jam_weight, start, value, digest):
+    out = tmp_path / "opt.tsv"
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--method", "local",
+                 "--jam-weight", jam_weight, "-o", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == [f"greedy start value={start}", f"objective value={value}"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_evaluate_rejects_non_finite_model_parameters(capsys):

@@ -36,6 +36,7 @@ from bnkeypad.optimize import (
     KeySlot,
     Objective,
     _assignment_layout,
+    _layout_scorer,
     _scorer,
     consonant_instance,
     improve_local,
@@ -631,6 +632,91 @@ def test_local_equals_layout_per_swap_reference(rng, jam_weight, max_iters):
     assert layout == ref_layout
     assert value == ref_value
     assert objective_value(layout, objective) == reference_objective_value(layout, objective)
+
+
+# ---------------------------------------------------------------------------
+# local search against the search that rescored every swap
+# ---------------------------------------------------------------------------
+
+def reference_improve_local_rescoring(start, objective, max_iters=100):
+    """Best-improvement hill climbing that rescores the whole vector per swap."""
+    scorer, placed = _layout_scorer(start, objective)
+    score = scorer.score
+    n = len(placed)
+    assign = list(range(n))  # slot of unit i
+    held = list(range(n))  # unit on slot a
+    value = score(assign)
+    for _ in range(max_iters):
+        best_swap = None
+        best_value = value
+        for a in range(n):
+            for b in range(a + 1, n):
+                ua, ub = held[a], held[b]
+                assign[ua], assign[ub] = b, a
+                candidate_value = score(assign)
+                assign[ua], assign[ub] = a, b
+                if candidate_value < best_value:
+                    best_value = candidate_value
+                    best_swap = (a, b)
+        if best_swap is None:
+            break
+        a, b = best_swap
+        ua, ub = held[a], held[b]
+        assign[ua], assign[ub] = b, a
+        held[a], held[b] = ub, ua
+        value = best_value
+    slots = {key: list(placed) for key, placed in start.slots.items()}
+    for (_, slot), i in zip(placed, held):
+        slots[slot.key][slot.slot_index - 1] = placed[i][0]
+    return Layout(slots={k: tuple(v) for k, v in slots.items()},
+                  roles=start.roles, name=start.name), value
+
+
+def random_full_local_case(rng, jam_weight, angle_weight):
+    """Up to 35 objective units crowded on a few keys, with self and one-way pairs.
+
+    Some counts (or all of them) are zero, and so are some pair counts.
+    """
+    model = default_model(extension_penalty=rng.choice([0.0, 1.0]), angle_weight=angle_weight)
+    keys = rng.sample(list(KEYPAD_KEYS), rng.randint(1, 12))
+    movable = rng.sample(list(CONSONANTS), rng.randint(1, 35))
+    units = movable + rng.sample(list(INDEPENDENT_VOWELS), rng.randint(0, 4))
+    rng.shuffle(units)
+    slots: dict[str, list] = {}
+    for unit in units:
+        slots.setdefault(rng.choice(keys), []).append(unit)
+    start = Layout(slots={k: tuple(v) for k, v in slots.items()}, name="start")
+    zero_share = rng.choice([0.0, 0.0, 0.3, 1.0])
+
+    def count(high):
+        return 0 if rng.random() < zero_share else rng.randint(1, high)
+
+    freq = FrequencyTable.from_counts({u: count(500) for u in movable})
+    bigrams = None
+    if jam_weight > 0 or rng.random() < 0.5:
+        # drawn with replacement: (a, a) pairs and (a, b) without (b, a) occur
+        bigrams = {(rng.choice(movable), rng.choice(movable)): count(100)
+                   for _ in range(rng.randint(0, 4 * len(movable)))}
+    return start, Objective(freq, model, jam_weight, bigrams)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.floats(0.0, 7.0),
+       st.sampled_from([0, 1, 2, 3, 4, 5, 100]), st.sampled_from([1e-310, 0.5, 1.0, 1e300]))
+def test_local_equals_rescoring_reference(rng, jam_weight, max_iters, angle_weight):
+    start, objective = random_full_local_case(rng, jam_weight, angle_weight)
+    layout, value = improve_local(start, objective, max_iters=max_iters)
+    ref_layout, ref_value = reference_improve_local_rescoring(start, objective,
+                                                              max_iters=max_iters)
+    assert layout == ref_layout
+    assert value == ref_value
+
+
+def test_local_rejects_non_finite_slot_costs():
+    model = default_model(angle_weight=1e308)  # finite, but key costs overflow
+    objective = Objective(FrequencyTable.from_counts({KA: 1, KHA: 1}), model)
+    with pytest.raises(ValueError, match="slot costs must be finite"):
+        improve_local(Layout(slots={"5": (KA, KHA)}), objective)
 
 
 def test_local_rejects_incomplete_start(model):
