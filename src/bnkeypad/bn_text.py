@@ -11,14 +11,23 @@ Counting is per Unicode scalar, not per extended grapheme cluster: a
 conjunct contributes its member consonants plus one joiner, which is how
 the cluster is actually typed on the keypad (consonant, link key,
 consonant).
+
+Classification takes two C-level passes over a text. A negated character
+class over the typable scalars deletes every untypable run. What is left
+lies in the Basic Multilingual Plane, two bytes a scalar in UTF-16, and
+the typable scalars have pairwise distinct low bytes (asserted at import),
+so the low bytes alone name the units: one ``bytes.translate`` turns them
+into unit codes.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CorpusDecodeError
@@ -210,37 +219,37 @@ class FrequencyTable:
         return FrequencyTable.from_counts(counts, self.source_bytes, self.skipped)
 
 
+# A unit's code is its index in ALL_UNITS. Typable sequences are kept as
+# one code per unit: Latin-1 scalars, which Python iterates, hashes and
+# counts much faster than Bengali ones.
+_CODE_BY_UNIT: dict[GraphemeUnit, str] = {u: chr(i) for i, u in enumerate(ALL_UNITS)}
+
+_UNTYPABLE = re.compile("[^%s]+" % "".join(re.escape(u.text) for u in ALL_UNITS))
+_LOW_BYTES = bytes(u.codepoints[0] & 0xFF for u in ALL_UNITS)
+assert len(set(_LOW_BYTES)) == len(ALL_UNITS), "typable scalars must differ in their low byte"
+_CODE_BY_LOW_BYTE = bytes.maketrans(_LOW_BYTES, bytes(range(len(ALL_UNITS))))
+
+
+def _codes(text: str) -> tuple[bytes, int]:
+    """The codes of the typable scalars of ``text``, and how many others it has."""
+    kept = _UNTYPABLE.sub("", text)
+    return kept.encode("utf-16-le")[::2].translate(_CODE_BY_LOW_BYTE), len(text) - len(kept)
+
+
 def scan_units(text: str) -> tuple[list[GraphemeUnit], int]:
     """Convert text to its typable unit sequence.
 
     Non-typable scalars are dropped; the second return value is how many
     were dropped.
     """
-    units: list[GraphemeUnit] = []
-    skipped = 0
-    lookup = _UNIT_BY_CP
-    for ch in text:
-        unit = lookup.get(ord(ch))
-        if unit is None:
-            skipped += 1
-        else:
-            units.append(unit)
-    return units, skipped
+    codes, skipped = _codes(text)
+    units = ALL_UNITS
+    return [units[c] for c in codes], skipped
 
 
 def count_frequencies(text: str) -> FrequencyTable:
-    """Count every typable unit in ``text`` in one pass."""
-    # Counter over the raw text is a single pass; classification then
-    # happens once per distinct character.
-    counts: dict[GraphemeUnit, int] = {}
-    skipped = 0
-    for ch, n in Counter(text).items():
-        unit = _UNIT_BY_CP.get(ord(ch))
-        if unit is None:
-            skipped += n
-        else:
-            counts[unit] = n
-    return FrequencyTable(counts, sum(counts.values()), len(text.encode("utf-8")), skipped)
+    """Count every typable unit in ``text``."""
+    return CorpusStats.from_text(text).table
 
 
 def decode_corpus(raw: bytes, source: str) -> str:
@@ -301,16 +310,8 @@ def rank_by_frequency(table: FrequencyTable,
 
 
 def count_unit_bigrams(units: Sequence[GraphemeUnit]) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:
-    """Counts of adjacent unit pairs in a typable unit sequence."""
-    pairs = Counter(zip(units, units[1:]))
-    return dict(pairs)
-
-
-# CorpusStats keeps its typable sequence as one code scalar per unit, the
-# unit's index in ALL_UNITS: a text of Latin-1 scalars, which Python
-# iterates, hashes and counts much faster than Bengali ones.
-_CODE_BY_UNIT: dict[GraphemeUnit, str] = {u: chr(i) for i, u in enumerate(ALL_UNITS)}
-_CODE_BY_CP: dict[int, str] = {u.codepoints[0]: chr(i) for i, u in enumerate(ALL_UNITS)}
+    """Counts of adjacent unit pairs in a sequence of units from :data:`ALL_UNITS`."""
+    return CorpusStats.from_units(units).bigrams
 
 
 @dataclass(frozen=True)
@@ -318,25 +319,26 @@ class CorpusStats:
     """Unit and adjacent-pair counts: enough for every typing metric.
 
     ``table`` holds the unit counts, skipped scalars and source bytes.
-    ``bigrams`` counts adjacent units of the typable sequence of the whole
-    corpus, so a pair that spans two sources counts like any other.
-    ``typable`` is that sequence, one code scalar per unit; it locates a
-    unit a layout lacks and lets evaluation recount without it. Build
+    ``typable`` is the typable sequence of the whole corpus, one code
+    scalar per unit; it locates a unit a layout lacks and lets evaluation
+    recount without it. ``bigrams`` counts its adjacent units, so a pair
+    that spans two sources counts like any other; it is computed on first
+    use, so a caller that needs only ``table`` never pays for it. Build
     instances with :meth:`from_text` or :meth:`from_units`, and combine
     shards with :func:`merge_stats`.
+
+    :meth:`from_text` classifies in two C-level passes (see the module
+    docstring) and counts the codes with one ``Counter`` pass.
     """
 
     table: FrequencyTable
-    bigrams: Mapping[tuple[GraphemeUnit, GraphemeUnit], int]
     typable: str
 
     @classmethod
     def from_text(cls, text: str) -> "CorpusStats":
         """Statistics of a text; non-typable scalars are skipped and tallied."""
-        codes = dict(_CODE_BY_CP)
-        codes.update(dict.fromkeys(cp for cp in map(ord, set(text)) if cp not in _CODE_BY_CP))
-        typable = text.translate(codes)
-        return _counted(typable, len(text.encode("utf-8")), len(text) - len(typable))
+        codes, skipped = _codes(text)
+        return _counted(codes.decode("latin-1"), len(text.encode("utf-8")), skipped)
 
     @classmethod
     def from_units(cls, units: Iterable[GraphemeUnit]) -> "CorpusStats":
@@ -359,29 +361,38 @@ class CorpusStats:
         typable = self.typable.translate({ord(_CODE_BY_UNIT[u]): None for u in units})
         return _counted(typable, self.table.source_bytes, self.table.skipped)
 
+    @cached_property
+    def bigrams(self) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:
+        """Counts of adjacent unit pairs of ``typable``.
+
+        Codes are below 256, so the two codes of a pair make one 16-bit
+        window of the code bytes, read as UTF-16-LE (the host's byte order
+        plays no part). The windows at even offsets hold the pairs that
+        start at even positions, those at odd offsets the rest.
+        """
+        data = self.typable.encode("latin-1")
+        pairs: Counter[str] = Counter()
+        for start in (0, 1):
+            window = data[start:]
+            pairs.update(window[:len(window) & ~1].decode("utf-16-le"))
+        units = ALL_UNITS
+        return {(units[ord(p) & 0xFF], units[ord(p) >> 8]): n for p, n in pairs.items()}
+
 
 def _counted(typable: str, source_bytes: int, skipped: int) -> CorpusStats:
     units = ALL_UNITS
     counts = {units[ord(c)]: n for c, n in Counter(typable).items()}
-    bigrams = {(units[ord(a)], units[ord(b)]): n
-               for (a, b), n in Counter(zip(typable, typable[1:])).items()}
-    return CorpusStats(FrequencyTable(counts, len(typable), source_bytes, skipped),
-                       bigrams, typable)
+    return CorpusStats(FrequencyTable(counts, len(typable), source_bytes, skipped), typable)
 
 
 def merge_stats(a: CorpusStats, b: CorpusStats) -> CorpusStats:
     """Statistics of ``a``'s corpus followed by ``b``'s.
 
-    Associative, with ``CorpusStats.from_text("")`` as identity; the pair
-    across the seam is added, so shards merge to the single-pass result.
+    Associative, with ``CorpusStats.from_text("")`` as identity. The
+    typable sequences are joined, so the pair across the seam counts and
+    shards merge to the single-pass result.
     """
-    bigrams = dict(a.bigrams)
-    for pair, n in b.bigrams.items():
-        bigrams[pair] = bigrams.get(pair, 0) + n
-    if a.typable and b.typable:
-        seam = (ALL_UNITS[ord(a.typable[-1])], ALL_UNITS[ord(b.typable[0])])
-        bigrams[seam] = bigrams.get(seam, 0) + 1
-    return CorpusStats(merge(a.table, b.table), bigrams, a.typable + b.typable)
+    return CorpusStats(merge(a.table, b.table), a.typable + b.typable)
 
 
 def format_frequency_tsv(table: FrequencyTable) -> str:

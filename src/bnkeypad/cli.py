@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 from . import bn_text
@@ -24,6 +25,7 @@ from .ergonomics import (
     KEYPAD_KEYS,
     ErgonomicModel,
     default_model,
+    key_cost,
     load_model,
     rank_keys,
 )
@@ -307,11 +309,24 @@ def _emit(config: RunConfig, text: str) -> None:
 def _model(config: RunConfig) -> ErgonomicModel:
     try:
         if config.ergonomics is not None:
-            return load_model(config.ergonomics, config.extension_penalty,
-                              config.angle_weight)
-        return default_model(config.extension_penalty, config.angle_weight)
+            model = load_model(config.ergonomics, config.extension_penalty,
+                               config.angle_weight)
+        else:
+            model = default_model(config.extension_penalty, config.angle_weight)
     except ValueError as exc:  # e.g. a non-finite or negative cost parameter
         raise UsageError(str(exc)) from None
+    # Metrics and objectives sum count * taps * key cost. A key holds at most
+    # every typable unit, or --slots-per-key slots (fewer than sys.maxsize),
+    # and a corpus has at most sys.maxsize units, so a model that passes here
+    # overflows no sum.
+    taps = max(len(bn_text.ALL_UNITS), min(config.slots_per_key or 0, sys.maxsize))
+    for key in KEYPAD_KEYS:
+        cost = key_cost(model, key)
+        if not isfinite(cost * taps * sys.maxsize):
+            raise UsageError(f"cost parameters too large: key {key} costs {cost:g}, "
+                             f"so a corpus typed at {taps} taps a unit could cost "
+                             f"more than the largest float")
+    return model
 
 
 def _read_source(path: Path) -> str:
@@ -354,14 +369,14 @@ def _report_dict(report: EvaluationReport) -> dict:
 
 
 def _cmd_analyze(config: RunConfig) -> int:
-    table = bn_text.count_frequencies(_load_corpus(config.corpus))
+    table = CorpusStats.from_text(_load_corpus(config.corpus)).table
     sys.stderr.write(f"analyzed {table.total} units, skipped {table.skipped} scalars\n")
     _emit(config, bn_text.format_frequency_tsv(table))
     return 0
 
 
 def _cmd_build_layout(config: RunConfig) -> int:
-    table = bn_text.count_frequencies(_load_corpus(config.corpus))
+    table = CorpusStats.from_text(_load_corpus(config.corpus)).table
     model = _model(config)
     policy = PlacementPolicy(strategy=Strategy(config.strategy))
     layout = build_layout(table, model, policy, name=config.layout_name)

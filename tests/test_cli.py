@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +238,23 @@ def test_determinism_byte_identical_outputs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for args in (["analyze", "--corpus", str(CORPUS_PATH), "-o", str(out / "freq.tsv")],
+                     ["reproduce-paper", "--corpus", str(CORPUS_PATH), "--out-dir", str(out)]):
+            subprocess.run([sys.executable, "-m", "bnkeypad.cli", *args], env=env, check=True,
+                           capture_output=True)
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(runs[0]) == ["baseline_layout.tsv", "freq.tsv", "proposed_layout.tsv",
+                               "report.tsv"]
+    assert runs[0] == runs[1]
+
+
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     layout_path = tmp_path / "layout.tsv"
     main(["build-layout", "--corpus", str(CORPUS_PATH), "-o", str(layout_path)])
@@ -399,6 +420,34 @@ def test_evaluate_rejects_non_finite_model_parameters(capsys):
     assert main(["evaluate", "--layout", str(TOY_LAYOUT_PATH), "--corpus", str(CORPUS_PATH),
                  "--extension-penalty", "nan"]) == 2
     assert capsys.readouterr().err.startswith("E_USAGE\t")
+
+
+@pytest.mark.parametrize("angle_weight", ["1e305", "1e308"])
+@pytest.mark.parametrize("command", ["build-layout", "evaluate", "compare", "optimize",
+                                     "reproduce-paper"])
+def test_model_whose_costs_can_overflow_is_a_usage_error(tmp_path, capsys, command,
+                                                         angle_weight):
+    # 1e308 makes a key cost inf; 1e305 keeps key costs finite, but the
+    # fixture's count * taps * cost sum overflowed in evaluate
+    corpus = ["--corpus", str(CORPUS_PATH)]
+    layout = [str(TOY_LAYOUT_PATH), *corpus, "--skip-untypable"]
+    args = {"build-layout": corpus,
+            "evaluate": ["--layout", *layout],
+            "compare": ["--layouts", *layout],
+            "optimize": [*corpus, "--method", "local", "--jam-weight", "0.5"],
+            "reproduce-paper": [*corpus, "--out-dir", str(tmp_path / "out")]}[command]
+    assert main([command, *args, "--angle-weight", angle_weight]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("E_USAGE\tcost parameters too large: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_large_cost_parameters_with_finite_sums_still_run(capsys):
+    assert main(["evaluate", "--layout", str(TOY_LAYOUT_PATH), "--corpus", str(CORPUS_PATH),
+                 "--skip-untypable", "--format", "json", "--angle-weight", "1e280"]) == 0
+    assert json.loads(capsys.readouterr().out)["expected_cost"] > 1e279
 
 
 def test_reproduce_paper_artifacts(tmp_path, capsys):

@@ -161,6 +161,68 @@ def test_merge_is_associative_and_equals_one_pass(a, b, c):
     assert merge_stats(empty, sa) == sa == merge_stats(sa, empty)
 
 
+# ---------------------------------------------------------------------------
+# reference: the set/translate/Counter(zip) statistics the two-pass
+# classifier and the 16-bit pair windows replaced
+# ---------------------------------------------------------------------------
+
+_REFERENCE_CODE_BY_CP = {u.codepoints[0]: chr(i) for i, u in enumerate(ALL_UNITS)}
+
+
+def reference_from_text(text):
+    """(table, typable, bigrams) of a text, one scalar at a time."""
+    codes = dict(_REFERENCE_CODE_BY_CP)
+    codes.update(dict.fromkeys(cp for cp in map(ord, set(text))
+                               if cp not in _REFERENCE_CODE_BY_CP))
+    typable = text.translate(codes)
+    counts = {ALL_UNITS[ord(c)]: n for c, n in Counter(typable).items()}
+    bigrams = {(ALL_UNITS[ord(a)], ALL_UNITS[ord(b)]): n
+               for (a, b), n in Counter(zip(typable, typable[1:])).items()}
+    table = FrequencyTable(counts, len(typable), len(text.encode("utf-8")),
+                           len(text) - len(typable))
+    return table, typable, bigrams
+
+
+def reference_scan_units(text):
+    units = [unit_for(ch) for ch in text]
+    return [u for u in units if u is not None], units.count(None)
+
+
+# Untypable scalars chosen to break a classifier that looks at low bytes:
+# Devanagari shares the Bengali block's low bytes (U+0965 is untypable, its
+# neighbour danda U+0964 typable), Latin-1 and Bengali digits sit next to
+# typable scalars, and astral scalars are surrogate pairs in UTF-16.
+adversarial_chars = st.one_of(
+    st.sampled_from([u.text for u in ALL_UNITS]),
+    st.characters(min_codepoint=0x0900, max_codepoint=0x097F),
+    st.characters(min_codepoint=0x0080, max_codepoint=0x00FF),
+    st.sampled_from("\u200c\u200d\r\n০১২৩৪৫৬৭৮৯\u0965\u0964"),
+    st.characters(min_codepoint=0x10000),
+)
+adversarial_texts = st.integers(0, 41).flatmap(
+    lambda n: st.text(adversarial_chars, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversarial_texts)
+def test_two_pass_statistics_equal_the_scalar_reference(text):
+    table, typable, bigrams = reference_from_text(text)
+    stats = CorpusStats.from_text(text)
+    assert (stats.table, stats.typable, stats.bigrams) == (table, typable, bigrams)
+    assert count_frequencies(text) == table
+    assert scan_units(text) == reference_scan_units(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(adversarial_texts, st.lists(st.integers(0, 41), max_size=4))
+def test_merge_over_random_splits_equals_the_reference(text, cuts):
+    bounds = [0, *sorted(c % (len(text) + 1) for c in cuts), len(text)]
+    merged = CorpusStats.from_text("")
+    for lo, hi in zip(bounds, bounds[1:]):
+        merged = merge_stats(merged, CorpusStats.from_text(text[lo:hi]))
+    assert (merged.table, merged.typable, merged.bigrams) == reference_from_text(text)
+
+
 def test_from_units_rejects_units_outside_the_inventory():
     stranger = bn_text.GraphemeUnit((0x0041,), bn_text.Category.SYMBOL, "A")
     with pytest.raises(ValueError):
