@@ -316,14 +316,15 @@ def count_unit_bigrams(units: Sequence[GraphemeUnit]) -> dict[tuple[GraphemeUnit
 
 @dataclass(frozen=True)
 class CorpusStats:
-    """Unit and adjacent-pair counts: enough for every typing metric.
+    """Unit counts and the typable sequence, from which every typing metric follows.
 
     ``table`` holds the unit counts, skipped scalars and source bytes.
     ``typable`` is the typable sequence of the whole corpus, one code
-    scalar per unit; it locates a unit a layout lacks and lets evaluation
-    recount without it. ``bigrams`` counts its adjacent units, so a pair
-    that spans two sources counts like any other; it is computed on first
-    use, so a caller that needs only ``table`` never pays for it. Build
+    scalar per unit; evaluation reads its jams from it, and it locates a
+    unit a layout lacks and lets evaluation recount without it.
+    ``bigrams`` counts its adjacent units, so a pair that spans two
+    sources counts like any other; only the optimizer's jam term needs it,
+    so it is computed on first use and no other caller pays for it. Build
     instances with :meth:`from_text` or :meth:`from_units`, and combine
     shards with :func:`merge_stats`.
 

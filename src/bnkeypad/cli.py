@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from pathlib import Path
 
 from . import bn_text
@@ -253,11 +253,16 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     ergonomics = pick("ergonomics")
     if ergonomics is not None:
         ergonomics = paths([ergonomics])[0]
-    limits = {"max_units": 1, "slots_per_key": 1, "max_iters": 0}
-    for name, low in limits.items():
+    # a key never needs more slots than there are units to place on it
+    limits = {"max_units": (1, inf), "slots_per_key": (1, len(bn_text.ALL_UNITS)),
+              "max_iters": (0, inf)}
+    for name, (low, high) in limits.items():
         value = pick(name)
+        flag = f"--{name.replace('_', '-')}"
         if value is not None and value < low:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+            raise UsageError(f"{flag} must be >= {low}, got {value}")
+        if value is not None and value > high:
+            raise UsageError(f"{flag} must be <= {high}, got {value}")
 
     return RunConfig(
         command=args.command,
@@ -316,10 +321,10 @@ def _model(config: RunConfig) -> ErgonomicModel:
     except ValueError as exc:  # e.g. a non-finite or negative cost parameter
         raise UsageError(str(exc)) from None
     # Metrics and objectives sum count * taps * key cost. A key holds at most
-    # every typable unit, or --slots-per-key slots (fewer than sys.maxsize),
-    # and a corpus has at most sys.maxsize units, so a model that passes here
-    # overflows no sum.
-    taps = max(len(bn_text.ALL_UNITS), min(config.slots_per_key or 0, sys.maxsize))
+    # every typable unit (--slots-per-key is capped there too), and a corpus
+    # has at most sys.maxsize units, so a model that passes here overflows no
+    # sum.
+    taps = len(bn_text.ALL_UNITS)
     for key in KEYPAD_KEYS:
         cost = key_cost(model, key)
         if not isfinite(cost * taps * sys.maxsize):

@@ -7,9 +7,10 @@ count is the direct measure of that friction. KSPC (keystrokes per
 character) and the flexibility-weighted expected cost per unit quantify
 raw typing effort.
 
-Every metric follows from unit counts and adjacent-pair counts
-(:class:`~bnkeypad.bn_text.CorpusStats`), so :func:`evaluate` never builds
-a trace; :func:`transcribe` and :func:`decode` exist for trace output.
+:func:`evaluate` reads the unit counts and the typable code sequence of a
+:class:`~bnkeypad.bn_text.CorpusStats` in a few C-level passes and never
+builds a trace; :func:`transcribe` and :func:`decode` exist for trace
+output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bn_text import CorpusStats, GraphemeUnit
+from .bn_text import ALL_UNITS, CorpusStats, GraphemeUnit
 from .ergonomics import KEYPAD_KEYS, ErgonomicModel, key_cost
 from .errors import CorruptTraceError, UntypableUnitError
 from .layout import Layout
@@ -111,7 +112,8 @@ def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
     """KSPC, expected per-unit cost, jam rate, and per-key load.
 
     ``corpus`` is a :class:`CorpusStats` or a typable unit sequence. The
-    work grows with the distinct units and pairs, not the corpus length.
+    costs come from the unit counts; the jams come from a few C-level
+    passes over ``typable``, so the pair table ``bigrams`` is never built.
     A unit absent from the layout raises :class:`UntypableUnitError` at
     its first position, unless ``skip_untypable`` deletes its occurrences,
     which makes their neighbours adjacent.
@@ -140,8 +142,18 @@ def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
             numerator *= den // scale
             scale = den
         numerator += count * num * (scale // den)
-    jams = sum(n for (a, b), n in stats.bigrams.items()
-               if layout.position(a)[0] == layout.position(b)[0])
+    # map each unit code to its key's index (units the layout lacks are
+    # gone from stats by now); byte i of the xor of the key sequence with
+    # itself shifted by one is 0 exactly when units i and i + 1 share a key,
+    # and the explicit length keeps the zero bytes of jams at the end
+    key_index = bytearray(256)
+    for code, unit in enumerate(ALL_UNITS):
+        spot = layout.position(unit)
+        if spot is not None:
+            key_index[code] = KEYPAD_KEYS.index(spot[0])
+    keys = stats.typable.encode("latin-1").translate(key_index)
+    same = int.from_bytes(keys[1:], "little") ^ int.from_bytes(keys[:-1], "little")
+    jams = same.to_bytes(max(len(keys) - 1, 0), "little").count(0)
 
     unit_count = stats.table.total
     press_count = sum(presses.values())

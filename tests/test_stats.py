@@ -1,5 +1,6 @@
 """Corpus statistics and the count-based evaluator against a trace-based reference."""
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_PATH, random_full_layout
+from conftest import CORPUS_PATH, TOY_LAYOUT_PATH, random_full_layout
 
 from bnkeypad import bn_text
 from bnkeypad.bn_text import (
@@ -23,10 +24,10 @@ from bnkeypad.bn_text import (
     scan_units,
     unit_for,
 )
-from bnkeypad.cli import main
+from bnkeypad.cli import main, reproduce_paper
 from bnkeypad.ergonomics import KEYPAD_KEYS, default_model, key_cost
 from bnkeypad.errors import UntypableUnitError
-from bnkeypad.layout import Layout, PlacementPolicy, Strategy, build_layout
+from bnkeypad.layout import Layout, PlacementPolicy, Strategy, build_layout, load_layout
 from bnkeypad.transcribe import EvaluationReport, evaluate, transcribe
 
 KA, KHA, GA = (unit_for(c) for c in "কখগ")
@@ -128,6 +129,131 @@ def test_fixture_reports_equal_trace(corpus_units, corpus_table):
         got = evaluate(stats, layout, MODEL)
         assert got.skipped_scalars == stats.table.skipped > 0
         assert got == replace(want, skipped_scalars=got.skipped_scalars)
+
+
+# ---------------------------------------------------------------------------
+# reference: the jam count as a sum over the pair table, which evaluate
+# replaced with a byte-wise comparison of the typable key sequence
+# ---------------------------------------------------------------------------
+
+def reference_jam_rate(units, layout):
+    """Jams over adjacent pairs of the units the layout has, from ``bigrams``."""
+    stats = CorpusStats.from_units([u for u in units if layout.position(u) is not None])
+    key = {u: layout.position(u)[0] for u in stats.table.counts}
+    jams = sum(n for (a, b), n in stats.bigrams.items() if key[a] == key[b])
+    return jams / max(1, stats.table.total - 1)
+
+
+def spread_layout(rng: random.Random) -> Layout:
+    """A random layout of the whole inventory with every key, '#' included, in use."""
+    units = list(ALL_UNITS)
+    rng.shuffle(units)
+    cuts = [0, *sorted(rng.sample(range(1, len(units)), len(KEYPAD_KEYS) - 1)), len(units)]
+    slots = {key: tuple(units[lo:hi]) for key, lo, hi in zip(KEYPAD_KEYS, cuts, cuts[1:])}
+    return Layout(slots=slots, roles={}, name="spread")
+
+
+# a sequence is a few runs, each of units drawn from one key of the full layout
+key_runs = st.lists(st.tuples(st.integers(0, len(KEYPAD_KEYS) - 1), st.integers(1, 250)),
+                    max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), key_runs, st.booleans())
+def test_jam_count_equals_the_pair_table_sum(rng, runs, partial):
+    full = spread_layout(rng)
+    units = [rng.choice(full.slots[KEYPAD_KEYS[k]]) for k, n in runs for _ in range(n)]
+    layout = full
+    if partial:
+        # deleting the dropped units joins their neighbours, often on one key
+        dropped = set(rng.sample(ALL_UNITS, rng.randint(1, len(ALL_UNITS) - 1)))
+        layout = Layout(slots={key: tuple(u for u in slot if u not in dropped)
+                               for key, slot in full.slots.items()},
+                        roles={}, name="partial")
+    report = evaluate(units, layout, MODEL, skip_untypable=True)
+    assert report.jam_rate == reference_jam_rate(units, layout)
+
+
+GHA, NGA, CA = (unit_for(c) for c in "ঘঙচ")
+
+
+@pytest.mark.parametrize("units, jams", [
+    ([], 0),
+    ([GA], 0),
+    ([GA, GHA], 1),
+    ([GA, KA], 0),
+    ([GA] * 5 + [KA, NGA], 4),          # a run at the very start, on '#'
+    ([KA, NGA] + [GHA, GA] * 3, 5),     # a run at the very end, on '#'
+    ([KA, KHA, NGA, KA, KHA, KA], 3),
+    ([GA, CA, GHA], 1),                 # the deletion joins two '#' units
+    ([CA, GA, CA, CA, GHA, CA], 1),     # ... also at both ends
+    ([KA, CA, GA, CA], 0),
+    ([CA, CA], 0),
+])
+def test_jam_count_on_runs_at_the_ends_and_deletions(units, jams):
+    # ক and খ on key 2, গ and ঘ on '#' (index 11), ঙ on 3; চ is missing
+    layout = Layout(slots={"2": (KA, KHA), "3": (NGA,), "#": (GA, GHA)},
+                    roles={}, name="toy")
+    report = evaluate(units, layout, MODEL, skip_untypable=True)
+    assert report.jam_rate == reference_jam_rate(units, layout)
+    assert report.jam_rate == jams / max(1, report.unit_count - 1)
+
+
+# ---------------------------------------------------------------------------
+# evaluation reads ``typable``; only the optimizer's jam term counts pairs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def built_stats(monkeypatch):
+    """Every CorpusStats the code under test builds, in order."""
+    built = []
+    counted = bn_text._counted
+
+    def record(*args):
+        built.append(counted(*args))
+        return built[-1]
+
+    monkeypatch.setattr(bn_text, "_counted", record)
+    return built
+
+
+def test_evaluation_never_builds_the_pair_table(tmp_path, capsys, built_stats):
+    stats = CorpusStats.from_text(bn_text.read_corpus(CORPUS_PATH))
+    toy = load_layout(TOY_LAYOUT_PATH)
+    for strategy in (Strategy.SERPENTINE, Strategy.SEQUENTIAL):
+        evaluate(stats, build_layout(stats.table, MODEL, PlacementPolicy(strategy)), MODEL)
+    evaluate(stats, toy, MODEL, skip_untypable=True)
+    reproduce_paper([CORPUS_PATH], MODEL)
+    out = tmp_path / "paper"
+    corpus = ["--corpus", str(CORPUS_PATH)]
+    layouts = [str(TOY_LAYOUT_PATH), str(out / "proposed_layout.tsv"),
+               str(out / "baseline_layout.tsv")]
+    runs = [["reproduce-paper", *corpus, "--out-dir", str(out)]]
+    for fmt in ("tsv", "json"):
+        runs += [["evaluate", "--layout", layouts[1], *corpus, "--format", fmt],
+                 ["evaluate", "--layout", layouts[0], *corpus, "--skip-untypable",
+                  "--format", fmt],
+                 ["compare", "--layouts", *layouts, *corpus, "--skip-untypable",
+                  "--format", fmt]]
+    for args in runs:
+        assert main(args) == 0
+    capsys.readouterr()
+    # each run's corpus, and each skip's without() of it
+    assert len(built_stats) > 10
+    assert [s for s in built_stats if "bigrams" in vars(s)] == []
+
+
+def test_optimize_jam_term_still_counts_pairs(tmp_path, capsys, built_stats):
+    out = tmp_path / "opt.tsv"
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--jam-weight", "0.5",
+                 "-o", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "method=greedy units=35 slots=35 jam_weight=0.5",
+        "objective value=1.4447104247104248"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "96264c3ff5731f2c674fb7b37314d9bbadedabee45240d8b0174b0dd2213d3d1")
+    [stats] = built_stats
+    assert "bigrams" in vars(stats)
 
 
 # ---------------------------------------------------------------------------
