@@ -6,11 +6,15 @@ file + rename) with canonical formatting, so identical inputs always
 produce byte-identical outputs. Domain errors exit 1, usage errors exit
 2, and both print one machine-parsable ``code<TAB>message`` line on
 stderr. Option precedence is flags > --config file > defaults.
+
+``main(argv)`` may be called any number of times in one process. The
+argument parser is built on the first call and reused by the later ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -115,6 +119,12 @@ def _add_config_flag(p):
                    help="JSON file with defaults for any long option")
 
 
+# Built on the first main() call, not at import, and reused by every later
+# call. Reuse is safe because argparse keeps all parse state in the Namespace
+# it returns, the subparsers action parses into a new sub-namespace on each
+# call, and no action here has a mutable default. An "append"-style action
+# with a list default would break this: parses would share, and grow, the list.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bnkeypad",
                      description="Bengali multi-tap keypad analysis and layout tools")
@@ -384,7 +394,10 @@ def _cmd_build_layout(config: RunConfig) -> int:
     table = CorpusStats.from_text(_load_corpus(config.corpus)).table
     model = _model(config)
     policy = PlacementPolicy(strategy=Strategy(config.strategy))
-    layout = build_layout(table, model, policy, name=config.layout_name)
+    try:
+        layout = build_layout(table, model, policy, name=config.layout_name)
+    except ValueError as exc:  # a --name the layout file cannot hold
+        raise UsageError(str(exc)) from None
     _emit(config, serialize(layout))
     return 0
 

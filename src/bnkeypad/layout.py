@@ -86,8 +86,11 @@ class Layout:
     name: str = ""
 
     def __post_init__(self):
-        if "\t" in self.name or "\n" in self.name:
-            raise ValueError("layout name must not contain tabs or newlines")
+        # the name is one TAB-separated row of the file: no TAB and nothing
+        # that str.splitlines, which parse() reads rows with, would split on
+        if "\t" in self.name or "".join(self.name.splitlines()) != self.name:
+            raise ValueError(f"layout name must not contain tabs or line breaks: "
+                             f"{self.name!r}")
         for key in self.slots:
             if key not in KEYPAD_KEYS:
                 raise LayoutInvariantError(f"unknown key {key!r}")
@@ -256,6 +259,8 @@ def parse(document: str) -> Layout:
         if not sep:
             raise LayoutSyntaxError(i, "expected a TAB-separated row")
         if head == "name":
+            if "\t" in rest:
+                raise LayoutSyntaxError(i, "layout name must not contain tabs")
             name = rest
         elif head == "roles":
             for item in filter(None, rest.split(",")):

@@ -41,7 +41,14 @@ from operator import mul
 from sys import float_info
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .bn_text import CONSONANTS, Category, FrequencyTable, GraphemeUnit, rank_by_frequency
+from .bn_text import (
+    ALL_UNITS,
+    CONSONANTS,
+    Category,
+    FrequencyTable,
+    GraphemeUnit,
+    rank_by_frequency,
+)
 from .ergonomics import (
     DEFAULT_CONSONANT_KEYS,
     KEYPAD_KEYS,
@@ -128,8 +135,13 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
     """Instance over the top consonants of a table and the consonant keys.
 
     A table with no consonant raises ``IncompleteAlphabetError``: an empty
-    instance has nothing to place.
+    instance has nothing to place. ``slots_per_key`` outside
+    ``1..len(ALL_UNITS)`` raises ``ValueError``: a key never needs more
+    slots than there are units to place on it.
     """
+    if slots_per_key is not None and not 1 <= slots_per_key <= len(ALL_UNITS):
+        raise ValueError(f"slots_per_key must be in 1..{len(ALL_UNITS)}, "
+                         f"got {slots_per_key}")
     ranked = rank_by_frequency(freq, [Category.CONSONANT])
     if not ranked:
         raise IncompleteAlphabetError(CONSONANTS)

@@ -21,6 +21,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_PATH = FIXTURES / "corpus_bn.txt"
 TOY_LAYOUT_PATH = FIXTURES / "toy_layout.tsv"
 
+# A TAB, and every separator str.splitlines splits on: none may sit in a
+# layout name, which the file keeps as one TAB-separated row.
+NAME_BREAKERS = ["\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                 "\u2028", "\u2029"]
+
 
 @pytest.fixture(scope="session")
 def model():

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_PATH, TOY_LAYOUT_PATH
+from conftest import CORPUS_PATH, NAME_BREAKERS, TOY_LAYOUT_PATH
 
-from bnkeypad import bn_text
+from bnkeypad import bn_text, cli
 from bnkeypad.cli import main
 from bnkeypad.ergonomics import default_model, format_model_tsv, load_model, parse_model_tsv
 from bnkeypad.layout import Role, load_layout, parse
@@ -145,6 +146,16 @@ def test_compare_equals_two_evaluates(tmp_path, capsys):
         assert kspc == f"{expected.kspc:.9f}"
         assert cost == f"{expected.expected_cost:.9f}"
         assert jam == f"{expected.jam_rate:.9f}"
+
+
+@pytest.mark.parametrize("separator", NAME_BREAKERS)
+def test_build_layout_rejects_a_name_the_file_cannot_hold(tmp_path, capsys, separator):
+    out = tmp_path / "named.tsv"
+    assert main(["build-layout", "--corpus", str(CORPUS_PATH),
+                 "--name", f"a{separator}b", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("E_USAGE\t")
+    assert not out.exists()
 
 
 def test_transcribe_trace_tsv(tmp_path):
@@ -490,3 +501,83 @@ def test_reproduce_paper_reruns_byte_identical(tmp_path):
                      "--out-dir", str(d)]) == 0
     for name in ("report.tsv", "proposed_layout.tsv", "baseline_layout.tsv"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+# Calls made in one process, in this order. Each starts from a clean parse:
+# a flag, a --config file or an error of one call must not leak into the next.
+REUSE_CALLS = [
+    ["build-layout", "--corpus", "corpus.txt", "--name", "first", "-o", "built.tsv"],
+    ["evaluate", "--layout", "toy.tsv", "--corpus", "corpus.txt", "--config", "skip.json",
+     "-o", "configured.json"],
+    ["evaluate", "--layout", "toy.tsv", "--corpus", "corpus.txt", "-o", "plain.tsv"],
+    ["transcribe", "--layout", "toy.tsv", "--in", "corpus.txt", "--out", "skipped.tsv",
+     "--skip-untypable"],
+    ["transcribe", "--layout", "toy.tsv", "--in", "corpus.txt", "--out", "strict.tsv"],
+    ["analyze", "--corpus", "corpus.txt", "--bogus", "-o", "bogus.tsv"],
+    ["evaluate", "--layout", "built.tsv", "--corpus", "corpus.txt", "--format", "json"],
+    ["optimize", "--corpus", "corpus.txt", "--slots-per-key", "0", "-o", "zero.tsv"],
+    ["optimize", "--corpus", "corpus.txt", "--max-units", "6", "-o", "optimized.tsv"],
+    ["evaluate", "--layout", "built.tsv", "--corpus", "corpus.txt"],
+    ["build-layout", "--corpus", "corpus.txt", "--strategy", "sequential", "-o", "default.tsv"],
+    ["reproduce-paper", "--corpus", "corpus.txt", "--out-dir", "paper"],
+]
+
+
+def _run_reuse_calls(work: Path, monkeypatch, capsys):
+    """Run REUSE_CALLS in ``work``; (status, stdout, stderr) per call and the artifacts."""
+    work.mkdir()
+    (work / "corpus.txt").write_bytes(CORPUS_PATH.read_bytes())
+    (work / "toy.tsv").write_bytes(TOY_LAYOUT_PATH.read_bytes())
+    (work / "skip.json").write_text(json.dumps({"skip_untypable": True,
+                                                "report_format": "json"}), encoding="utf-8")
+    monkeypatch.chdir(work)
+    outcomes = []
+    for argv in REUSE_CALLS:
+        status = main(argv)
+        outcomes.append((status, *capsys.readouterr()))
+    artifacts = {str(p.relative_to(work)): p.read_bytes()
+                 for p in sorted(work.rglob("*")) if p.is_file()}
+    return outcomes, artifacts
+
+
+def test_reused_parser_gives_the_same_results_as_a_new_one(tmp_path, monkeypatch, capsys):
+    reused = _run_reuse_calls(tmp_path / "reused", monkeypatch, capsys)
+    # the undecorated builder makes a new parser on every main() call
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _run_reuse_calls(tmp_path / "fresh", monkeypatch, capsys)
+    assert reused == fresh
+    statuses = [status for status, _out, _err in reused[0]]
+    assert statuses == [0, 0, 1, 0, 1, 2, 0, 2, 0, 0, 0, 0]
+    assert reused[0][5][2] == "E_USAGE\tunrecognized arguments: --bogus\n"
+    assert reused[0][7][2] == "E_USAGE\t--slots-per-key must be >= 1, got 0\n"
+    assert json.loads(reused[1]["configured.json"])["skipped_units"] > 0
+    assert reused[0][9][1].startswith("metric\tvalue\n")  # --format json did not stick
+    assert load_layout(tmp_path / "reused" / "default.tsv").name == "sequential"
+
+
+def test_parser_is_built_on_the_first_main_call_only(tmp_path):
+    script = textwrap.dedent("""
+        import argparse, json, sys
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import bnkeypad.cli as cli
+        after_import = list(built)
+        statuses = [cli.main(sys.argv[1:]) for _ in range(5)]
+        print(json.dumps({"after_import": after_import, "built": built,
+                          "statuses": statuses}))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, "analyze", "--corpus",
+                           str(CORPUS_PATH), "-o", str(tmp_path / "freq.tsv")],
+                          env=env, check=True, capture_output=True, text=True)
+    result = json.loads(done.stdout)
+    assert result["after_import"] == []
+    assert result["statuses"] == [0] * 5
+    assert result["built"].count("bnkeypad") == 1
+    assert len(result["built"]) == 1 + len(cli._COMMANDS)  # one parser per subcommand

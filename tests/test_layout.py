@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import TOY_LAYOUT_PATH, random_full_layout
+from conftest import NAME_BREAKERS, TOY_LAYOUT_PATH, random_full_layout
 
 from bnkeypad.bn_text import (
     CONJUNCT_JOINER,
@@ -283,6 +283,7 @@ def test_parse_duplicate_unit_is_invariant_error():
     ("keypad-layout v1\nroles\tspace=0,space=1\n", 2),
     ("keypad-layout v1\nroles\tboss=1\n", 2),
     ("keypad-layout v1\n2\tU+0995\n2\tU+0996\n", 3),
+    ("keypad-layout v1\nname\ta\tb\n", 2),
 ])
 def test_parse_syntax_errors_carry_line_numbers(doc, line):
     with pytest.raises(LayoutSyntaxError) as e:
@@ -299,6 +300,18 @@ def test_parse_ignores_comments_and_blank_lines():
            "2\tU+0995\n")
     layout = parse(doc)
     assert layout.slots["2"] == (unit_for("ক"),)
+
+
+@pytest.mark.parametrize("separator", NAME_BREAKERS)
+def test_name_that_breaks_the_name_row_is_rejected(separator):
+    with pytest.raises(ValueError, match="tabs or line breaks"):
+        Layout(slots={}, name=f"a{separator}b")
+
+
+@pytest.mark.parametrize("name", ["", "a b", "ক-1", "a\x1fb", "a\u00a0b"])
+def test_other_names_round_trip(name):
+    layout = Layout(slots={"2": (unit_for("ক"),)}, name=name)
+    assert parse(serialize(layout)) == layout
 
 
 def test_hash_key_row_is_not_a_comment():

@@ -735,6 +735,18 @@ def test_consonant_instance_shapes(model, corpus_table):
     assert len(top.key_slots) == 7  # one round over the seven consonant keys
 
 
+@pytest.mark.parametrize("slots_per_key", [0, -1, 73, 100000])
+def test_consonant_instance_rejects_slots_per_key_out_of_range(model, corpus_table,
+                                                               slots_per_key):
+    with pytest.raises(ValueError, match="slots_per_key must be in 1..72"):
+        consonant_instance(corpus_table, model, slots_per_key=slots_per_key)
+
+
+def test_consonant_instance_takes_slots_per_key_up_to_the_unit_inventory(model, corpus_table):
+    assert len(consonant_instance(corpus_table, model, slots_per_key=1).key_slots) == 7
+    assert len(consonant_instance(corpus_table, model, slots_per_key=72).key_slots) == 504
+
+
 def test_restrict_bigrams():
     bigrams = {(KA, KHA): 2, (KA, GA): 1, (GA, GA): 4}
     assert restrict_bigrams(bigrams, [KA, KHA]) == {(KA, KHA): 2}
