@@ -18,6 +18,14 @@ lies in the Basic Multilingual Plane, two bytes a scalar in UTF-16, and
 the typable scalars have pairwise distinct low bytes (asserted at import),
 so the low bytes alone name the units: one ``bytes.translate`` turns them
 into unit codes.
+
+Counting does only what its callers need. Each unit's count is the
+number of bytes that deleting its code removes from the code bytes, one
+memchr-speed pass a code. Adjacent pairs are counted only among a chosen
+set of units (:meth:`CorpusStats.pairs_among`): every other unit becomes
+a separator, and a pair that touches a separator is dropped before the
+one ``Counter`` pass, so that pass sees the real pairs alone. The full
+pair table ``CorpusStats.bigrams`` is the same routine over every unit.
 """
 
 from __future__ import annotations
@@ -228,6 +236,13 @@ _UNTYPABLE = re.compile("[^%s]+" % "".join(re.escape(u.text) for u in ALL_UNITS)
 _LOW_BYTES = bytes(u.codepoints[0] & 0xFF for u in ALL_UNITS)
 assert len(set(_LOW_BYTES)) == len(ALL_UNITS), "typable scalars must differ in their low byte"
 _CODE_BY_LOW_BYTE = bytes.maketrans(_LOW_BYTES, bytes(range(len(ALL_UNITS))))
+_CODE_BYTES = tuple(bytes((code,)) for code in range(len(ALL_UNITS)))
+
+# pairs_among's separator; codes stay below it, so only a pair of two
+# separators reads as U+FFFF in UTF-16-LE
+_SEPARATOR = 0xFF
+assert len(ALL_UNITS) < _SEPARATOR
+_SEPARATOR_MASK = bytes(_SEPARATOR if b == _SEPARATOR else 0 for b in range(256))
 
 
 def _codes(text: str) -> tuple[bytes, int]:
@@ -322,14 +337,16 @@ class CorpusStats:
     ``typable`` is the typable sequence of the whole corpus, one code
     scalar per unit; evaluation reads its jams from it, and it locates a
     unit a layout lacks and lets evaluation recount without it.
-    ``bigrams`` counts its adjacent units, so a pair that spans two
-    sources counts like any other; only the optimizer's jam term needs it,
-    so it is computed on first use and no other caller pays for it. Build
-    instances with :meth:`from_text` or :meth:`from_units`, and combine
-    shards with :func:`merge_stats`.
+    :meth:`pairs_among` counts its adjacent pairs of chosen units, so a
+    pair that spans two sources counts like any other; the optimizer's jam
+    term asks for the pairs of its instance's units alone. ``bigrams`` is
+    ``pairs_among(ALL_UNITS)``, computed on first use, and no command
+    builds it. Build instances with :meth:`from_text` or
+    :meth:`from_units`, and combine shards with :func:`merge_stats`.
 
     :meth:`from_text` classifies in two C-level passes (see the module
-    docstring) and counts the codes with one ``Counter`` pass.
+    docstring). Each unit's count is how many bytes deleting its code
+    removes from the code bytes, so no ``Counter`` looks at each code.
     """
 
     table: FrequencyTable
@@ -362,28 +379,56 @@ class CorpusStats:
         typable = self.typable.translate({ord(_CODE_BY_UNIT[u]): None for u in units})
         return _counted(typable, self.table.source_bytes, self.table.skipped)
 
-    @cached_property
-    def bigrams(self) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:
-        """Counts of adjacent unit pairs of ``typable``.
+    def pairs_among(self, units: Iterable[GraphemeUnit]
+                    ) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:
+        """Counts of the adjacent pairs of ``typable`` whose two units are in ``units``.
 
-        Codes are below 256, so the two codes of a pair make one 16-bit
-        window of the code bytes, read as UTF-16-LE (the host's byte order
-        plays no part). The windows at even offsets hold the pairs that
-        start at even positions, those at odd offsets the rest.
+        ``units`` may repeat a unit; one outside :data:`ALL_UNITS` raises
+        ``ValueError``. Codes are below 256, so the two codes of a pair
+        make one 16-bit window of the code bytes, read as UTF-16-LE (the
+        host's byte order plays no part). The windows at even offsets hold
+        the pairs that start at even positions, those at odd offsets the
+        rest. Each unit not chosen becomes the separator byte, and a
+        window holding one gets the separator in both bytes: U+FFFF, which
+        is deleted before counting.
         """
-        data = self.typable.encode("latin-1")
+        index = bytearray((_SEPARATOR,)) * 256
+        for unit in units:
+            try:
+                code = ord(_CODE_BY_UNIT[unit])
+            except KeyError:
+                raise ValueError(f"{unit!r} is not a typable unit") from None
+            index[code] = code
+        data = self.typable.encode("latin-1").translate(index)
+        separators = data.translate(_SEPARATOR_MASK)
         pairs: Counter[str] = Counter()
         for start in (0, 1):
-            window = data[start:]
-            pairs.update(window[:len(window) & ~1].decode("utf-16-le"))
-        units = ALL_UNITS
-        return {(units[ord(p) & 0xFF], units[ord(p) >> 8]): n for p, n in pairs.items()}
+            n = max(len(data) - start, 0) // 2
+            firsts, seconds = slice(start, start + 2 * n, 2), slice(start + 1, start + 2 * n, 2)
+            mask = (int.from_bytes(separators[firsts], "little")
+                    | int.from_bytes(separators[seconds], "little"))
+            windows = bytearray(2 * n)
+            windows[0::2] = (int.from_bytes(data[firsts], "little") | mask).to_bytes(n, "little")
+            windows[1::2] = (int.from_bytes(data[seconds], "little") | mask).to_bytes(n, "little")
+            pairs.update(windows.decode("utf-16-le").replace("\uffff", ""))
+        all_units = ALL_UNITS
+        return {(all_units[ord(p) & 0xFF], all_units[ord(p) >> 8]): c for p, c in pairs.items()}
+
+    @cached_property
+    def bigrams(self) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:
+        """Counts of all adjacent unit pairs of ``typable``."""
+        return self.pairs_among(ALL_UNITS)
 
 
 def _counted(typable: str, source_bytes: int, skipped: int) -> CorpusStats:
-    units = ALL_UNITS
-    counts = {units[ord(c)]: n for c, n in Counter(typable).items()}
-    return CorpusStats(FrequencyTable(counts, len(typable), source_bytes, skipped), typable)
+    data = typable.encode("latin-1")
+    n = len(data)
+    counts = {}
+    for unit, code in zip(ALL_UNITS, _CODE_BYTES):
+        count = n - len(data.replace(code, b""))
+        if count:
+            counts[unit] = count
+    return CorpusStats(FrequencyTable(counts, n, source_bytes, skipped), typable)
 
 
 def merge_stats(a: CorpusStats, b: CorpusStats) -> CorpusStats:

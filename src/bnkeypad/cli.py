@@ -33,7 +33,7 @@ from .ergonomics import (
     load_model,
     rank_keys,
 )
-from .errors import KeypadError, UsageError
+from .errors import EmptyCorpusError, KeypadError, UsageError
 from .layout import (
     Layout,
     PlacementPolicy,
@@ -47,7 +47,6 @@ from .optimize import (
     Objective,
     consonant_instance,
     improve_local,
-    restrict_bigrams,
     solve_exhaustive,
     solve_greedy,
 )
@@ -316,7 +315,14 @@ def write_text_atomic(path: Path, text: str) -> None:
 
 def _emit(config: RunConfig, text: str) -> None:
     if config.output is None:
-        sys.stdout.write(text)
+        # the bytes of the -o file, whatever the stream's encoding; a text-only
+        # stream such as io.StringIO has no byte layer and takes the str
+        out = sys.stdout
+        if hasattr(out, "buffer"):
+            out.flush()
+            out.buffer.write(text.encode("utf-8"))
+        else:
+            out.write(text)
     else:
         write_text_atomic(config.output, text)
 
@@ -383,6 +389,19 @@ def _report_dict(report: EvaluationReport) -> dict:
     }
 
 
+def _evaluate_corpus(stats: CorpusStats, layout: Layout, name: str, model: ErgonomicModel,
+                     config: RunConfig) -> EvaluationReport:
+    """``evaluate``, refusing a corpus that leaves it no unit to evaluate."""
+    if not stats.table.total:
+        raise EmptyCorpusError(f"the corpus has no typable unit to evaluate "
+                               f"({stats.table.skipped} scalars skipped)")
+    report = evaluate(stats, layout, model, skip_untypable=config.skip_untypable)
+    if not report.unit_count:
+        raise EmptyCorpusError(f"--skip-untypable deleted all {report.skipped_units} units "
+                               f"of the corpus: layout {name} places none of them")
+    return report
+
+
 def _cmd_analyze(config: RunConfig) -> int:
     table = CorpusStats.from_text(_load_corpus(config.corpus)).table
     sys.stderr.write(f"analyzed {table.total} units, skipped {table.skipped} scalars\n")
@@ -403,10 +422,11 @@ def _cmd_build_layout(config: RunConfig) -> int:
 
 
 def _cmd_evaluate(config: RunConfig) -> int:
-    layout = load_layout(config.layouts[0])
+    path = config.layouts[0]
+    layout = load_layout(path)
     model = _model(config)
     stats = CorpusStats.from_text(_load_corpus(config.corpus))
-    report = evaluate(stats, layout, model, skip_untypable=config.skip_untypable)
+    report = _evaluate_corpus(stats, layout, layout.name or path.stem, model, config)
     if config.report_format == "json":
         _emit(config, json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n")
     else:
@@ -420,8 +440,8 @@ def _cmd_compare(config: RunConfig) -> int:
     rows = []
     for path in config.layouts:
         layout = load_layout(path)
-        report = evaluate(stats, layout, model, skip_untypable=config.skip_untypable)
-        rows.append((layout.name or path.stem, report))
+        name = layout.name or path.stem
+        rows.append((name, _evaluate_corpus(stats, layout, name, model, config)))
     if config.report_format == "json":
         payload = [dict(layout=name, **_report_dict(report)) for name, report in rows]
         _emit(config, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -459,7 +479,7 @@ def _cmd_optimize(config: RunConfig) -> int:
     chosen = FrequencyTable.from_counts(dict(instance.units))
     bigrams = None
     if config.jam_weight > 0:
-        bigrams = restrict_bigrams(stats.bigrams, [u for u, _ in instance.units])
+        bigrams = stats.pairs_among([u for u, _ in instance.units])
     try:
         objective = Objective(chosen, model, config.jam_weight, bigrams)
     except ValueError as exc:  # out-of-range or non-finite jam weight

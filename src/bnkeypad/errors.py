@@ -77,6 +77,12 @@ class MissingKeyError(KeypadError):
     code = "E_MISSING_KEY"
 
 
+class EmptyCorpusError(KeypadError):
+    """The corpus leaves no typable unit to evaluate."""
+
+    code = "E_EMPTY_CORPUS"
+
+
 class UntypableUnitError(KeypadError):
     """A unit in the input text has no slot in the layout."""
 

@@ -91,6 +91,12 @@ class Layout:
         if "\t" in self.name or "".join(self.name.splitlines()) != self.name:
             raise ValueError(f"layout name must not contain tabs or line breaks: "
                              f"{self.name!r}")
+        # the file is UTF-8, which has no form for a lone surrogate (an
+        # undecodable command-line byte arrives as one)
+        try:
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"layout name must be valid Unicode text: {self.name!r}") from None
         for key in self.slots:
             if key not in KEYPAD_KEYS:
                 raise LayoutInvariantError(f"unknown key {key!r}")

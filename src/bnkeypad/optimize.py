@@ -135,10 +135,13 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
     """Instance over the top consonants of a table and the consonant keys.
 
     A table with no consonant raises ``IncompleteAlphabetError``: an empty
-    instance has nothing to place. ``slots_per_key`` outside
+    instance has nothing to place. ``max_units`` below 1 raises
+    ``ValueError`` for the same reason. ``slots_per_key`` outside
     ``1..len(ALL_UNITS)`` raises ``ValueError``: a key never needs more
     slots than there are units to place on it.
     """
+    if max_units is not None and max_units < 1:
+        raise ValueError(f"max_units must be >= 1, got {max_units}")
     if slots_per_key is not None and not 1 <= slots_per_key <= len(ALL_UNITS):
         raise ValueError(f"slots_per_key must be in 1..{len(ALL_UNITS)}, "
                          f"got {slots_per_key}")

@@ -158,6 +158,18 @@ def test_build_layout_rejects_a_name_the_file_cannot_hold(tmp_path, capsys, sepa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_build_layout_rejects_a_name_utf8_cannot_encode(tmp_path, capsys, to_file):
+    out = tmp_path / "named.tsv"
+    # an undecodable command-line byte reaches argv as a lone surrogate
+    assert main(["build-layout", "--corpus", str(CORPUS_PATH), "--name", "a\udcffb",
+                 *(["-o", str(out)] if to_file else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("E_USAGE\t")
+    assert not out.exists()
+
+
 def test_transcribe_trace_tsv(tmp_path):
     text_path = tmp_path / "text.txt"
     text_path.write_text("কখ ক\n", encoding="utf-8")
@@ -257,13 +269,56 @@ def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for args in (["analyze", "--corpus", str(CORPUS_PATH), "-o", str(out / "freq.tsv")],
-                     ["reproduce-paper", "--corpus", str(CORPUS_PATH), "--out-dir", str(out)]):
+                     ["reproduce-paper", "--corpus", str(CORPUS_PATH), "--out-dir", str(out)],
+                     ["optimize", "--corpus", str(CORPUS_PATH), "--method", "local",
+                      "--jam-weight", "0.5", "-o", str(out / "opt.tsv")]):
             subprocess.run([sys.executable, "-m", "bnkeypad.cli", *args], env=env, check=True,
                            capture_output=True)
         runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert sorted(runs[0]) == ["baseline_layout.tsv", "freq.tsv", "proposed_layout.tsv",
-                               "report.tsv"]
+    assert sorted(runs[0]) == ["baseline_layout.tsv", "freq.tsv", "opt.tsv",
+                               "proposed_layout.tsv", "report.tsv"]
     assert runs[0] == runs[1]
+
+
+def test_stdout_artifacts_are_the_utf8_of_the_file_whatever_the_stream_encoding(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONIOENCODING="ascii",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    layout = tmp_path / "named.tsv"
+    for args, out in ((["build-layout", "--corpus", str(CORPUS_PATH), "--name", "নাম"], layout),
+                      (["compare", "--layouts", str(layout), str(TOY_LAYOUT_PATH),
+                        "--corpus", str(CORPUS_PATH), "--skip-untypable"],
+                       tmp_path / "compare.tsv")):
+        done = [subprocess.run([sys.executable, "-m", "bnkeypad.cli", *args, *to_file],
+                               env=env, capture_output=True)
+                for to_file in (["-o", str(out)], [])]
+        assert [(d.returncode, d.stderr) for d in done] == [(0, b""), (0, b"")]
+        assert done[1].stdout == out.read_bytes()
+    assert "নাম\t" in out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text, flags", [
+    ("", []),
+    ("১২৩\n৪৫\n\n", []),
+    ("১২৩\n৪৫\n\n", ["--skip-untypable"]),
+    ("খগ", ["--skip-untypable"]),  # every unit is off the ka-only layout
+])
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_nothing_to_evaluate_is_one_error_line_and_no_artifact(tmp_path, capsys, command,
+                                                               text, flags):
+    only_ka = tmp_path / "ka.tsv"
+    only_ka.write_text("keypad-layout v1\n2\tU+0995\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text, encoding="utf-8")
+    out = tmp_path / "report.tsv"
+    layouts = (["--layout", str(only_ka)] if command == "evaluate"
+               else ["--layouts", str(TOY_LAYOUT_PATH), str(only_ka)])
+    assert main([command, *layouts, "--corpus", str(corpus), *flags, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("E_EMPTY_CORPUS\t")
+    assert not out.exists()
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):

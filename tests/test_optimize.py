@@ -742,6 +742,12 @@ def test_consonant_instance_rejects_slots_per_key_out_of_range(model, corpus_tab
         consonant_instance(corpus_table, model, slots_per_key=slots_per_key)
 
 
+@pytest.mark.parametrize("max_units", [0, -1, -3])
+def test_consonant_instance_rejects_max_units_below_one(model, corpus_table, max_units):
+    with pytest.raises(ValueError, match="max_units must be >= 1"):
+        consonant_instance(corpus_table, model, max_units=max_units)
+
+
 def test_consonant_instance_takes_slots_per_key_up_to_the_unit_inventory(model, corpus_table):
     assert len(consonant_instance(corpus_table, model, slots_per_key=1).key_slots) == 7
     assert len(consonant_instance(corpus_table, model, slots_per_key=72).key_slots) == 504

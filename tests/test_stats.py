@@ -28,6 +28,7 @@ from bnkeypad.cli import main, reproduce_paper
 from bnkeypad.ergonomics import KEYPAD_KEYS, default_model, key_cost
 from bnkeypad.errors import UntypableUnitError
 from bnkeypad.layout import Layout, PlacementPolicy, Strategy, build_layout, load_layout
+from bnkeypad.optimize import restrict_bigrams
 from bnkeypad.transcribe import EvaluationReport, evaluate, transcribe
 
 KA, KHA, GA = (unit_for(c) for c in "কখগ")
@@ -253,7 +254,7 @@ def test_optimize_jam_term_still_counts_pairs(tmp_path, capsys, built_stats):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "96264c3ff5731f2c674fb7b37314d9bbadedabee45240d8b0174b0dd2213d3d1")
     [stats] = built_stats
-    assert "bigrams" in vars(stats)
+    assert "bigrams" not in vars(stats)  # only the instance's pairs are counted
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +350,43 @@ def test_merge_over_random_splits_equals_the_reference(text, cuts):
     assert (merged.table, merged.typable, merged.bigrams) == reference_from_text(text)
 
 
+# the empty subset, every unit, units the text may lack, repeated units, and
+# the units of ``texts``, so that runs of one unit make self pairs
+TEXT_UNITS = [u for u in map(unit_for, "কখগা ি্।") if u is not None]
+unit_subsets = st.one_of(
+    st.just(()),
+    st.just(ALL_UNITS),
+    st.lists(st.sampled_from(ALL_UNITS), max_size=100),
+    st.lists(st.sampled_from(TEXT_UNITS), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(texts, adversarial_texts), unit_subsets)
+def test_pairs_among_equals_the_restricted_reference_pairs(text, units):
+    _table, _typable, bigrams = reference_from_text(text)
+    assert CorpusStats.from_text(text).pairs_among(units) == restrict_bigrams(bigrams, units)
+
+
+def test_pairs_among_counts_self_pairs_at_both_offsets():
+    stats = CorpusStats.from_units([KA, KA, KA, KHA, KA, KA, GA, GA])
+    assert stats.pairs_among([KA]) == {(KA, KA): 3}
+    assert stats.pairs_among([GA, KA, GA]) == {(KA, KA): 3, (KA, GA): 1, (GA, GA): 1}
+    assert stats.pairs_among([KHA]) == {}
+    assert stats.pairs_among(ALL_UNITS) == stats.bigrams == {
+        (KA, KA): 3, (KA, KHA): 1, (KHA, KA): 1, (KA, GA): 1, (GA, GA): 1}
+
+
 def test_from_units_rejects_units_outside_the_inventory():
     stranger = bn_text.GraphemeUnit((0x0041,), bn_text.Category.SYMBOL, "A")
     with pytest.raises(ValueError):
         CorpusStats.from_units([KA, stranger])
+
+
+def test_pairs_among_rejects_units_outside_the_inventory():
+    stranger = bn_text.GraphemeUnit((0x0041,), bn_text.Category.SYMBOL, "A")
+    with pytest.raises(ValueError, match="not a typable unit"):
+        CorpusStats.from_units([KA, KA]).pairs_among([KA, stranger])
 
 
 def test_without_deletes_and_rejoins():
