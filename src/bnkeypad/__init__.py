@@ -18,7 +18,6 @@ from .bn_text import (
     FrequencyTable,
     GraphemeUnit,
     classify_char,
-    count_file,
     count_frequencies,
     count_unit_bigrams,
     merge,

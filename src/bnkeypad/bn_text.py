@@ -297,11 +297,6 @@ def read_corpus(path) -> str:
         return decode_corpus(fh.read(), str(path))
 
 
-def count_file(path) -> FrequencyTable:
-    """Count one UTF-8 corpus file."""
-    return count_frequencies(read_corpus(path))
-
-
 def merge(a: FrequencyTable, b: FrequencyTable) -> FrequencyTable:
     """Pointwise sum of two tables (associative, commutative, empty identity)."""
     counts = dict(a.counts)
@@ -445,7 +440,6 @@ def format_frequency_tsv(table: FrequencyTable) -> str:
     """Canonical TSV export: codepoints, category, count, frequency (9 dp)."""
     lines = ["codepoints\tcategory\tcount\tfrequency"]
     for unit in rank_by_frequency(table):
-        count = table.counts[unit]
-        freq = count / table.total if table.total else 0.0
-        lines.append(f"{unit_token(unit)}\t{unit.category.value}\t{count}\t{freq:.9f}")
+        lines.append(f"{unit_token(unit)}\t{unit.category.value}\t{table.counts[unit]}"
+                     f"\t{table.frequency(unit):.9f}")
     return "\n".join(lines) + "\n"

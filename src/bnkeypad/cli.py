@@ -52,26 +52,23 @@ from .optimize import (
 )
 from .transcribe import EvaluationReport, evaluate, transcribe
 
-_DEFAULTS = {
-    "extension_penalty": 1.0,
-    "angle_weight": 1.0,
-    "jam_weight": 0.0,
-    "report_format": "tsv",
-    "strategy": "serpentine",
-    "method": "greedy",
-    "max_iters": 100,
-    "skip_untypable": False,
-    "override_guard": False,
+# The keys --config accepts, each with the check its value must pass: the
+# flag's type applied to the value's text, the flag's choices, or the JSON
+# type of a switch (bool) or a path (str). RunConfig holds the defaults.
+_OPTIONS = {
+    "ergonomics": str,
+    "extension_penalty": float,
+    "angle_weight": float,
+    "strategy": ("serpentine", "sequential"),
+    "method": ("greedy", "exhaustive", "local"),
+    "jam_weight": float,
+    "max_units": int,
+    "slots_per_key": int,
+    "max_iters": int,
+    "report_format": ("tsv", "json"),
+    "skip_untypable": bool,
+    "override_guard": bool,
 }
-
-# --config values are converted and checked like the flags' text.
-_NUMERIC = {"extension_penalty": float, "angle_weight": float, "jam_weight": float,
-            "max_units": int, "slots_per_key": int, "max_iters": int}
-_CHOICES = {"report_format": ("tsv", "json"), "strategy": ("serpentine", "sequential"),
-            "method": ("greedy", "exhaustive", "local")}
-_SWITCHES = ("skip_untypable", "override_guard")
-
-_CONFIG_KEYS = set(_DEFAULTS) | {"ergonomics", "max_units", "slots_per_key"}
 
 
 @dataclass(frozen=True)
@@ -104,13 +101,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _option(p, flag, dest=None, **kwargs):
+    """A flag whose type, choices or switch action comes from _OPTIONS."""
+    dest = dest or flag[2:].replace("-", "_")
+    check = _OPTIONS[dest]
+    if check is bool:  # None when absent, so that --config can set it
+        kwargs.update(action="store_true", default=None)
+    elif isinstance(check, tuple):
+        kwargs["choices"] = check
+    elif check is not str:
+        kwargs["type"] = check
+    p.add_argument(flag, dest=dest, **kwargs)
+
+
 def _add_model_flags(p):
-    p.add_argument("--ergonomics", metavar="FILE",
-                   help="TSV overriding the built-in per-key measurements")
-    p.add_argument("--extension-penalty", type=float, dest="extension_penalty",
-                   help="cost added to every extension (lateral) key press")
-    p.add_argument("--angle-weight", type=float, dest="angle_weight",
-                   help="weight of the joint-angle cost term")
+    _option(p, "--ergonomics", metavar="FILE",
+            help="TSV overriding the built-in per-key measurements")
+    _option(p, "--extension-penalty", help="cost added to every extension (lateral) key press")
+    _option(p, "--angle-weight", help="weight of the joint-angle cost term")
 
 
 def _add_config_flag(p):
@@ -136,7 +144,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("build-layout", help="build a layout from corpus frequencies")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
-    p.add_argument("--strategy", choices=_CHOICES["strategy"])
+    _option(p, "--strategy")
     p.add_argument("--name", dest="layout_name")
     p.add_argument("-o", "--output", metavar="FILE")
     _add_model_flags(p)
@@ -145,9 +153,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="typing metrics of a layout on a corpus")
     p.add_argument("--layout", required=True, metavar="FILE")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
-    p.add_argument("--format", dest="report_format", choices=_CHOICES["report_format"])
-    p.add_argument("--skip-untypable", action="store_true", default=None,
-                   dest="skip_untypable")
+    _option(p, "--format", "report_format")
+    _option(p, "--skip-untypable")
     p.add_argument("-o", "--output", metavar="FILE")
     _add_model_flags(p)
     _add_config_flag(p)
@@ -155,9 +162,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("compare", help="metrics of several layouts side by side")
     p.add_argument("--layouts", nargs="+", required=True, metavar="FILE")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
-    p.add_argument("--format", dest="report_format", choices=_CHOICES["report_format"])
-    p.add_argument("--skip-untypable", action="store_true", default=None,
-                   dest="skip_untypable")
+    _option(p, "--format", "report_format")
+    _option(p, "--skip-untypable")
     p.add_argument("-o", "--output", metavar="FILE")
     _add_model_flags(p)
     _add_config_flag(p)
@@ -166,19 +172,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--layout", required=True, metavar="FILE")
     p.add_argument("--in", dest="text_in", required=True, metavar="FILE")
     p.add_argument("--out", dest="output", required=True, metavar="FILE")
-    p.add_argument("--skip-untypable", action="store_true", default=None,
-                   dest="skip_untypable")
+    _option(p, "--skip-untypable")
     _add_config_flag(p)
 
     p = sub.add_parser("optimize", help="search consonant placements for minimum cost")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
-    p.add_argument("--jam-weight", type=float, dest="jam_weight")
-    p.add_argument("--method", choices=_CHOICES["method"])
-    p.add_argument("--max-units", type=int, dest="max_units")
-    p.add_argument("--slots-per-key", type=int, dest="slots_per_key")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--override-guard", action="store_true", default=None,
-                   dest="override_guard")
+    _option(p, "--jam-weight")
+    _option(p, "--method")
+    _option(p, "--max-units")
+    _option(p, "--slots-per-key")
+    _option(p, "--max-iters")
+    _option(p, "--override-guard")
     p.add_argument("-o", "--output", metavar="FILE")
     _add_model_flags(p)
     _add_config_flag(p)
@@ -203,7 +207,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - set(_OPTIONS))
     if unknown:
         raise UsageError(f"config file {path}: unknown key(s) {', '.join(unknown)}")
     return {name: _config_value(path, name, value) for name, value in data.items()}
@@ -211,29 +215,26 @@ def _load_config_file(path: str) -> dict:
 
 def _config_value(path: str, name: str, value):
     """One --config value, converted and checked the way argparse treats its flag."""
-    if name in _NUMERIC:
+    check = _OPTIONS[name]
+    if isinstance(check, tuple):
+        if value in check:
+            return value
+    elif check in (bool, str):
+        if isinstance(value, check):
+            return value
+    else:
         try:
-            return _NUMERIC[name](str(value))
+            return check(str(value))
         except ValueError:
             pass
-    elif name in _CHOICES:
-        if value in _CHOICES[name]:
-            return value
-    elif isinstance(value, bool if name in _SWITCHES else str):  # a switch, or a path
-        return value
     raise UsageError(f"config file {path}: invalid value {value!r} for {name}")
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-
-    def pick(name, default=None):
-        value = getattr(args, name, None)
-        if value is not None:
-            return value
-        if name in cfg:
-            return cfg[name]
-        return _DEFAULTS.get(name, default)
+    given = vars(args)
+    # RunConfig's defaults, then the --config values, then the flags given
+    options = _load_config_file(args.config) if given.get("config") else {}
+    options.update({name: given[name] for name in _OPTIONS if given.get(name) is not None})
 
     def paths(values, allow_stdin=False) -> tuple[Path, ...]:
         out = []
@@ -249,51 +250,26 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise UsageError("standard input ('-') may be given at most once")
         return tuple(out)
 
-    corpus = paths(getattr(args, "corpus", None) or (), allow_stdin=True)
-    layouts = []
-    if getattr(args, "layout", None):
-        layouts = [getattr(args, "layout")]
-    elif getattr(args, "layouts", None):
-        layouts = list(args.layouts)
-    layouts = paths(layouts)
-    text_in = None
-    if getattr(args, "text_in", None):
-        text_in = paths([args.text_in], allow_stdin=True)[0]
-    ergonomics = pick("ergonomics")
-    if ergonomics is not None:
-        ergonomics = paths([ergonomics])[0]
+    corpus = paths(given.get("corpus") or (), allow_stdin=True)
+    layouts = paths([given["layout"]] if given.get("layout") else given.get("layouts") or ())
+    text_in = paths([given["text_in"]], allow_stdin=True)[0] if given.get("text_in") else None
+    if "ergonomics" in options:
+        options["ergonomics"] = paths([options["ergonomics"]])[0]
     # a key never needs more slots than there are units to place on it
     limits = {"max_units": (1, inf), "slots_per_key": (1, len(bn_text.ALL_UNITS)),
               "max_iters": (0, inf)}
     for name, (low, high) in limits.items():
-        value = pick(name)
+        value = options.get(name)
         flag = f"--{name.replace('_', '-')}"
         if value is not None and value < low:
             raise UsageError(f"{flag} must be >= {low}, got {value}")
         if value is not None and value > high:
             raise UsageError(f"{flag} must be <= {high}, got {value}")
 
-    return RunConfig(
-        command=args.command,
-        corpus=corpus,
-        layouts=layouts,
-        text_in=text_in,
-        output=Path(args.output) if getattr(args, "output", None) else None,
-        out_dir=Path(args.out_dir) if getattr(args, "out_dir", None) else None,
-        ergonomics=ergonomics,
-        extension_penalty=pick("extension_penalty"),
-        angle_weight=pick("angle_weight"),
-        strategy=pick("strategy"),
-        method=pick("method"),
-        jam_weight=pick("jam_weight"),
-        max_units=pick("max_units"),
-        slots_per_key=pick("slots_per_key"),
-        max_iters=pick("max_iters"),
-        report_format=pick("report_format"),
-        skip_untypable=pick("skip_untypable"),
-        override_guard=pick("override_guard"),
-        layout_name=getattr(args, "layout_name", None),
-    )
+    return RunConfig(command=args.command, corpus=corpus, layouts=layouts, text_in=text_in,
+                     output=Path(given["output"]) if given.get("output") else None,
+                     out_dir=Path(given["out_dir"]) if given.get("out_dir") else None,
+                     layout_name=given.get("layout_name"), **options)
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -389,21 +365,33 @@ def _report_dict(report: EvaluationReport) -> dict:
     }
 
 
+def _require_units(units: int, skipped: int, task: str, source: str = "the corpus") -> None:
+    """Refuse input with no typable unit for ``task``."""
+    if not units:
+        raise EmptyCorpusError(f"{source} has no typable unit to {task} "
+                               f"({skipped} scalars skipped)")
+
+
+def _require_placed(units: int, skipped_units: int, layout_name: str,
+                    source: str = "the corpus") -> None:
+    """Refuse input whose every unit --skip-untypable deleted."""
+    if not units:
+        raise EmptyCorpusError(f"--skip-untypable deleted all {skipped_units} units "
+                               f"of {source}: layout {layout_name} places none of them")
+
+
 def _evaluate_corpus(stats: CorpusStats, layout: Layout, name: str, model: ErgonomicModel,
                      config: RunConfig) -> EvaluationReport:
     """``evaluate``, refusing a corpus that leaves it no unit to evaluate."""
-    if not stats.table.total:
-        raise EmptyCorpusError(f"the corpus has no typable unit to evaluate "
-                               f"({stats.table.skipped} scalars skipped)")
+    _require_units(stats.table.total, stats.table.skipped, "evaluate")
     report = evaluate(stats, layout, model, skip_untypable=config.skip_untypable)
-    if not report.unit_count:
-        raise EmptyCorpusError(f"--skip-untypable deleted all {report.skipped_units} units "
-                               f"of the corpus: layout {name} places none of them")
+    _require_placed(report.unit_count, report.skipped_units, name)
     return report
 
 
 def _cmd_analyze(config: RunConfig) -> int:
     table = CorpusStats.from_text(_load_corpus(config.corpus)).table
+    _require_units(table.total, table.skipped, "analyze")
     sys.stderr.write(f"analyzed {table.total} units, skipped {table.skipped} scalars\n")
     _emit(config, bn_text.format_frequency_tsv(table))
     return 0
@@ -455,9 +443,13 @@ def _cmd_compare(config: RunConfig) -> int:
 
 
 def _cmd_transcribe(config: RunConfig) -> int:
-    layout = load_layout(config.layouts[0])
+    path = config.layouts[0]
+    layout = load_layout(path)
     units, dropped = scan_units(_read_source(config.text_in))
+    _require_units(len(units), dropped, "transcribe", "the --in text")
     trace = transcribe(units, layout, skip_untypable=config.skip_untypable)
+    _require_placed(len(trace.boundaries), len(trace.skipped_positions),
+                    layout.name or path.stem, "the --in text")
     if dropped or trace.skipped_positions:
         sys.stderr.write(f"skipped {dropped} non-typable scalars, "
                          f"{len(trace.skipped_positions)} units not in the layout\n")

@@ -62,13 +62,11 @@ class Strategy(Enum):
 class PlacementPolicy:
     """How consonants are dealt onto the consonant keys.
 
-    ``consonant_keys`` default to the flexibility ranking of keys 2-8.
     ``custom_slots`` supplies an explicit per-key consonant placement and
     is only consulted by the CUSTOM strategy.
     """
 
     strategy: Strategy = Strategy.SERPENTINE
-    consonant_keys: tuple[str, ...] | None = None
     custom_slots: Mapping[str, tuple[GraphemeUnit, ...]] | None = None
 
 
@@ -170,32 +168,25 @@ def deal_sequential(units, keys) -> dict[str, tuple[GraphemeUnit, ...]]:
 
 def build_layout(freq: FrequencyTable, model: ErgonomicModel,
                  policy: PlacementPolicy | None = None,
-                 roles: Mapping[Role, str] | None = None,
                  name: str | None = None) -> Layout:
     """Construct the frequency-based layout for the given corpus statistics.
 
-    The symbol key takes vowel signs and symbols ordered by descending
-    corpus frequency; the vowel key takes the 11 independent vowels in
-    dictionary order; consonants are dealt per the policy strategy. The
-    table must contain all 35 consonants.
+    The reserved keys are fixed (:data:`DEFAULT_ROLES`): the symbol key 1
+    takes vowel signs and symbols ordered by descending corpus frequency,
+    the vowel key 9 takes the 11 independent vowels in dictionary order,
+    and 0 and * hold the space and the conjunct joiner. Consonants are
+    dealt per the policy strategy onto the fixed consonant keys 2-8, taken
+    in the model's flexibility order. The table must contain all 35
+    consonants.
     """
     policy = policy or PlacementPolicy()
-    roles = dict(DEFAULT_ROLES if roles is None else roles)
-    for role in Role:
-        if role not in roles:
-            raise ValueError(f"build_layout needs a key for role {role.value!r}")
+    roles = DEFAULT_ROLES
 
     missing = [u for u in CONSONANTS if u not in freq.counts]
     if missing:
         raise IncompleteAlphabetError(missing)
 
-    consonant_keys = policy.consonant_keys
-    if consonant_keys is None:
-        consonant_keys = tuple(rank_keys(model, DEFAULT_CONSONANT_KEYS))
-    if not consonant_keys or len(set(consonant_keys)) != len(consonant_keys):
-        raise LayoutInvariantError("consonant keys must be non-empty and duplicate-free")
-    if set(consonant_keys) & set(roles.values()):
-        raise LayoutInvariantError("consonant keys overlap reserved role keys")
+    consonant_keys = rank_keys(model, DEFAULT_CONSONANT_KEYS)
 
     def by_count(unit: GraphemeUnit):
         return (-freq.counts.get(unit, 0), unit.codepoints)

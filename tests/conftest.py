@@ -49,8 +49,8 @@ def corpus_units(corpus_text):
 
 
 @pytest.fixture(scope="session")
-def corpus_table():
-    return bn_text.count_file(CORPUS_PATH)
+def corpus_table(corpus_text):
+    return bn_text.count_frequencies(corpus_text)
 
 
 def random_full_layout(rng: random.Random) -> Layout:

@@ -160,18 +160,18 @@ def test_count_matches_bruteforce_recount():
     assert table.total == sum(expected_counts.values())
 
 
-def test_count_file_roundtrip(tmp_path):
+def test_read_corpus_roundtrip(tmp_path):
     text = "কাখ ।"
     path = tmp_path / "c.txt"
     path.write_text(text, encoding="utf-8")
-    assert bn_text.count_file(path) == count_frequencies(text)
+    assert bn_text.read_corpus(path) == text
 
 
-def test_count_file_bad_utf8_reports_offset(tmp_path):
+def test_read_corpus_bad_utf8_reports_offset(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes("ক".encode("utf-8") + b"\xff\x80")
     with pytest.raises(CorpusDecodeError) as exc_info:
-        bn_text.count_file(path)
+        bn_text.read_corpus(path)
     assert exc_info.value.byte_offset == 3
     assert exc_info.value.code == "E_DECODE"
 

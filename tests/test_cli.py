@@ -1,5 +1,7 @@
 """CLI behavior: exit codes, artifacts, determinism, config precedence."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -32,7 +34,8 @@ def mini_corpus(tmp_path):
 def test_analyze_writes_ranked_tsv(tmp_path, mini_corpus, capsys):
     out = tmp_path / "freq.tsv"
     assert main(["analyze", "--corpus", str(mini_corpus), "-o", str(out)]) == 0
-    expected = bn_text.format_frequency_tsv(bn_text.count_file(mini_corpus))
+    expected = bn_text.format_frequency_tsv(
+        bn_text.count_frequencies(bn_text.read_corpus(mini_corpus)))
     assert out.read_text(encoding="utf-8") == expected
     assert "analyzed" in capsys.readouterr().err
 
@@ -321,6 +324,30 @@ def test_nothing_to_evaluate_is_one_error_line_and_no_artifact(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text, flags", [
+    ("analyze", "", []),
+    ("analyze", "১২\n", []),
+    ("transcribe", "", []),
+    ("transcribe", "১২\n", []),
+    ("transcribe", "১২\n", ["--skip-untypable"]),
+    ("transcribe", "গ", ["--skip-untypable"]),  # ga is off the toy layout
+])
+def test_nothing_to_analyze_or_transcribe_is_one_error_line_and_no_artifact(
+        tmp_path, capsys, command, text, flags):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(text, encoding="utf-8")
+    out = tmp_path / "artifact.tsv"
+    args = {"analyze": ["--corpus", str(corpus), "-o", str(out)],
+            "transcribe": ["--layout", str(TOY_LAYOUT_PATH), "--in", str(corpus),
+                           "--out", str(out)]}[command]
+    assert main([command, *args, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("E_EMPTY_CORPUS\t")
+    assert not out.exists()
+
+
 def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
     layout_path = tmp_path / "layout.tsv"
     main(["build-layout", "--corpus", str(CORPUS_PATH), "-o", str(layout_path)])
@@ -457,17 +484,51 @@ def test_config_limits_are_checked_like_flags(tmp_path, capsys, config):
 
 
 def test_config_values_convert_like_flag_text(tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"max_units": "6", "jam_weight": 1, "method": "local",
-                                "max_iters": 2}), encoding="utf-8")
-    configured = tmp_path / "configured.tsv"
-    flagged = tmp_path / "flagged.tsv"
-    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--config", str(path),
-                 "-o", str(configured)]) == 0
-    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--max-units", "6",
-                 "--jam-weight", "1", "--method", "local", "--max-iters", "2",
-                 "-o", str(flagged)]) == 0
-    assert configured.read_bytes() == flagged.read_bytes()
+    cases = [  # (command and inputs, --config values, the same values as flags)
+        (["optimize", "--corpus", str(CORPUS_PATH)],
+         {"max_units": "6", "jam_weight": 1, "method": "local", "max_iters": 2},
+         ["--max-units", "6", "--jam-weight", "1", "--method", "local", "--max-iters", "2"]),
+        (["evaluate", "--layout", str(TOY_LAYOUT_PATH), "--corpus", str(CORPUS_PATH)],
+         {"skip_untypable": True}, ["--skip-untypable"]),
+        (["build-layout", "--corpus", str(CORPUS_PATH)],
+         {"strategy": "sequential"}, ["--strategy", "sequential"]),
+    ]
+    for i, (args, values, flags) in enumerate(cases):
+        path = tmp_path / f"c{i}.json"
+        path.write_text(json.dumps(values), encoding="utf-8")
+        configured = tmp_path / f"configured{i}.tsv"
+        flagged = tmp_path / f"flagged{i}.tsv"
+        assert main([*args, "--config", str(path), "-o", str(configured)]) == 0
+        assert main([*args, *flags, "-o", str(flagged)]) == 0
+        assert configured.read_bytes() == flagged.read_bytes()
+
+
+def _subcommand_flags():
+    """The argparse actions of every subcommand's flags, --help left out."""
+    parser = cli._build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [a for p in sub.choices.values() for a in p._actions if a.dest != "help"]
+
+
+def test_option_table_matches_run_config_and_flags():
+    options = set(cli._OPTIONS)
+    assert options <= {f.name for f in dataclasses.fields(cli.RunConfig)}
+    actions = _subcommand_flags()
+    # everything else a flag sets is an input, output or --name path, or --config
+    paths = {"corpus", "layout", "layouts", "text_in", "output", "out_dir", "layout_name",
+             "config"}
+    assert {a.dest for a in actions} - paths == options
+    for action in actions:
+        check = cli._OPTIONS.get(action.dest)
+        if isinstance(check, tuple):
+            assert action.choices == check
+        elif check in (float, int):
+            assert action.type is check
+        elif check is bool:
+            assert action.default is None and action.nargs == 0
+    for field in dataclasses.fields(cli.RunConfig):
+        if field.name in options and field.default is not None:
+            assert cli._config_value("c.json", field.name, field.default) == field.default
 
 
 def test_optimize_local_search_on_fixture_is_pinned(tmp_path, capsys):
