@@ -12,12 +12,16 @@ conjunct contributes its member consonants plus one joiner, which is how
 the cluster is actually typed on the keypad (consonant, link key,
 consonant).
 
-Classification takes two C-level passes over a text. A negated character
-class over the typable scalars deletes every untypable run. What is left
-lies in the Basic Multilingual Plane, two bytes a scalar in UTF-16, and
-the typable scalars have pairwise distinct low bytes (asserted at import),
-so the low bytes alone name the units: one ``bytes.translate`` turns them
-into unit codes.
+Classification reads the text's UTF-16 code units as two byte planes,
+low bytes and high bytes. The typable scalars lie in the Basic
+Multilingual Plane and have pairwise distinct low bytes (asserted at
+import), so each low byte names at most one unit and fixes the high byte
+that unit has. One ``bytes.translate`` turns the low plane into the high
+plane it should have; when that equals the real high plane, one more
+``translate`` maps the low bytes to unit codes and deletes the untypable
+ones. Otherwise the two planes are XOR-ed as integers, each code unit
+whose high byte differs (another block's scalar, a surrogate) gets the
+untypable low byte 0xFF, and the same ``translate`` deletes it too.
 
 Counting does only what its callers need. Each unit's count is the
 number of bytes that deleting its code removes from the code bytes, one
@@ -30,7 +34,6 @@ pair table ``CorpusStats.bigrams`` is the same routine over every unit.
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -232,10 +235,22 @@ class FrequencyTable:
 # counts much faster than Bengali ones.
 _CODE_BY_UNIT: dict[GraphemeUnit, str] = {u: chr(i) for i, u in enumerate(ALL_UNITS)}
 
-_UNTYPABLE = re.compile("[^%s]+" % "".join(re.escape(u.text) for u in ALL_UNITS))
-_LOW_BYTES = bytes(u.codepoints[0] & 0xFF for u in ALL_UNITS)
-assert len(set(_LOW_BYTES)) == len(ALL_UNITS), "typable scalars must differ in their low byte"
-_CODE_BY_LOW_BYTE = bytes.maketrans(_LOW_BYTES, bytes(range(len(ALL_UNITS))))
+# each typable scalar's high byte in UTF-16, keyed by its low byte in
+# ALL_UNITS order
+_HIGH_BY_LOW = {u.codepoints[0] & 0xFF: u.codepoints[0] >> 8 for u in ALL_UNITS}
+assert len(_HIGH_BY_LOW) == len(ALL_UNITS), "typable scalars must differ in their low byte"
+assert max(_HIGH_BY_LOW.values()) <= 0xFF, "typable scalars must lie in the BMP"
+_CODE_BY_LOW_BYTE = bytes.maketrans(bytes(_HIGH_BY_LOW), bytes(range(len(ALL_UNITS))))
+_UNTYPABLE_LOW_BYTES = bytes(b for b in range(256) if b not in _HIGH_BY_LOW)
+# An untypable low byte is deleted whatever its high byte, so it may expect
+# any; expecting the ASCII block below 0x80 and the Bengali block above
+# keeps newlines and Bengali digits on the branch without the mask.
+_EXPECTED_HIGH_BYTE = bytes(_HIGH_BY_LOW.get(b, 0x09 if b >= 0x80 else 0x00)
+                            for b in range(256))
+# a code unit with an unexpected high byte gets the low byte 0xFF, which
+# no typable scalar has
+assert 0xFF not in _HIGH_BY_LOW
+_MISMATCH_MARK = b"\x00" + b"\xff" * 255
 _CODE_BYTES = tuple(bytes((code,)) for code in range(len(ALL_UNITS)))
 
 # pairs_among's separator; codes stay below it, so only a pair of two
@@ -247,8 +262,18 @@ _SEPARATOR_MASK = bytes(_SEPARATOR if b == _SEPARATOR else 0 for b in range(256)
 
 def _codes(text: str) -> tuple[bytes, int]:
     """The codes of the typable scalars of ``text``, and how many others it has."""
-    kept = _UNTYPABLE.sub("", text)
-    return kept.encode("utf-16-le")[::2].translate(_CODE_BY_LOW_BYTE), len(text) - len(kept)
+    data = text.encode("utf-16-le", "surrogatepass")
+    low, high = data[0::2], data[1::2]
+    expected = low.translate(_EXPECTED_HIGH_BYTE)
+    if high != expected:
+        n = len(low)
+        marks = (int.from_bytes(high, "little") ^ int.from_bytes(expected, "little")
+                 ).to_bytes(n, "little").translate(_MISMATCH_MARK)
+        low = (int.from_bytes(low, "little") | int.from_bytes(marks, "little")
+               ).to_bytes(n, "little")
+    codes = low.translate(_CODE_BY_LOW_BYTE, _UNTYPABLE_LOW_BYTES)
+    # an astral scalar is two code units, both deleted, but one scalar of text
+    return codes, len(text) - len(codes)
 
 
 def scan_units(text: str) -> tuple[list[GraphemeUnit], int]:
@@ -339,9 +364,11 @@ class CorpusStats:
     builds it. Build instances with :meth:`from_text` or
     :meth:`from_units`, and combine shards with :func:`merge_stats`.
 
-    :meth:`from_text` classifies in two C-level passes (see the module
-    docstring). Each unit's count is how many bytes deleting its code
-    removes from the code bytes, so no ``Counter`` looks at each code.
+    :meth:`from_text` classifies from the text's UTF-16 byte planes (see
+    the module docstring); a lone surrogate is skipped like any untypable
+    scalar and counts three bytes in ``source_bytes``. Each unit's count
+    is how many bytes deleting its code removes from the code bytes, so no
+    ``Counter`` looks at each code.
     """
 
     table: FrequencyTable
@@ -351,7 +378,8 @@ class CorpusStats:
     def from_text(cls, text: str) -> "CorpusStats":
         """Statistics of a text; non-typable scalars are skipped and tallied."""
         codes, skipped = _codes(text)
-        return _counted(codes.decode("latin-1"), len(text.encode("utf-8")), skipped)
+        return _counted(codes.decode("latin-1"), len(text.encode("utf-8", "surrogatepass")),
+                        skipped)
 
     @classmethod
     def from_units(cls, units: Iterable[GraphemeUnit]) -> "CorpusStats":

@@ -123,7 +123,7 @@ def _add_model_flags(p):
 
 def _add_config_flag(p):
     p.add_argument("--config", metavar="FILE",
-                   help="JSON file with defaults for any long option")
+                   help="JSON object with defaults for the keys " + ", ".join(_OPTIONS))
 
 
 # Built on the first main() call, not at import, and reused by every later
@@ -203,7 +203,7 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file does not exist: {path}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int too long to convert
         raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: expected a JSON object")
@@ -233,12 +233,14 @@ def _config_value(path: str, name: str, value):
 def _resolve(args: argparse.Namespace) -> RunConfig:
     given = vars(args)
     # RunConfig's defaults, then the --config values, then the flags given
-    options = _load_config_file(args.config) if given.get("config") else {}
+    options = _load_config_file(args.config) if given.get("config") is not None else {}
     options.update({name: given[name] for name in _OPTIONS if given.get(name) is not None})
 
     def paths(values, allow_stdin=False) -> tuple[Path, ...]:
         out = []
         for v in values:
+            if not v:
+                raise UsageError("an input path must not be empty")
             if allow_stdin and v == "-":
                 out.append(Path("-"))
                 continue
@@ -251,8 +253,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         return tuple(out)
 
     corpus = paths(given.get("corpus") or (), allow_stdin=True)
-    layouts = paths([given["layout"]] if given.get("layout") else given.get("layouts") or ())
-    text_in = paths([given["text_in"]], allow_stdin=True)[0] if given.get("text_in") else None
+    # a path given as '' is refused here or in paths(), not read as absent
+    layout, text_in = given.get("layout"), given.get("text_in")
+    layouts = paths([layout] if layout is not None else given.get("layouts") or ())
+    text_in = paths([text_in], allow_stdin=True)[0] if text_in is not None else None
+    if "" in (given.get("output"), given.get("out_dir")):
+        raise UsageError("an output path must not be empty")
     if "ergonomics" in options:
         options["ergonomics"] = paths([options["ergonomics"]])[0]
     # a key never needs more slots than there are units to place on it

@@ -483,6 +483,51 @@ def test_config_limits_are_checked_like_flags(tmp_path, capsys, config):
     assert not out.exists()
 
 
+def test_config_integer_too_long_to_convert_is_a_usage_error(tmp_path, capsys):
+    # json.loads refuses more than 4,300 digits with a plain ValueError; the
+    # sign keeps the value a usage error where no such limit applies
+    path = tmp_path / "c.json"
+    path.write_text('{"max_units": -' + "9" * 4301 + "}", encoding="utf-8")
+    out = tmp_path / "opt.tsv"
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--config", str(path),
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("E_USAGE\t")
+    assert not out.exists()
+
+
+def test_config_help_names_every_key_the_file_accepts():
+    helps = {a.help for a in _subcommand_flags() if a.dest == "config"}
+    assert helps == {"JSON object with defaults for the keys " + ", ".join(cli._OPTIONS)}
+    assert len(cli._OPTIONS) == 12
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("evaluate", "--layout"), ("compare", "--layouts"), ("transcribe", "--in"),
+    ("transcribe", "--out"), ("analyze", "-o"), ("reproduce-paper", "--out-dir"),
+    ("analyze", "--config"),
+])
+def test_empty_path_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    paths = {"--layout": str(TOY_LAYOUT_PATH), "--layouts": str(TOY_LAYOUT_PATH),
+             "--corpus": str(CORPUS_PATH), "--in": str(CORPUS_PATH),
+             "--out": "trace.tsv", "--out-dir": "paper"}
+    wanted = {"evaluate": ["--layout", "--corpus"], "compare": ["--layouts", "--corpus"],
+              "transcribe": ["--layout", "--in", "--out"], "analyze": ["--corpus"],
+              "reproduce-paper": ["--corpus", "--out-dir"]}[command]
+    args = [command]
+    for name in wanted:
+        args += [name, "" if name == flag else paths[name]]
+    if flag not in wanted:
+        args += [flag, ""]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("E_USAGE\t")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_values_convert_like_flag_text(tmp_path, capsys):
     cases = [  # (command and inputs, --config values, the same values as flags)
         (["optimize", "--corpus", str(CORPUS_PATH)],

@@ -305,7 +305,8 @@ def reference_from_text(text):
     counts = {ALL_UNITS[ord(c)]: n for c, n in Counter(typable).items()}
     bigrams = {(ALL_UNITS[ord(a)], ALL_UNITS[ord(b)]): n
                for (a, b), n in Counter(zip(typable, typable[1:])).items()}
-    table = FrequencyTable(counts, len(typable), len(text.encode("utf-8")),
+    # a lone surrogate is one skipped scalar of three bytes
+    table = FrequencyTable(counts, len(typable), len(text.encode("utf-8", "surrogatepass")),
                            len(text) - len(typable))
     return table, typable, bigrams
 
@@ -318,13 +319,18 @@ def reference_scan_units(text):
 # Untypable scalars chosen to break a classifier that looks at low bytes:
 # Devanagari shares the Bengali block's low bytes (U+0965 is untypable, its
 # neighbour danda U+0964 typable), Latin-1 and Bengali digits sit next to
-# typable scalars, and astral scalars are surrogate pairs in UTF-16.
+# typable scalars, astral scalars are surrogate pairs in UTF-16, lone
+# surrogates are single code units, and Gujarati and General Punctuation
+# share typable low bytes under other high bytes.
 adversarial_chars = st.one_of(
     st.sampled_from([u.text for u in ALL_UNITS]),
     st.characters(min_codepoint=0x0900, max_codepoint=0x097F),
     st.characters(min_codepoint=0x0080, max_codepoint=0x00FF),
     st.sampled_from("\u200c\u200d\r\n০১২৩৪৫৬৭৮৯\u0965\u0964"),
     st.characters(min_codepoint=0x10000),
+    st.characters(categories=["Cs"]),
+    st.characters(min_codepoint=0x0A81, max_codepoint=0x0ADF),
+    st.characters(min_codepoint=0x2020, max_codepoint=0x205E),
 )
 adversarial_texts = st.integers(0, 41).flatmap(
     lambda n: st.text(adversarial_chars, min_size=n, max_size=n))
@@ -338,6 +344,37 @@ def test_two_pass_statistics_equal_the_scalar_reference(text):
     assert (stats.table, stats.typable, stats.bigrams) == (table, typable, bigrams)
     assert count_frequencies(text) == table
     assert scan_units(text) == reference_scan_units(text)
+
+
+def takes_masked_branch(text):
+    """Whether some code unit's high byte differs from the one its low byte expects."""
+    data = text.encode("utf-16-le", "surrogatepass")
+    return data[0::2].translate(bn_text._EXPECTED_HIGH_BYTE) != data[1::2]
+
+
+def test_fixture_text_classifies_without_the_mask():
+    text = bn_text.read_corpus(CORPUS_PATH)
+    assert not takes_masked_branch(text)
+    stats = CorpusStats.from_text(text)
+    assert (stats.table, stats.typable, stats.bigrams) == reference_from_text(text)
+
+
+@pytest.mark.parametrize("stranger", ["\u200c", "\u0a95", "\ud800", "\U0001f600"])
+def test_mismatched_high_bytes_classify_through_the_mask(stranger):
+    # Gujarati ka U+0A95 has Bengali ka's low byte, so only the mask tells
+    # them apart; the others are untypable whatever the mask does
+    text = bn_text.read_corpus(CORPUS_PATH)[:500].replace(" ", stranger + " ")
+    assert takes_masked_branch(text)
+    stats = CorpusStats.from_text(text)
+    assert (stats.table, stats.typable, stats.bigrams) == reference_from_text(text)
+    assert scan_units(text) == reference_scan_units(text)
+
+
+def test_lone_surrogate_is_one_skipped_scalar():
+    want = FrequencyTable.from_counts({KA: 1}, source_bytes=6, skipped=1)
+    assert CorpusStats.from_text("\ud800ক").table == want
+    assert count_frequencies("\ud800ক") == want
+    assert scan_units("\ud800ক") == ([KA], 1)
 
 
 @settings(max_examples=150, deadline=None)
