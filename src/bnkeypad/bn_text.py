@@ -171,8 +171,16 @@ def unit_token(unit: GraphemeUnit) -> str:
     return "+".join(f"U+{cp:04X}" for cp in unit.codepoints)
 
 
+# The canonical token of every unit; other spellings of a unit (lower-case
+# or unpadded hex, say) go through the parser in parse_unit_token
+_UNIT_BY_TOKEN: dict[str, GraphemeUnit] = {unit_token(u): u for u in ALL_UNITS}
+
+
 def parse_unit_token(token: str) -> GraphemeUnit:
     """Inverse of :func:`unit_token`; raises ``ValueError`` for unknown units."""
+    unit = _UNIT_BY_TOKEN.get(token)
+    if unit is not None:
+        return unit
     parts = token.split("+")
     # "U+0995" splits into ["U", "0995"]; multi-codepoint tokens alternate.
     if len(parts) < 2 or any(parts[i] != "U" for i in range(0, len(parts), 2)):

@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: analyze, build-layout, evaluate, compare, transcribe,
-optimize, reproduce-paper. All artifacts are written atomically (temp
-file + rename) with canonical formatting, so identical inputs always
-produce byte-identical outputs. Domain errors exit 1, usage errors exit
-2, and both print one machine-parsable ``code<TAB>message`` line on
-stderr. Option precedence is flags > --config file > defaults.
+optimize, reproduce-paper. All artifacts are written atomically with
+canonical formatting, so identical inputs always produce byte-identical
+outputs: the UTF-8 text goes to a temp file beside the target in one
+write, then a rename puts it in place, and the directory is created only
+when it is missing. Domain errors exit 1, usage errors exit 2, and both
+print one machine-parsable ``code<TAB>message`` line on stderr. Option
+precedence is flags > --config file > defaults.
 
 ``main(argv)`` may be called any number of times in one process. The
 argument parser is built on the first call and reused by the later ones.
@@ -259,6 +261,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     text_in = paths([text_in], allow_stdin=True)[0] if text_in is not None else None
     if "" in (given.get("output"), given.get("out_dir")):
         raise UsageError("an output path must not be empty")
+    if given.get("layout_name") == "":  # compare would report the file's stem instead
+        raise UsageError("--name must not be empty")
     if "ergonomics" in options:
         options["ergonomics"] = paths([options["ergonomics"]])[0]
     # a key never needs more slots than there are units to place on it
@@ -279,13 +283,23 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    The directory is created only when it is missing. The text is encoded
+    to UTF-8 once, with no newline translation, and goes to the temp file
+    through ``os.write`` until every byte is written.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if not path.parent.is_dir():
+        path.parent.mkdir(parents=True, exist_ok=True)
+    data = memoryview(text.encode("utf-8"))
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -92,14 +92,15 @@ def transcribe(units: Sequence[GraphemeUnit], layout: Layout,
 def decode(trace: KeystrokeTrace, layout: Layout) -> list[GraphemeUnit]:
     """Recover the typed unit sequence from a trace (inverse of transcribe)."""
     out: list[GraphemeUnit] = []
+    presses = trace.presses
     for pos, (start, end) in trace.boundaries:
-        if not 0 <= start < end <= len(trace.presses):
+        if not 0 <= start < end <= len(presses):
             raise CorruptTraceError(f"press range {start}..{end} out of bounds")
-        run = trace.presses[start:end]
+        run = presses[start:end]
         key = run[0]
-        if any(k != key for k in run):
-            raise CorruptTraceError(f"press range {start}..{end} mixes keys")
         taps = end - start
+        if run.count(key) != taps:
+            raise CorruptTraceError(f"press range {start}..{end} mixes keys")
         slot_list = layout.slots.get(key, ())
         if taps > len(slot_list):
             raise CorruptTraceError(f"key {key} has no slot {taps}")

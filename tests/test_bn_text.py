@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnkeypad import bn_text
 from bnkeypad.bn_text import (
@@ -270,6 +272,65 @@ def test_unit_token_roundtrip():
 def test_parse_unit_token_rejects(bad):
     with pytest.raises(ValueError):
         parse_unit_token(bad)
+
+
+def reference_parse_unit_token(token: str):
+    """The token parser as it was before the canonical-token table."""
+    unit_by_cps = {u.codepoints: u for u in ALL_UNITS}
+    parts = token.split("+")
+    if len(parts) < 2 or any(parts[i] != "U" for i in range(0, len(parts), 2)):
+        raise ValueError(f"malformed unit token {token!r}")
+    try:
+        cps = tuple(int(parts[i], 16) for i in range(1, len(parts), 2))
+    except ValueError:
+        raise ValueError(f"malformed unit token {token!r}") from None
+    unit = unit_by_cps.get(cps)
+    if unit is None:
+        raise ValueError(f"unknown unit {token!r}")
+    return unit
+
+
+@pytest.mark.parametrize("token, char", [
+    ("U+995", "ক"), ("U+09be", "া"), ("U+0x995", "ক"), ("U+09_95", "ক"), ("U+00995", "ক"),
+])
+def test_parse_unit_token_accepts_non_canonical_spellings(token, char):
+    assert parse_unit_token(token) == unit_for(char) == reference_parse_unit_token(token)
+
+
+@st.composite
+def spelled_tokens(draw):
+    """``U+`` and one codepoint in any hex spelling ``int(..., 16)`` reads."""
+    cp = draw(st.one_of(st.sampled_from([u.codepoints[0] for u in ALL_UNITS]),
+                        st.integers(0, 0x10FFFF)))
+    digits = draw(st.sampled_from([f"{cp:x}", f"{cp:X}", f"{cp:04X}"]))
+    cut = draw(st.integers(0, len(digits)))
+    if 0 < cut < len(digits) and draw(st.booleans()):
+        digits = digits[:cut] + "_" + digits[cut:]
+    prefix = draw(st.sampled_from(["", "0", "00", "0x", "0X", " "]))
+    return "U+" + prefix + digits
+
+
+TOKENS = st.one_of(
+    st.sampled_from(ALL_UNITS).map(unit_token),
+    spelled_tokens(),
+    st.lists(st.one_of(st.sampled_from(ALL_UNITS).map(unit_token), spelled_tokens()),
+             min_size=2, max_size=3).map("+".join),
+    st.text(alphabet="U+0123456789abcdefABCDEFxX_ ,কা", max_size=14),
+    st.text(max_size=8),
+)
+
+
+def _outcome(parse, token):
+    try:
+        return parse(token)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=500, deadline=None)
+@given(TOKENS)
+def test_parse_unit_token_matches_the_reference_parser(token):
+    assert _outcome(parse_unit_token, token) == _outcome(reference_parse_unit_token, token)
 
 
 def test_count_unit_bigrams():

@@ -173,6 +173,77 @@ def test_build_layout_rejects_a_name_utf8_cannot_encode(tmp_path, capsys, to_fil
     assert not out.exists()
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_build_layout_rejects_an_empty_name(tmp_path, capsys, to_file):
+    out = tmp_path / "named.tsv"
+    assert main(["build-layout", "--corpus", str(CORPUS_PATH), "--name", "",
+                 *(["-o", str(out)] if to_file else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("E_USAGE\t")
+    assert not out.exists()
+
+
+def test_write_text_atomic_writes_the_utf8_bytes_untranslated(tmp_path):
+    out = tmp_path / "out.tsv"
+    text = "keypad-layout v1\r\nname\tনাম\r\n2\tU+0995\n\r"
+    cli.write_text_atomic(out, text)
+    assert out.read_bytes() == text.encode("utf-8")
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_write_text_atomic_creates_missing_parent_directories(tmp_path):
+    out = tmp_path / "a" / "b" / "c" / "out.tsv"
+    cli.write_text_atomic(out, "নাম\n")
+    assert out.read_bytes() == "নাম\n".encode("utf-8")
+    assert list(out.parent.iterdir()) == [out]
+
+
+def test_output_under_a_file_is_an_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"keep\n")
+    assert main(["build-layout", "--corpus", str(CORPUS_PATH),
+                 "-o", str(blocker / "sub" / "layout.tsv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("E_IO\t")
+    assert blocker.read_bytes() == b"keep\n"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_failed_rename_leaves_no_temp_file_and_keeps_the_target(tmp_path, monkeypatch):
+    out = tmp_path / "out.tsv"
+    out.write_bytes(b"old\n")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        cli.write_text_atomic(out, "new\n")
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"old\n"
+
+
+def test_write_text_atomic_resumes_short_writes(tmp_path, monkeypatch):
+    out = tmp_path / "out.tsv"
+    text = "name\tনাম\n" * 7
+    real_write = os.write
+    sizes = []
+
+    def write_three(fd, data):
+        sizes.append(real_write(fd, bytes(data[:3])))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", write_three)
+    cli.write_text_atomic(out, text)
+    monkeypatch.undo()
+    data = text.encode("utf-8")
+    assert out.read_bytes() == data
+    assert sum(sizes) == len(data) and len(sizes) == -(-len(data) // 3)
+
+
 def test_transcribe_trace_tsv(tmp_path):
     text_path = tmp_path / "text.txt"
     text_path.write_text("কখ ক\n", encoding="utf-8")

@@ -133,6 +133,15 @@ def test_decode_rejects_corrupt_traces():
         decode(KeystrokeTrace(("2",), ((0, (1, 1)),), ()), layout)  # empty range
 
 
+def test_decode_rejects_a_run_whose_last_press_is_on_another_key():
+    layout = toy_layout()
+    with pytest.raises(CorruptTraceError, match="press range 0..3 mixes keys"):
+        decode(KeystrokeTrace(("5", "5", "4"), ((0, (0, 3)),), ()), layout)
+    # the same presses split into their true runs decode
+    assert decode(KeystrokeTrace(("5", "5", "4"), ((0, (0, 2)), (1, (2, 3))), ()),
+                  layout) == [CA, KHA]
+
+
 def test_roundtrip_random_texts_and_layouts():
     rng = random.Random(777)
     for _ in range(50):
