@@ -19,8 +19,8 @@ import argparse
 import functools
 import json
 import os
+import stat
 import sys
-import tempfile
 from dataclasses import dataclass
 from math import inf, isfinite
 from pathlib import Path
@@ -287,19 +287,32 @@ def write_text_atomic(path: Path, text: str) -> None:
 
     The directory is created only when it is missing. The text is encoded
     to UTF-8 once, with no newline translation, and goes to the temp file
-    through ``os.write`` until every byte is written.
+    through ``os.write`` until every byte is written. The file gets the mode
+    that ``open(path, "w")`` would leave: an existing target keeps its mode,
+    and a new one gets ``0o666`` less the umask.
     """
     path = Path(path)
     if not path.parent.is_dir():
         path.parent.mkdir(parents=True, exist_ok=True)
     data = memoryview(text.encode("utf-8"))
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    while True:
+        tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, flags, 0o666)  # the umask applies, as for open()
+            break
+        except FileExistsError:
+            continue
     try:
         try:
             while data:
                 data = data[os.write(fd, data):]
         finally:
             os.close(fd)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -16,21 +16,18 @@ lexicographic order and skips a subtree when a lower bound on its scores
 cannot beat the best score so far (``_branch_and_bound`` gives the two
 bounds), so it returns the minimum that full enumeration returns.
 
-The three solvers and ``objective_value`` share one evaluator: a scorer
-built once from the objective and a list of slots (a cost and a key
-each), which scores an integer vector giving each unit's slot. Its sums
-use ``math.fsum``, so mathematically equal values compare equal whatever
-the summation order. Ties break toward the lexicographically smallest
+The three solvers and ``objective_value`` share one evaluator, built once
+from the objective and a list of slots (a cost and a key each). It holds
+every product of a unit probability and a slot cost, and every pair
+weight, as an integer over a power-of-two denominator, so the cost and jam
+sums of an assignment are exact integers and its value rounds each of them
+once. Mathematically equal values therefore compare equal whatever the
+summation order. Ties break toward the lexicographically smallest
 assignment vector in exhaustive search and toward the first swap in scan
-order in local search.
-
-Both searches also use the scorer's terms in exact form (``_exact``):
-every product and pair weight as an integer over a power-of-two
-denominator. A sum of those integers, divided the way ``score`` divides,
-is the float ``score`` returns, because ``fsum`` and integer division both
-round correctly. Exhaustive search bounds subtrees with them; local search
-keeps the cost and jam sums of the current vector as integers, scores each
-swap from their change in O(1), and builds one ``Layout`` at the end.
+order in local search. Exhaustive search carries the integer sums down
+its tree and bounds subtrees with them; local search keeps the sums of
+the current vector, scores each swap from their change in O(1), and
+builds one ``Layout`` at the end.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from dataclasses import dataclass
 from math import ceil, fsum, inf, isfinite
 from operator import mul
 from sys import float_info
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .bn_text import (
     ALL_UNITS,
@@ -54,6 +51,7 @@ from .ergonomics import (
     KEYPAD_KEYS,
     ErgonomicModel,
     key_cost,
+    over_common_denominator,
     rank_keys,
 )
 from .errors import (
@@ -138,10 +136,13 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
     instance has nothing to place. ``max_units`` below 1 raises
     ``ValueError`` for the same reason. ``slots_per_key`` outside
     ``1..len(ALL_UNITS)`` raises ``ValueError``: a key never needs more
-    slots than there are units to place on it.
+    slots than there are units to place on it. An empty ``keys`` raises
+    ``ValueError``: it leaves no slot.
     """
     if max_units is not None and max_units < 1:
         raise ValueError(f"max_units must be >= 1, got {max_units}")
+    if keys is not None and not keys:
+        raise ValueError("keys must name at least one key")
     if slots_per_key is not None and not 1 <= slots_per_key <= len(ALL_UNITS):
         raise ValueError(f"slots_per_key must be in 1..{len(ALL_UNITS)}, "
                          f"got {slots_per_key}")
@@ -153,7 +154,7 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
     if keys is None:
         keys = tuple(rank_keys(model, DEFAULT_CONSONANT_KEYS))
     if slots_per_key is None:
-        slots_per_key = ceil(len(ranked) / len(keys)) if ranked else 1
+        slots_per_key = ceil(len(ranked) / len(keys))
     key_slots = tuple(KeySlot(key, s, s * key_cost(model, key))
                       for key in keys for s in range(1, slots_per_key + 1))
     units = tuple((u, freq.counts[u]) for u in ranked)
@@ -168,88 +169,60 @@ def restrict_bigrams(bigram_counts: Mapping[tuple[GraphemeUnit, GraphemeUnit], i
             if pair[0] in keep and pair[1] in keep}
 
 
-class _Scorer(NamedTuple):
-    """The objective over index arrays, and the terms it is made of."""
-
-    score: Callable[[Sequence[int]], float]
-    p: list[float]  # probability of unit i
-    costs: list[float]  # cost of slot j
-    keys: list[str]  # key of slot j
-    pairs: list[tuple[int, int, float]]  # (unit a, unit b, weight) per bigram
-    jam_weight: float
-
-
-def _scorer(objective: Objective, units, slots) -> _Scorer:
-    """The one evaluator of the objective, over index arrays.
+class _Terms:
+    """The objective over index arrays, as integer numerators.
 
     ``units`` lists (unit, count) in assignment order and must match the
     objective's frequency table; ``slots`` are ``KeySlot``s, of which only
-    the cost and the key count. ``score`` takes a vector in which
-    ``assign[i]`` is the slot of unit i.
+    the cost and the key count, and the costs must be finite. A vector
+    ``assign`` puts unit i on slot ``assign[i]``. Its cost sum is C / den,
+    where C sums the numerators of the float products ``p[i] * costs[j]``
+    over a power-of-two den, and its jam sum is J / ``jden``, where J sums
+    the numerators ``w`` of the pairs (a, b, w) whose units share a key.
+    Both are exact, so ``value`` rounds the objective once per term.
     """
-    counts = objective.freq.counts
-    if len(units) != len(counts) or any(counts.get(u) != c for u, c in units):
-        raise ValueError("instance frequencies must match the objective's frequency table")
-    total = objective.freq.total
-    p = [c / total if total else 0.0 for _, c in units]
-    costs = [s.cost for s in slots]
-    keys = [s.key for s in slots]
-    pairs = []
-    jam_weight = objective.jam_weight
-    if jam_weight > 0 and objective.bigram_counts:
-        btotal = sum(objective.bigram_counts.values())
-        index = {u: i for i, (u, _) in enumerate(units)}
-        if btotal:
-            pairs = [(index[a], index[b], c / btotal)
-                     for (a, b), c in objective.bigram_counts.items()]
-    cost_of = costs.__getitem__
 
-    def score(assign) -> float:
-        # map keeps the hot loop of exhaustive search out of bytecode
-        value = fsum(map(mul, p, map(cost_of, assign)))
-        if pairs:
-            value += jam_weight * fsum(
-                pab for ia, ib, pab in pairs if keys[assign[ia]] == keys[assign[ib]])
-        return value
+    def __init__(self, objective: Objective, units, slots):
+        counts = objective.freq.counts
+        if len(units) != len(counts) or any(counts.get(u) != c for u, c in units):
+            raise ValueError("instance frequencies must match the objective's frequency table")
+        self.costs = [s.cost for s in slots]
+        if not all(map(isfinite, self.costs)):
+            raise ValueError("slot costs must be finite")
+        total = objective.freq.total
+        self.p = [c / total if total else 0.0 for _, c in units]
+        self.keys = [s.key for s in slots]
+        self.jam_weight = jam_weight = objective.jam_weight
+        self.pairs, self.jden = [], 1
+        bigrams = objective.bigram_counts
+        if jam_weight > 0 and bigrams and (btotal := sum(bigrams.values())):
+            index = {u: i for i, (u, _) in enumerate(units)}
+            (weights,), self.jden = over_common_denominator(
+                [[c / btotal for c in bigrams.values()]])
+            self.pairs = [(index[a], index[b], w) for (a, b), w in zip(bigrams, weights)]
 
-    return _Scorer(score, p, costs, keys, pairs, jam_weight)
+    def value(self, c: int, den: int, j: int) -> float:
+        """The objective of cost sum ``c / den`` and jam sum ``j / jden``."""
+        return c / den + self.jam_weight * (j / self.jden)
 
+    def table(self) -> tuple[list[list[int]], int]:
+        """``(cost, den)``: ``cost[i][j] / den`` is ``p[i] * costs[j]`` exactly."""
+        return over_common_denominator([[pi * c for c in self.costs] for pi in self.p])
 
-def _exact(scorer: _Scorer):
-    """The scorer's terms as integers over power-of-two denominators.
-
-    Returns ``(cost, den, pairs, jden)``: ``cost[i][j] / den`` is exactly the
-    product ``p[i] * costs[j]`` that ``score`` sums, and ``num / jden``
-    exactly the weight of the pair ``(a, b, num)``. Let C and J be integer
-    sums of these numerators. Both ``fsum`` and integer true division round
-    correctly, so ``C / den`` equals ``fsum`` of the products and
-    ``J / jden`` equals ``fsum`` of the weights.
-    """
-    p, costs, pairs = scorer.p, scorer.costs, scorer.pairs
-    if not all(map(isfinite, costs)):
-        raise ValueError("slot costs must be finite")
-    cost, den = _over_common_denominator([[pi * c for c in costs] for pi in p])  # score's floats
-    (weights,), jden = _over_common_denominator([[w for _, _, w in pairs]])
-    return cost, den, [(a, b, w) for (a, b, _), w in zip(pairs, weights)], jden
+    def score(self, assign) -> float:
+        """Objective of an assignment vector, from the n products it uses."""
+        (nums,), den = over_common_denominator(
+            [list(map(mul, self.p, map(self.costs.__getitem__, assign)))])
+        keys = self.keys
+        jam = sum(w for a, b, w in self.pairs if keys[assign[a]] == keys[assign[b]])
+        return self.value(sum(nums), den, jam)
 
 
-def _over_common_denominator(rows: list[list[float]]) -> tuple[list[list[int]], int]:
-    """Numerators of rows of finite floats over their largest denominator, and it.
-
-    Every float denominator is a power of two, so the largest is a multiple
-    of each and the numerators are exact. Only the numerators are kept, which
-    holds down the memory of local search's units x slots table.
-    """
-    den = max((x.as_integer_ratio()[1] for row in rows for x in row), default=1)
-    return [[num * (den // d) for num, d in map(float.as_integer_ratio, row)]
-            for row in rows], den
-
-
-def _layout_scorer(layout: Layout, objective: Objective):
-    """Scorer over the positions that a layout gives the objective's units.
+def _layout_terms(layout: Layout, objective: Objective):
+    """Terms over the positions that a layout gives the objective's units.
 
     Units are listed in scan order (keypad key, then tap count) and unit i
-    starts on slot i. Returns the scorer and (unit, slot) per unit.
+    starts on slot i. Returns the terms and (unit, slot) per unit.
     """
     counts = objective.freq.counts
     for unit in counts:
@@ -258,14 +231,14 @@ def _layout_scorer(layout: Layout, objective: Objective):
     model = objective.model
     placed = [(unit, KeySlot(key, taps, taps * key_cost(model, key))) for key in KEYPAD_KEYS
               for taps, unit in enumerate(layout.slots[key], start=1) if unit in counts]
-    scorer = _scorer(objective, [(u, counts[u]) for u, _ in placed], [s for _, s in placed])
-    return scorer, placed
+    terms = _Terms(objective, [(u, counts[u]) for u, _ in placed], [s for _, s in placed])
+    return terms, placed
 
 
 def objective_value(layout: Layout, objective: Objective) -> float:
     """Objective of a layout; every unit of the table must be placed."""
-    scorer, placed = _layout_scorer(layout, objective)
-    return scorer.score(range(len(placed)))
+    terms, placed = _layout_terms(layout, objective)
+    return terms.score(range(len(placed)))
 
 
 def _assignment_layout(instance: AssignmentInstance, assign, name: str):
@@ -313,49 +286,50 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
             f"instance has {n_units} units and {n_slots} slots; the exhaustive "
             f"guard allows {GUARD_MAX_UNITS} units and {GUARD_MAX_SLOTS} slots"
         )
-    scorer = _scorer(objective, instance.units, instance.key_slots)
-    layout, compacted = _assignment_layout(instance, _branch_and_bound(scorer), "exhaustive")
-    return layout, scorer.score(compacted)
+    terms = _Terms(objective, instance.units, instance.key_slots)
+    layout, compacted = _assignment_layout(instance, _branch_and_bound(terms), "exhaustive")
+    return layout, terms.score(compacted)
 
 
 # Relative slack of the rearrangement bound. Let R be the real rearrangement
 # minimum. A rounding moves a value by at most a relative u = 2**-53 while it
-# stays in the normal float range. So the cost sum that ``score`` rounds is
-# at least (1 - u)**2 * R (products, then ``fsum``), and the bound before the
-# slack is at most (1 + u)**3 * R (products or the division, ``fsum``, the
-# addition); the scaling adds one more factor 1 + u. A slack of 2**-40 covers
-# the ratio of about 1 + 6u many times over. Below the normal range a
-# rounding is no longer relative, so the bound is switched off when a nonzero
-# product is subnormal.
+# stays in the normal float range. So the cost sum that ``value`` returns is
+# at least (1 - u)**2 * R (products, then a correctly rounded sum), and the
+# bound before the slack is at most (1 + u)**3 * R (products or the division,
+# ``fsum``, the addition); the scaling adds one more factor 1 + u. A slack of
+# 2**-40 covers the ratio of about 1 + 6u many times over. Below the normal
+# range a rounding is no longer relative, so the bound is switched off when a
+# nonzero product is subnormal.
 _REARRANGEMENT_SLACK = 2.0 ** -40
 
 
-def _branch_and_bound(scorer: _Scorer) -> list[int]:
-    """Lexicographically smallest assignment vector of minimum score.
+def _branch_and_bound(terms: _Terms) -> list[int]:
+    """Lexicographically smallest assignment vector of minimum value.
 
     Depth-first over units 0, 1, ... with slots tried in increasing index,
     so assignments come in the order of ``permutations(range(n_slots),
-    n_units)``; only ``score`` ranks them, and an incumbent is replaced by a
-    strictly smaller score alone. A subtree is skipped when a lower bound on
-    the score of each of its assignments cannot beat the incumbent:
+    n_units)``. Each node carries the integer cost and jam sums of its
+    placed units, and a leaf's value is ``terms.value`` of them, so only the
+    objective ranks assignments, and an incumbent is replaced by a strictly
+    smaller value alone. A subtree is skipped when a lower bound on the
+    value of each of its assignments cannot beat the incumbent:
 
-    - exact bound: the placed units' cost, each remaining unit on the
-      cheapest free slot, and the jam of the placed pairs that share a key
-      and of each pair of a unit with itself, summed as integers over one
-      power-of-two denominator and divided with the float operations of
-      ``score``. As ``fsum`` and integer division are both correctly
-      rounded and every later step is monotone, it is at most the score of
-      every assignment in the subtree. Skip when it is ``>=`` the
-      incumbent: a tie met later is lexicographically larger and loses
-      anyway.
+    - exact bound: ``terms.value`` of the placed units' cost plus each
+      remaining unit on the cheapest free slot, and of the jam of the placed
+      pairs that share a key and of each pair of a unit with itself. Its
+      integer sums are at most those of every assignment in the subtree and
+      ``value`` is monotone in them. Skip when it is ``>=`` the incumbent: a
+      tie met later is lexicographically larger and loses anyway.
     - rearrangement bound: the remaining probabilities in descending order
       against the free slot costs in ascending order, which is the least
       cost of any injective placement (rearrangement inequality), scaled
       down by ``_REARRANGEMENT_SLACK``. Skip when it is ``>`` the incumbent.
     """
-    score, p, costs, keys, _, jam_weight = scorer
+    p, costs, keys, jam_weight, jden = (terms.p, terms.costs, terms.keys,
+                                        terms.jam_weight, terms.jden)
+    value_of = terms.value
     n_units, n_slots = len(p), len(costs)
-    exact, den, pairs, jden = _exact(scorer)
+    exact, den = terms.table()
     # rest[k][j]: units k, k+1, ... all on slot j
     rest = [[0] * n_slots]
     for row in reversed(exact):
@@ -364,7 +338,7 @@ def _branch_and_bound(scorer: _Scorer) -> list[int]:
     # unit paired with itself jams wherever it goes, so it counts from the root
     links = [[] for _ in range(n_units)]
     always = 0
-    for a, b, w in pairs:
+    for a, b, w in terms.pairs:
         if a == b:
             always += w
         else:
@@ -384,17 +358,16 @@ def _branch_and_bound(scorer: _Scorer) -> list[int]:
     def visit(k, cost, jam):
         nonlocal best_value, best_assign
         if k == n_units:
-            value = score(assign)
+            value = value_of(cost, den, jam)
             if value < best_value:
                 best_value = value
                 best_assign = assign[:]
             return
         free = [j for j in by_cost if not used[j]]
-        jam_value = jam_weight * (jam / jden)
-        if (cost + rest[k][free[0]]) / den + jam_value >= best_value:
+        if value_of(cost + rest[k][free[0]], den, jam) >= best_value:
             return
         least = fsum(map(mul, p_desc[k], map(cost_of, free)))
-        if (cost / den + least) * shrink + jam_value > best_value:
+        if (cost / den + least) * shrink + jam_weight * (jam / jden) > best_value:
             return
         for j in range(n_slots):
             if used[j]:
@@ -419,7 +392,7 @@ def solve_greedy(instance: AssignmentInstance, objective: Objective) -> tuple[La
     if len(instance.units) > len(instance.key_slots):
         raise CapacityError(
             f"{len(instance.units)} units but only {len(instance.key_slots)} slots")
-    score = _scorer(objective, instance.units, instance.key_slots).score
+    score = _Terms(objective, instance.units, instance.key_slots).score
     unit_order = sorted(range(len(instance.units)),
                         key=lambda i: (-instance.units[i][1],
                                        instance.units[i][0].codepoints))
@@ -443,24 +416,24 @@ def improve_local(start: Layout, objective: Objective,
     applied each round, ties resolved by the first swap in scan order.
 
     Each swap is scored in O(1) from a running state: the cost sum and the
-    jam sum as integer numerators (``_exact``) and, per unit and key, the
-    jam numerator of the unit's pairs with the units on that key. A
-    candidate's value is divided out with the float operations of the
-    shared scorer's ``score``, so it equals ``score`` of the swapped vector
-    bit for bit. Slot costs must be finite (``ValueError``).
+    jam sum as the integer numerators of the objective's terms and, per unit
+    and key, the jam numerator of the unit's pairs with the units on that
+    key. A candidate's value is the terms' ``value`` of its two sums, so it
+    is the objective of the swapped vector. Slot costs must be finite
+    (``ValueError``).
     """
-    scorer, placed = _layout_scorer(start, objective)
-    exact, den, pairs, jden = _exact(scorer)
-    jam_weight = scorer.jam_weight
+    terms, placed = _layout_terms(start, objective)
+    exact, den = terms.table()
+    value_of = terms.value
     n = len(placed)
     key_ids: dict[str, int] = {}
-    key_of = [key_ids.setdefault(k, len(key_ids)) for k in scorer.keys]  # key of slot a
+    key_of = [key_ids.setdefault(k, len(key_ids)) for k in terms.keys]  # key of slot a
     # pair[u][v]: jam numerator of the pairs (u, v) and (v, u), u != v;
     # near[u][k]: sum of pair[u][v] over the units v on key k
     pair = [[0] * n for _ in range(n)]
     near = [[0] * len(key_ids) for _ in range(n)]
     jam = 0
-    for a, b, w in pairs:
+    for a, b, w in terms.pairs:
         if key_of[a] == key_of[b]:
             jam += w
         if a != b:
@@ -470,7 +443,7 @@ def improve_local(start: Layout, objective: Objective,
             near[b][key_of[a]] += w
     cost = sum(exact[i][i] for i in range(n))
     held = list(range(n))  # unit on slot a; unit i starts on slot i
-    value = cost / den + jam_weight * (jam / jden)  # score(range(n)); no pairs add 0.0
+    value = value_of(cost, den, jam)
     for _ in range(max_iters):
         best_swap = None
         best_value, best_cost, best_jam = value, cost, jam
@@ -490,7 +463,7 @@ def improve_local(start: Layout, objective: Objective,
                 # both at least the best's cannot score strictly below it
                 if c >= best_cost and j >= best_jam:
                     continue
-                candidate_value = c / den + jam_weight * (j / jden)
+                candidate_value = value_of(c, den, j)
                 if candidate_value < best_value:
                     best_value, best_cost, best_jam = candidate_value, c, j
                     best_swap = (a, b)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .bn_text import ALL_UNITS, CorpusStats, GraphemeUnit
-from .ergonomics import KEYPAD_KEYS, ErgonomicModel, key_cost
+from .ergonomics import KEYPAD_KEYS, ErgonomicModel, key_cost, over_common_denominator
 from .errors import CorruptTraceError, UntypableUnitError
 from .layout import Layout
 
@@ -132,17 +132,15 @@ def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
 
     cost = {key: key_cost(model, key) for key in KEYPAD_KEYS}
     presses = dict.fromkeys(KEYPAD_KEYS, 0)
-    # expected cost: the exact sum of count * fl(taps * cost), held as
-    # numerator / scale with a power-of-two scale, rounded once
-    numerator, scale = 0, 1
-    for unit, count in stats.table.counts.items():
-        key, taps = layout.position(unit)
+    # expected cost: the exact sum of count * fl(taps * cost) as
+    # numerator / scale, rounded once
+    counts = stats.table.counts
+    spots = [layout.position(unit) for unit in counts]
+    (nums,), scale = over_common_denominator([[taps * cost[key] for key, taps in spots]])
+    numerator = 0
+    for (key, taps), count, num in zip(spots, counts.values(), nums):
         presses[key] += count * taps
-        num, den = (taps * cost[key]).as_integer_ratio()
-        if den > scale:
-            numerator *= den // scale
-            scale = den
-        numerator += count * num * (scale // den)
+        numerator += count * num
     # map each unit code to its key's index (units the layout lacks are
     # gone from stats by now); byte i of the xor of the key sequence with
     # itself shifted by one is 0 exactly when units i and i + 1 share a key,

@@ -189,7 +189,25 @@ def test_write_text_atomic_writes_the_utf8_bytes_untranslated(tmp_path):
     text = "keypad-layout v1\r\nname\tনাম\r\n2\tU+0995\n\r"
     cli.write_text_atomic(out, text)
     assert out.read_bytes() == text.encode("utf-8")
-    assert out.stat().st_mode & 0o777 == 0o600
+    umask = os.umask(0)
+    os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask  # what open(out, "w") gives
+    assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o664, 0o666])
+def test_write_text_atomic_keeps_the_mode_of_the_file_it_replaces(tmp_path, mode):
+    out = tmp_path / "out.tsv"
+    out.write_text("old\n")
+    out.chmod(mode)
+    umask = os.umask(0o022)
+    try:
+        cli.write_text_atomic(out, "নাম\n")
+        assert os.umask(0o022) == 0o022  # left as it was
+    finally:
+        os.umask(umask)
+    assert out.read_bytes() == "নাম\n".encode("utf-8")
+    assert out.stat().st_mode & 0o777 == mode
     assert list(tmp_path.iterdir()) == [out]
 
 

@@ -3,6 +3,8 @@
 import itertools
 import random
 from math import fsum, perm
+from operator import mul
+from typing import Callable, NamedTuple, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +38,6 @@ from bnkeypad.optimize import (
     KeySlot,
     Objective,
     _assignment_layout,
-    _layout_scorer,
-    _scorer,
     consonant_instance,
     improve_local,
     objective_value,
@@ -118,6 +118,75 @@ def oracle_minimum(instance, objective):
         if best is None or value < best:
             best = value
     return best
+
+
+# ---------------------------------------------------------------------------
+# the fsum scorer that the solvers used before the exact evaluator; the
+# reference searches score with it, so they share no code with the solvers
+# ---------------------------------------------------------------------------
+
+class _Scorer(NamedTuple):
+    """The objective over index arrays, and the terms it is made of."""
+
+    score: Callable[[Sequence[int]], float]
+    p: list[float]  # probability of unit i
+    costs: list[float]  # cost of slot j
+    keys: list[str]  # key of slot j
+    pairs: list[tuple[int, int, float]]  # (unit a, unit b, weight) per bigram
+    jam_weight: float
+
+
+def _scorer(objective: Objective, units, slots) -> _Scorer:
+    """The one evaluator of the objective, over index arrays.
+
+    ``units`` lists (unit, count) in assignment order and must match the
+    objective's frequency table; ``slots`` are ``KeySlot``s, of which only
+    the cost and the key count. ``score`` takes a vector in which
+    ``assign[i]`` is the slot of unit i.
+    """
+    counts = objective.freq.counts
+    if len(units) != len(counts) or any(counts.get(u) != c for u, c in units):
+        raise ValueError("instance frequencies must match the objective's frequency table")
+    total = objective.freq.total
+    p = [c / total if total else 0.0 for _, c in units]
+    costs = [s.cost for s in slots]
+    keys = [s.key for s in slots]
+    pairs = []
+    jam_weight = objective.jam_weight
+    if jam_weight > 0 and objective.bigram_counts:
+        btotal = sum(objective.bigram_counts.values())
+        index = {u: i for i, (u, _) in enumerate(units)}
+        if btotal:
+            pairs = [(index[a], index[b], c / btotal)
+                     for (a, b), c in objective.bigram_counts.items()]
+    cost_of = costs.__getitem__
+
+    def score(assign) -> float:
+        # map keeps the hot loop of exhaustive search out of bytecode
+        value = fsum(map(mul, p, map(cost_of, assign)))
+        if pairs:
+            value += jam_weight * fsum(
+                pab for ia, ib, pab in pairs if keys[assign[ia]] == keys[assign[ib]])
+        return value
+
+    return _Scorer(score, p, costs, keys, pairs, jam_weight)
+
+
+def _layout_scorer(layout: Layout, objective: Objective):
+    """Scorer over the positions that a layout gives the objective's units.
+
+    Units are listed in scan order (keypad key, then tap count) and unit i
+    starts on slot i. Returns the scorer and (unit, slot) per unit.
+    """
+    counts = objective.freq.counts
+    for unit in counts:
+        if layout.position(unit) is None:
+            raise IncompleteLayoutError(f"unit {unit.display} is not placed in the layout")
+    model = objective.model
+    placed = [(unit, KeySlot(key, taps, taps * key_cost(model, key))) for key in KEYPAD_KEYS
+              for taps, unit in enumerate(layout.slots[key], start=1) if unit in counts]
+    scorer = _scorer(objective, [(u, counts[u]) for u, _ in placed], [s for _, s in placed])
+    return scorer, placed
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +488,18 @@ def test_exhaustive_with_subnormal_slot_costs(model):
     assert solve_exhaustive(instance, objective) == reference_solve_exhaustive(instance, objective)
 
 
+def test_exhaustive_counts_a_self_pair_in_every_value(model):
+    # the self pair's jam of 1.0 swamps the costs, so every assignment has
+    # value 1.0 and the lexicographically first one wins; a search that
+    # left the pair out would rank by cost and put KA on the cheaper key
+    key_slots = [KeySlot("2", 1, 2e-20), KeySlot("3", 1, 1e-20)]
+    instance, freq = make_instance([(KA, 2), (KHA, 1)], key_slots)
+    objective = Objective(freq, model, 1.0, {(KA, KA): 1})
+    layout, value = solve_exhaustive(instance, objective)
+    assert (layout, value) == reference_solve_exhaustive(instance, objective)
+    assert (layout.slots["2"], layout.slots["3"], value) == ((KA,), (KHA,), 1.0)
+
+
 # Instances at the guard's limit. Each has up to 239.5 M assignments, and
 # the bounds let exhaustive search finish in a fraction of a second; a
 # bound that stops pruning makes these tests run for minutes.
@@ -712,11 +793,13 @@ def test_local_equals_rescoring_reference(rng, jam_weight, max_iters, angle_weig
     assert value == ref_value
 
 
-def test_local_rejects_non_finite_slot_costs():
+@pytest.mark.parametrize("evaluate_layout", [improve_local, objective_value],
+                         ids=["improve_local", "objective_value"])
+def test_local_rejects_non_finite_slot_costs(evaluate_layout):
     model = default_model(angle_weight=1e308)  # finite, but key costs overflow
     objective = Objective(FrequencyTable.from_counts({KA: 1, KHA: 1}), model)
     with pytest.raises(ValueError, match="slot costs must be finite"):
-        improve_local(Layout(slots={"5": (KA, KHA)}), objective)
+        evaluate_layout(Layout(slots={"5": (KA, KHA)}), objective)
 
 
 def test_local_rejects_incomplete_start(model):
@@ -746,6 +829,12 @@ def test_consonant_instance_rejects_slots_per_key_out_of_range(model, corpus_tab
 def test_consonant_instance_rejects_max_units_below_one(model, corpus_table, max_units):
     with pytest.raises(ValueError, match="max_units must be >= 1"):
         consonant_instance(corpus_table, model, max_units=max_units)
+
+
+@pytest.mark.parametrize("slots_per_key", [None, 2])
+def test_consonant_instance_rejects_empty_keys(model, corpus_table, slots_per_key):
+    with pytest.raises(ValueError, match="keys must name at least one key"):
+        consonant_instance(corpus_table, model, keys=(), slots_per_key=slots_per_key)
 
 
 def test_consonant_instance_takes_slots_per_key_up_to_the_unit_inventory(model, corpus_table):
