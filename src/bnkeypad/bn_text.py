@@ -23,13 +23,17 @@ ones. Otherwise the two planes are XOR-ed as integers, each code unit
 whose high byte differs (another block's scalar, a surrogate) gets the
 untypable low byte 0xFF, and the same ``translate`` deletes it too.
 
-Counting does only what its callers need. Each unit's count is the
-number of bytes that deleting its code removes from the code bytes, one
-memchr-speed pass a code. Adjacent pairs are counted only among a chosen
-set of units (:meth:`CorpusStats.pairs_among`): every other unit becomes
-a separator, and a pair that touches a separator is dropped before the
-one ``Counter`` pass, so that pass sees the real pairs alone. The full
-pair table ``CorpusStats.bigrams`` is the same routine over every unit.
+Counting does only what its callers need. The 72 codes fall into eight
+fixed groups of consecutive codes. For each group one ``translate``
+deletes every other byte, and ``bytes.count`` counts each code of the
+group but the first, whose count is what remains of the group's length.
+So eight full-length passes and counts over the bytes they keep replace
+a pass a code, and only one group's bytes are alive at a time. Adjacent
+pairs are counted only among a chosen set of units
+(:meth:`CorpusStats.pairs_among`): every other unit becomes a separator,
+and a pair that touches a separator is dropped before the one
+``Counter`` pass, so that pass sees the real pairs alone. The full pair
+table ``CorpusStats.bigrams`` is the same routine over every unit.
 """
 
 from __future__ import annotations
@@ -259,7 +263,17 @@ _EXPECTED_HIGH_BYTE = bytes(_HIGH_BY_LOW.get(b, 0x09 if b >= 0x80 else 0x00)
 # no typable scalar has
 assert 0xFF not in _HIGH_BY_LOW
 _MISMATCH_MARK = b"\x00" + b"\xff" * 255
-_CODE_BYTES = tuple(bytes((code,)) for code in range(len(ALL_UNITS)))
+
+# _counted's groups of consecutive codes, each as (its codes but the
+# first, as one-byte needles; every byte outside it). Any grouping counts
+# exactly; eight groups of nine balance the eight full-length translate
+# passes against the count passes over what they keep.
+_GROUP_SIZE = 9
+_COUNT_GROUPS = tuple(
+    (tuple(bytes((code,)) for code in range(lo + 1, hi)),
+     bytes(b for b in range(256) if not lo <= b < hi))
+    for lo in range(0, len(ALL_UNITS), _GROUP_SIZE)
+    for hi in (min(lo + _GROUP_SIZE, len(ALL_UNITS)),))
 
 # pairs_among's separator; codes stay below it, so only a pair of two
 # separators reads as U+FFFF in UTF-16-LE
@@ -324,10 +338,16 @@ def decode_document(raw: bytes, syntax_error: Callable[[int, str], Exception]) -
                                     f"({exc.reason})") from None
 
 
-def read_corpus(path) -> str:
-    """Read a UTF-8 file; invalid bytes raise :class:`CorpusDecodeError`."""
+def read_corpus(path, *, sized: bool = False) -> str | tuple[str, int]:
+    """Read a UTF-8 file; invalid bytes raise :class:`CorpusDecodeError`.
+
+    With ``sized`` the result is the pair (text, number of bytes read), so
+    a caller that needs the source size does not encode the text again.
+    """
     with open(path, "rb") as fh:
-        return decode_corpus(fh.read(), str(path))
+        raw = fh.read()
+    text = decode_corpus(raw, str(path))
+    return (text, len(raw)) if sized else text
 
 
 def merge(a: FrequencyTable, b: FrequencyTable) -> FrequencyTable:
@@ -374,8 +394,9 @@ class CorpusStats:
 
     :meth:`from_text` classifies from the text's UTF-16 byte planes (see
     the module docstring); a lone surrogate is skipped like any untypable
-    scalar and counts three bytes in ``source_bytes``. Each unit's count
-    is how many bytes deleting its code removes from the code bytes, so no
+    scalar and counts three bytes in ``source_bytes``. The unit counts
+    come from one pass per group of consecutive codes that keeps only the
+    group's codes, and a count of each code in what it keeps, so no
     ``Counter`` looks at each code.
     """
 
@@ -383,11 +404,16 @@ class CorpusStats:
     typable: str
 
     @classmethod
-    def from_text(cls, text: str) -> "CorpusStats":
-        """Statistics of a text; non-typable scalars are skipped and tallied."""
+    def from_text(cls, text: str, source_bytes: int | None = None) -> "CorpusStats":
+        """Statistics of a text; non-typable scalars are skipped and tallied.
+
+        ``source_bytes`` is the size of the bytes ``text`` was decoded
+        from; when it is not given, the text is encoded to UTF-8 to take it.
+        """
         codes, skipped = _codes(text)
-        return _counted(codes.decode("latin-1"), len(text.encode("utf-8", "surrogatepass")),
-                        skipped)
+        if source_bytes is None:
+            source_bytes = len(text.encode("utf-8", "surrogatepass"))
+        return _counted(codes, source_bytes, skipped)
 
     @classmethod
     def from_units(cls, units: Iterable[GraphemeUnit]) -> "CorpusStats":
@@ -396,7 +422,7 @@ class CorpusStats:
             typable = "".join([_CODE_BY_UNIT[u] for u in units])
         except KeyError as exc:
             raise ValueError(f"{exc.args[0]!r} is not a typable unit") from None
-        return _counted(typable, 0, 0)
+        return _counted(typable.encode("latin-1"), 0, 0)
 
     def first_position(self, unit: GraphemeUnit) -> int:
         """Index of the first ``unit`` in the typable sequence, -1 if absent."""
@@ -405,10 +431,14 @@ class CorpusStats:
     def without(self, units: Iterable[GraphemeUnit]) -> "CorpusStats":
         """The statistics after deleting every occurrence of ``units``.
 
-        Deletion joins each deleted run's neighbours into a new pair.
+        Deletion joins each deleted run's neighbours into a new pair, and
+        leaves every other unit's count as it was.
         """
+        units = set(units)
         typable = self.typable.translate({ord(_CODE_BY_UNIT[u]): None for u in units})
-        return _counted(typable, self.table.source_bytes, self.table.skipped)
+        counts = {u: c for u, c in self.table.counts.items() if u not in units}
+        table = FrequencyTable.from_counts(counts, self.table.source_bytes, self.table.skipped)
+        return CorpusStats(table, typable)
 
     def pairs_among(self, units: Iterable[GraphemeUnit]
                     ) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:
@@ -451,15 +481,18 @@ class CorpusStats:
         return self.pairs_among(ALL_UNITS)
 
 
-def _counted(typable: str, source_bytes: int, skipped: int) -> CorpusStats:
-    data = typable.encode("latin-1")
-    n = len(data)
-    counts = {}
-    for unit, code in zip(ALL_UNITS, _CODE_BYTES):
-        count = n - len(data.replace(code, b""))
-        if count:
-            counts[unit] = count
-    return CorpusStats(FrequencyTable(counts, n, source_bytes, skipped), typable)
+def _counted(data: bytes, source_bytes: int, skipped: int) -> CorpusStats:
+    """Statistics of the code bytes ``data``, counted one code group at a time."""
+    counts: list[int] = []
+    for others, outside in _COUNT_GROUPS:
+        part = data.translate(None, outside)
+        rest = list(map(part.count, others))
+        counts.append(len(part) - sum(rest))
+        counts += rest
+        del part  # before the next group's translate, so one part is alive at a time
+    table = FrequencyTable({u: c for u, c in zip(ALL_UNITS, counts) if c}, len(data),
+                           source_bytes, skipped)
+    return CorpusStats(table, data.decode("latin-1"))
 
 
 def merge_stats(a: CorpusStats, b: CorpusStats) -> CorpusStats:

@@ -289,9 +289,15 @@ def write_text_atomic(path: Path, text: str) -> None:
     to UTF-8 once, with no newline translation, and goes to the temp file
     through ``os.write`` until every byte is written. The file gets the mode
     that ``open(path, "w")`` would leave: an existing target keeps its mode,
-    and a new one gets ``0o666`` less the umask.
+    and a new one gets ``0o666`` less the umask. A symbolic link is
+    followed to its target, which is replaced and may be created; the link
+    itself stays. Only the last component needs resolving: the temp file
+    and the target share the directory their path names either way.
     """
     path = Path(path)
+    if os.path.islink(path):
+        # write through the link, as open() does, not over it
+        path = Path(os.path.realpath(path))
     if not path.parent.is_dir():
         path.parent.mkdir(parents=True, exist_ok=True)
     data = memoryview(text.encode("utf-8"))
@@ -359,16 +365,23 @@ def _model(config: RunConfig) -> ErgonomicModel:
     return model
 
 
-def _read_source(path: Path) -> str:
-    """One corpus source: a UTF-8 file, or standard input for '-'."""
+def _read_source(path: Path) -> tuple[str, int]:
+    """One corpus source and its size in bytes: a UTF-8 file, or standard input for '-'."""
     if str(path) == "-":
-        return bn_text.decode_corpus(sys.stdin.buffer.read(), "<stdin>")
-    return bn_text.read_corpus(path)
+        raw = sys.stdin.buffer.read()
+        return bn_text.decode_corpus(raw, "<stdin>"), len(raw)
+    return bn_text.read_corpus(path, sized=True)
 
 
-def _load_corpus(paths) -> str:
-    """All corpus sources, each read once (stdin cannot be re-read), joined in order."""
-    return "".join([_read_source(p) for p in paths])
+def _corpus_stats(paths) -> CorpusStats:
+    """Statistics of all corpus sources, each read once (stdin cannot be re-read), in order.
+
+    The source size is the sum of the bytes read, so the text is never
+    encoded again to measure it.
+    """
+    sources = [_read_source(p) for p in paths]
+    return CorpusStats.from_text("".join([text for text, _size in sources]),
+                                 sum(size for _text, size in sources))
 
 
 def _format_report_tsv(report: EvaluationReport) -> str:
@@ -423,7 +436,7 @@ def _evaluate_corpus(stats: CorpusStats, layout: Layout, name: str, model: Ergon
 
 
 def _cmd_analyze(config: RunConfig) -> int:
-    table = CorpusStats.from_text(_load_corpus(config.corpus)).table
+    table = _corpus_stats(config.corpus).table
     _require_units(table.total, table.skipped, "analyze")
     sys.stderr.write(f"analyzed {table.total} units, skipped {table.skipped} scalars\n")
     _emit(config, bn_text.format_frequency_tsv(table))
@@ -431,7 +444,7 @@ def _cmd_analyze(config: RunConfig) -> int:
 
 
 def _cmd_build_layout(config: RunConfig) -> int:
-    table = CorpusStats.from_text(_load_corpus(config.corpus)).table
+    table = _corpus_stats(config.corpus).table
     model = _model(config)
     policy = PlacementPolicy(strategy=Strategy(config.strategy))
     try:
@@ -446,7 +459,7 @@ def _cmd_evaluate(config: RunConfig) -> int:
     path = config.layouts[0]
     layout = load_layout(path)
     model = _model(config)
-    stats = CorpusStats.from_text(_load_corpus(config.corpus))
+    stats = _corpus_stats(config.corpus)
     report = _evaluate_corpus(stats, layout, layout.name or path.stem, model, config)
     if config.report_format == "json":
         _emit(config, json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n")
@@ -457,7 +470,7 @@ def _cmd_evaluate(config: RunConfig) -> int:
 
 def _cmd_compare(config: RunConfig) -> int:
     model = _model(config)
-    stats = CorpusStats.from_text(_load_corpus(config.corpus))
+    stats = _corpus_stats(config.corpus)
     rows = []
     for path in config.layouts:
         layout = load_layout(path)
@@ -478,7 +491,7 @@ def _cmd_compare(config: RunConfig) -> int:
 def _cmd_transcribe(config: RunConfig) -> int:
     path = config.layouts[0]
     layout = load_layout(path)
-    units, dropped = scan_units(_read_source(config.text_in))
+    units, dropped = scan_units(_read_source(config.text_in)[0])
     _require_units(len(units), dropped, "transcribe", "the --in text")
     trace = transcribe(units, layout, skip_untypable=config.skip_untypable)
     _require_placed(len(trace.boundaries), len(trace.skipped_positions),
@@ -495,7 +508,7 @@ def _cmd_transcribe(config: RunConfig) -> int:
 
 
 def _cmd_optimize(config: RunConfig) -> int:
-    stats = CorpusStats.from_text(_load_corpus(config.corpus))
+    stats = _corpus_stats(config.corpus)
     model = _model(config)
     consonant_table = stats.table.restricted([Category.CONSONANT])
     instance = consonant_instance(consonant_table, model,
@@ -533,7 +546,7 @@ def reproduce_paper(corpus_paths, model: ErgonomicModel) -> tuple[Layout, Layout
     the reserved-key roles, per-layout metrics, and the measured key-jam
     reduction of the proposed layout over the baseline.
     """
-    stats = CorpusStats.from_text(_load_corpus(corpus_paths))
+    stats = _corpus_stats(corpus_paths)
     proposed = build_layout(stats.table, model, PlacementPolicy(Strategy.SERPENTINE),
                             name="serpentine")
     baseline = build_layout(stats.table, model, PlacementPolicy(Strategy.SEQUENTIAL),

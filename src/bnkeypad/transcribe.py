@@ -142,17 +142,18 @@ def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
         presses[key] += count * taps
         numerator += count * num
     # map each unit code to its key's index (units the layout lacks are
-    # gone from stats by now); byte i of the xor of the key sequence with
-    # itself shifted by one is 0 exactly when units i and i + 1 share a key,
-    # and the explicit length keeps the zero bytes of jams at the end
+    # gone from stats by now); read as one little-endian integer x, byte i
+    # of x ^ (x >> 8) is 0 exactly when units i and i + 1 share a key, the
+    # explicit length keeps the zero bytes of jams at the end, and the last
+    # byte, the last unit against nothing, is dropped
     key_index = bytearray(256)
     for code, unit in enumerate(ALL_UNITS):
         spot = layout.position(unit)
         if spot is not None:
             key_index[code] = KEYPAD_KEYS.index(spot[0])
     keys = stats.typable.encode("latin-1").translate(key_index)
-    same = int.from_bytes(keys[1:], "little") ^ int.from_bytes(keys[:-1], "little")
-    jams = same.to_bytes(max(len(keys) - 1, 0), "little").count(0)
+    x = int.from_bytes(keys, "little")
+    jams = (x ^ (x >> 8)).to_bytes(len(keys), "little")[:-1].count(0)
 
     unit_count = stats.table.total
     press_count = sum(presses.values())

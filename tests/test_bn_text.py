@@ -167,6 +167,7 @@ def test_read_corpus_roundtrip(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(text, encoding="utf-8")
     assert bn_text.read_corpus(path) == text
+    assert bn_text.read_corpus(path, sized=True) == (text, len(text.encode("utf-8")))
 
 
 def test_read_corpus_bad_utf8_reports_offset(tmp_path):

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -260,6 +261,55 @@ def test_write_text_atomic_resumes_short_writes(tmp_path, monkeypatch):
     data = text.encode("utf-8")
     assert out.read_bytes() == data
     assert sum(sizes) == len(data) and len(sizes) == -(-len(data) // 3)
+
+
+def test_output_through_a_symlink_replaces_the_link_target(tmp_path, capsys):
+    real = tmp_path / "real.tsv"
+    real.write_bytes(b"old\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.tsv"
+    link.symlink_to("real.tsv")
+    assert main(["analyze", "--corpus", str(CORPUS_PATH), "-o", str(link)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink() and os.readlink(link) == "real.tsv"
+    table = bn_text.count_frequencies(bn_text.read_corpus(CORPUS_PATH))
+    assert real.read_text(encoding="utf-8") == bn_text.format_frequency_tsv(table)
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(tmp_path.iterdir()) == [link, real]
+
+
+def test_write_text_atomic_through_a_dangling_symlink_creates_its_target(tmp_path):
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    target = elsewhere / "new.tsv"
+    link = tmp_path / "link.tsv"
+    link.symlink_to(target)
+    cli.write_text_atomic(link, "নাম\n")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == "নাম\n".encode("utf-8")
+    assert list(elsewhere.iterdir()) == [target]  # the temp file went there, and is gone
+    assert sorted(tmp_path.iterdir()) == [elsewhere, link]
+
+
+# one-, two-, three- and four-byte scalars, a BOM and a CRLF the read keeps
+SIZED_TEXT = "\ufeffকখ\r\nxé😀 ।\n"
+
+
+def test_cli_corpus_size_is_the_bytes_read(tmp_path, monkeypatch):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_bytes(SIZED_TEXT.encode("utf-8"))
+    b.write_bytes("গ\n".encode("utf-8"))
+    one = cli._corpus_stats([a])
+    assert one.table.source_bytes == len(SIZED_TEXT.encode("utf-8"))
+    assert one == bn_text.CorpusStats.from_text(SIZED_TEXT)
+    two = cli._corpus_stats([a, b])
+    assert two.table.source_bytes == len((SIZED_TEXT + "গ\n").encode("utf-8"))
+    assert two == bn_text.CorpusStats.from_text(SIZED_TEXT + "গ\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(SIZED_TEXT.encode("utf-8"))))
+    stdin = cli._corpus_stats([Path("-")])
+    assert stdin.table.source_bytes == len(SIZED_TEXT.encode("utf-8"))
+    assert stdin == one
 
 
 def test_transcribe_trace_tsv(tmp_path):

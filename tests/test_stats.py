@@ -200,6 +200,29 @@ def test_jam_count_on_runs_at_the_ends_and_deletions(units, jams):
     assert report.jam_rate == jams / max(1, report.unit_count - 1)
 
 
+SIGN = unit_for("।")
+
+
+@pytest.mark.parametrize("units", [
+    [],
+    [SIGN],
+    [KA],
+    [SIGN, SIGN],                       # one jam on key index 0, the zero byte
+    [KA, SIGN],                         # no jam, though the last key byte is 0
+    [SIGN, KA],
+    [KA, KHA],
+    [SIGN, KA, NGA, GA, SIGN, SIGN],    # the only jam is the last pair
+    [KA, NGA, GA, GHA],
+])
+def test_jam_count_from_one_integer_at_the_edges(units):
+    # । on key 1 (index 0), so its key byte is 0 and the shifted integer
+    # brings in a 0 above the last unit
+    layout = Layout(slots={"1": (SIGN,), "2": (KA, KHA), "3": (NGA,), "#": (GA, GHA)},
+                    roles={}, name="edges")
+    report = evaluate(units, layout, MODEL)
+    assert report.jam_rate == reference_jam_rate(units, layout)
+
+
 # ---------------------------------------------------------------------------
 # evaluation reads ``typable``; only the optimizer's jam term counts pairs
 # ---------------------------------------------------------------------------
@@ -208,13 +231,16 @@ def test_jam_count_on_runs_at_the_ends_and_deletions(units, jams):
 def built_stats(monkeypatch):
     """Every CorpusStats the code under test builds, in order."""
     built = []
-    counted = bn_text._counted
 
-    def record(*args):
-        built.append(counted(*args))
-        return built[-1]
+    def recording(build):
+        def record(*args):
+            built.append(build(*args))
+            return built[-1]
+        return record
 
-    monkeypatch.setattr(bn_text, "_counted", record)
+    # counting builds every corpus's statistics; without() derives a skip's
+    monkeypatch.setattr(bn_text, "_counted", recording(bn_text._counted))
+    monkeypatch.setattr(CorpusStats, "without", recording(CorpusStats.without))
     return built
 
 
@@ -346,6 +372,60 @@ def test_two_pass_statistics_equal_the_scalar_reference(text):
     assert scan_units(text) == reference_scan_units(text)
 
 
+# reference: the 72-pass deletion counting that grouped counting replaced
+_REFERENCE_CODE_BYTES = tuple(bytes((code,)) for code in range(len(ALL_UNITS)))
+
+
+def reference_deletion_counts(typable):
+    data = typable.encode("latin-1")
+    n = len(data)
+    counts = {}
+    for unit, code in zip(ALL_UNITS, _REFERENCE_CODE_BYTES):
+        count = n - len(data.replace(code, b""))
+        if count:
+            counts[unit] = count
+    return counts
+
+
+def assert_counts_equal_deletion_counts(stats):
+    want = reference_deletion_counts(stats.typable)
+    assert stats.table.counts == want
+    assert list(stats.table.counts) == list(want)  # ALL_UNITS order, as before
+    assert stats.table.total == len(stats.typable)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(adversarial_texts, st.text(adversarial_chars, max_size=400)))
+def test_grouped_counts_equal_the_deletion_counts(text):
+    assert_counts_equal_deletion_counts(CorpusStats.from_text(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(ALL_UNITS), max_size=300))
+def test_grouped_counts_of_unit_sequences_equal_the_deletion_counts(units):
+    assert_counts_equal_deletion_counts(CorpusStats.from_units(units))
+
+
+_GROUPS = [ALL_UNITS[lo:lo + bn_text._GROUP_SIZE]
+           for lo in range(0, len(ALL_UNITS), bn_text._GROUP_SIZE)]
+
+
+@pytest.mark.parametrize("units", [
+    [],
+    list(ALL_UNITS),
+    list(ALL_UNITS) * 2 + [KA] * 7,
+    [g[0] for g in _GROUPS] * 3,        # the counts that come from the subtraction
+    [g[-1] for g in _GROUPS] * 3,
+    *([g[0]] * 4 for g in _GROUPS),     # a group holding only its first code
+    *([g[-1]] * 4 for g in _GROUPS),    # ... or only its last
+    *([u] * 5 for u in ALL_UNITS),      # one code repeated
+], ids=repr)
+def test_grouped_counts_at_the_group_edges(units):
+    stats = CorpusStats.from_units(units)
+    assert_counts_equal_deletion_counts(stats)
+    assert stats.table.counts == dict(Counter(units))
+
+
 def takes_masked_branch(text):
     """Whether some code unit's high byte differs from the one its low byte expects."""
     data = text.encode("utf-16-le", "surrogatepass")
@@ -433,6 +513,13 @@ def test_without_deletes_and_rejoins():
     assert kept.bigrams == {(KHA, GA): 1}
     assert stats.first_position(GA) == 2
     assert stats.first_position(unit_for("ঘ")) == -1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(ALL_UNITS), max_size=200), unit_subsets)
+def test_without_equals_the_statistics_of_the_kept_units(units, dropped):
+    kept = CorpusStats.from_units(units).without(dropped)
+    assert kept == CorpusStats.from_units([u for u in units if u not in set(dropped)])
 
 
 def test_stats_table_counts_skipped_scalars_and_bytes():
