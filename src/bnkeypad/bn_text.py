@@ -30,10 +30,13 @@ group but the first, whose count is what remains of the group's length.
 So eight full-length passes and counts over the bytes they keep replace
 a pass a code, and only one group's bytes are alive at a time. Adjacent
 pairs are counted only among a chosen set of units
-(:meth:`CorpusStats.pairs_among`): every other unit becomes a separator,
-and a pair that touches a separator is dropped before the one
-``Counter`` pass, so that pass sees the real pairs alone. The full pair
-table ``CorpusStats.bigrams`` is the same routine over every unit.
+(:meth:`CorpusStats.pairs_among`): every other unit becomes a separator
+byte. The code bytes, read as one integer, are cut into 16-bit windows at
+even and at odd offsets, and a mask fills each window that touches a
+separator with separator bytes. One ``translate`` deletes those bytes,
+which drops such windows whole, and one ``Counter`` pass over both
+offsets sees the real pairs alone. The full pair table
+``CorpusStats.bigrams`` is the same routine over every unit.
 """
 
 from __future__ import annotations
@@ -275,10 +278,11 @@ _COUNT_GROUPS = tuple(
     for lo in range(0, len(ALL_UNITS), _GROUP_SIZE)
     for hi in (min(lo + _GROUP_SIZE, len(ALL_UNITS)),))
 
-# pairs_among's separator; codes stay below it, so only a pair of two
-# separators reads as U+FFFF in UTF-16-LE
+# pairs_among's separator byte; codes stay below it, so a window of two
+# codes holds no separator byte
 _SEPARATOR = 0xFF
 assert len(ALL_UNITS) < _SEPARATOR
+_SEPARATOR_BYTE = bytes((_SEPARATOR,))
 _SEPARATOR_MASK = bytes(_SEPARATOR if b == _SEPARATOR else 0 for b in range(256))
 
 
@@ -449,9 +453,15 @@ class CorpusStats:
         make one 16-bit window of the code bytes, read as UTF-16-LE (the
         host's byte order plays no part). The windows at even offsets hold
         the pairs that start at even positions, those at odd offsets the
-        rest. Each unit not chosen becomes the separator byte, and a
-        window holding one gets the separator in both bytes: U+FFFF, which
-        is deleted before counting.
+        rest. Each unit not chosen becomes the separator byte 0xFF. The
+        code bytes, padded with one or two separators to an even length,
+        are read as one integer x, and s has 0xFF at each separator byte.
+        With ``lanes`` holding 0xFF in the low byte of each 16-bit lane,
+        ``x | ((s | s >> 8) & lanes) * 0x101`` fills every window that holds
+        a separator with 0xFF in both bytes; shifting x and s right by 8
+        gives the odd offsets. The real pairs hold no 0xFF byte, so one
+        ``translate`` deleting 0xFF drops the separator windows of both
+        offsets whole, and one ``Counter`` pass counts what is left.
         """
         index = bytearray((_SEPARATOR,)) * 256
         for unit in units:
@@ -461,17 +471,17 @@ class CorpusStats:
                 raise ValueError(f"{unit!r} is not a typable unit") from None
             index[code] = code
         data = self.typable.encode("latin-1").translate(index)
-        separators = data.translate(_SEPARATOR_MASK)
-        pairs: Counter[str] = Counter()
-        for start in (0, 1):
-            n = max(len(data) - start, 0) // 2
-            firsts, seconds = slice(start, start + 2 * n, 2), slice(start + 1, start + 2 * n, 2)
-            mask = (int.from_bytes(separators[firsts], "little")
-                    | int.from_bytes(separators[seconds], "little"))
-            windows = bytearray(2 * n)
-            windows[0::2] = (int.from_bytes(data[firsts], "little") | mask).to_bytes(n, "little")
-            windows[1::2] = (int.from_bytes(data[seconds], "little") | mask).to_bytes(n, "little")
-            pairs.update(windows.decode("utf-16-le").replace("\uffff", ""))
+        # the padding ends the bytes in a separator, so the odd offset's last
+        # lane, which holds one code byte and a zero, is dropped too
+        data += _SEPARATOR_BYTE * (2 - len(data) % 2)
+        size = len(data)
+        x = int.from_bytes(data, "little")
+        s = int.from_bytes(data.translate(_SEPARATOR_MASK), "little")
+        s |= s >> 8
+        lanes = int.from_bytes(b"\xff\x00" * (size // 2), "little")
+        windows = ((x | (s & lanes) * 0x101).to_bytes(size, "little")
+                   + (x >> 8 | (s >> 8 & lanes) * 0x101).to_bytes(size, "little"))
+        pairs = Counter(windows.translate(None, _SEPARATOR_BYTE).decode("utf-16-le"))
         all_units = ALL_UNITS
         return {(all_units[ord(p) & 0xFF], all_units[ord(p) >> 8]): c for p, c in pairs.items()}
 

@@ -134,13 +134,16 @@ def over_common_denominator(rows: list[list[float]]) -> tuple[list[list[int]], i
     """Numerators of rows of finite floats over their largest denominator, and it.
 
     Every float denominator is a power of two, so the largest is a multiple
-    of each and the numerators are exact. A sum of them divided by the
-    denominator is the exact sum of the floats, rounded once. Only the
-    numerators are kept, which holds down the memory of a units x slots table.
+    of each, and a numerator scales to it by a left shift of the difference
+    of the two bit lengths; the numerators are exact. A sum of them divided
+    by the denominator is the exact sum of the floats, rounded once. Only
+    the numerators are kept, which holds down the memory of a units x slots
+    table.
     """
     ratios = [list(map(float.as_integer_ratio, row)) for row in rows]
-    den = max((d for row in ratios for _, d in row), default=1)
-    return [[num * (den // d) for num, d in row] for row in ratios], den
+    den = max([d for row in ratios for _, d in row], default=1)
+    top = den.bit_length()
+    return [[num << (top - d.bit_length()) for num, d in row] for row in ratios], den
 
 
 _TSV_HEADER = "key\tij_angle_deg\tmj_direction\tmovement"

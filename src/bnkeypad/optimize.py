@@ -26,8 +26,8 @@ summation order. Ties break toward the lexicographically smallest
 assignment vector in exhaustive search and toward the first swap in scan
 order in local search. Exhaustive search carries the integer sums down
 its tree and bounds subtrees with them; local search keeps the sums of
-the current vector, scores each swap from their change in O(1), and
-builds one ``Layout`` at the end.
+the current vector, scores each swap from their change in O(1), skips
+the swaps that lower neither sum, and builds one ``Layout`` at the end.
 """
 
 from __future__ import annotations
@@ -180,6 +180,8 @@ class _Terms:
     over a power-of-two den, and its jam sum is J / ``jden``, where J sums
     the numerators ``w`` of the pairs (a, b, w) whose units share a key.
     Both are exact, so ``value`` rounds the objective once per term.
+    ``keys[j]`` numbers the key of slot j from 0, in order of first
+    appearance, and ``n_keys`` counts the keys.
     """
 
     def __init__(self, objective: Objective, units, slots):
@@ -191,7 +193,9 @@ class _Terms:
             raise ValueError("slot costs must be finite")
         total = objective.freq.total
         self.p = [c / total if total else 0.0 for _, c in units]
-        self.keys = [s.key for s in slots]
+        key_ids: dict[str, int] = {}
+        self.keys = [key_ids.setdefault(s.key, len(key_ids)) for s in slots]
+        self.n_keys = len(key_ids)
         self.jam_weight = jam_weight = objective.jam_weight
         self.pairs, self.jden = [], 1
         bigrams = objective.bigram_counts
@@ -273,9 +277,9 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
     The search is a branch-and-bound in lexicographic order that returns
     the layout and value of scoring all nPk vectors. At jam weight 0.5 on
     a shared 2-vCPU host, the fixture's 6 top consonants on keys 2-6 x 2
-    slots take about 4 ms (0.37 s to score all 151,200 vectors), and its
-    10 top consonants on keys 2-7 x 2 slots about 25 ms (about 20 minutes
-    for all 239.5 M).
+    slots take about 1.5 ms (0.37 s to score all 151,200 vectors), and its
+    10 top consonants on keys 2-7 x 2 slots about 15 ms (about 20 minutes
+    for all 239.5 M); medians of interleaved in-process calls.
     """
     n_units = len(instance.units)
     n_slots = len(instance.key_slots)
@@ -348,9 +352,11 @@ def _branch_and_bound(terms: _Terms) -> list[int]:
     normal = all(x == 0 or x >= float_info.min for pi in p for x in map(pi.__mul__, costs))
     shrink = 1.0 - _REARRANGEMENT_SLACK if normal else 0.0
     cost_of = costs.__getitem__
+    slot_keys = list(enumerate(keys))
+    no_jam = [0] * terms.n_keys
 
     assign = [0] * n_units
-    key_of = [""] * n_units
+    key_of = [0] * n_units  # key of the slot of each placed unit
     used = [False] * n_slots
     best_value = inf
     best_assign = None
@@ -369,14 +375,20 @@ def _branch_and_bound(terms: _Terms) -> list[int]:
         least = fsum(map(mul, p_desc[k], map(cost_of, free)))
         if (cost / den + least) * shrink + jam_weight * (jam / jden) > best_value:
             return
-        for j in range(n_slots):
+        # closes[key]: the jam numerator of the pairs unit k closes on that key
+        closes = no_jam
+        if links[k]:
+            closes = no_jam[:]
+            for other, w in links[k]:
+                closes[key_of[other]] += w
+        row = exact[k]
+        for j, key in slot_keys:
             if used[j]:
                 continue
             used[j] = True
             assign[k] = j
-            key = key_of[k] = keys[j]
-            closed = sum(w for other, w in links[k] if key_of[other] == key)
-            visit(k + 1, cost + exact[k][j], jam + closed)
+            key_of[k] = key
+            visit(k + 1, cost + row[j], jam + closes[key])
             used[j] = False
 
     visit(0, 0, always)
@@ -420,18 +432,29 @@ def improve_local(start: Layout, objective: Objective,
     and key, the jam numerator of the unit's pairs with the units on that
     key. A candidate's value is the terms' ``value`` of its two sums, so it
     is the objective of the swapped vector. Slot costs must be finite
-    (``ValueError``).
+    (``ValueError``), and ``max_iters`` must be ``>= 0`` (``ValueError``);
+    at 0 the start is scored and returned.
+
+    A swap can lower the value only if it lowers the cost sum or the jam
+    sum. Swapping the units of slots a and b lowers the jam sum by at most
+    S_a + S_b, where S_x is the jam of slot x's unit with its key-mates. So
+    the scan of a slot a with S_a = 0 scores only the partners b with
+    S_b > 0 or with a negative cost change. A slot-pair table holds the
+    pairs with a negative cost change: it is built in the first round that
+    has such a slot (at jam weight 0, the first round), and an applied swap
+    refreshes the pairs of its two slots, O(n).
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     terms, placed = _layout_terms(start, objective)
     exact, den = terms.table()
     value_of = terms.value
     n = len(placed)
-    key_ids: dict[str, int] = {}
-    key_of = [key_ids.setdefault(k, len(key_ids)) for k in terms.keys]  # key of slot a
+    key_of = terms.keys  # key of slot a
     # pair[u][v]: jam numerator of the pairs (u, v) and (v, u), u != v;
     # near[u][k]: sum of pair[u][v] over the units v on key k
     pair = [[0] * n for _ in range(n)]
-    near = [[0] * len(key_ids) for _ in range(n)]
+    near = [[0] * terms.n_keys for _ in range(n)]
     jam = 0
     for a, b, w in terms.pairs:
         if key_of[a] == key_of[b]:
@@ -441,24 +464,40 @@ def improve_local(start: Layout, objective: Objective,
             pair[b][a] += w
             near[a][key_of[b]] += w
             near[b][key_of[a]] += w
-    cost = sum(exact[i][i] for i in range(n))
     held = list(range(n))  # unit on slot a; unit i starts on slot i
+    rows = exact[:]  # rows[a]: the cost row of the unit on slot a
+    stay = [rows[a][a] for a in range(n)]  # its cost numerator there
+    cost = sum(stay)
     value = value_of(cost, den, jam)
+    # lower[a]: the slots b > a whose swap with slot a lowers the cost sum
+    lower = None
     for _ in range(max_iters):
+        jams = [near[held[a]][key_of[a]] for a in range(n)]  # S_a
+        jamming = [a for a in range(n) if jams[a]]
+        if lower is None and len(jamming) < n:
+            lower = [{b for b in range(a + 1, n) if row[b] + rows[b][a] < stay[a] + stay[b]}
+                     for a, row in enumerate(rows)]
         best_swap = None
         best_value, best_cost, best_jam = value, cost, jam
         for a in range(n):
             ua, ka = held[a], key_of[a]
-            row_a, near_a, pair_a = exact[ua], near[ua], pair[ua]
-            cost_a = cost - row_a[a]
-            for b in range(a + 1, n):
-                ub, kb = held[b], key_of[b]
-                row_b = exact[ub]
-                c = cost_a + row_a[b] + row_b[a] - row_b[b]
-                j = jam
-                if ka != kb:
-                    near_b = near[ub]
-                    j += near_a[kb] - near_a[ka] + near_b[ka] - near_b[kb] - 2 * pair_a[ub]
+            row_a, near_a, pair_a = rows[a], near[ua], pair[ua]
+            cost_a = cost - stay[a]
+            jam_a = jam - jams[a]
+            if jams[a]:
+                partners = range(a + 1, n)
+            else:
+                partners = [b for b in jamming if b > a]
+                if lower[a]:
+                    partners = sorted(lower[a].union(partners))
+            for b in partners:
+                c = cost_a + row_a[b] + rows[b][a] - stay[b]
+                kb = key_of[b]
+                if ka == kb:
+                    j = jam
+                else:
+                    ub = held[b]
+                    j = jam_a - jams[b] + near_a[kb] + near[ub][ka] - 2 * pair_a[ub]
                 # the value is nondecreasing in c and in j, so a swap with
                 # both at least the best's cannot score strictly below it
                 if c >= best_cost and j >= best_jam:
@@ -477,6 +516,18 @@ def improve_local(start: Layout, objective: Objective,
             near[v][ka] -= moved
             near[v][kb] += moved
         held[a], held[b] = ub, ua
+        rows[a], rows[b] = rows[b], rows[a]
+        stay[a], stay[b] = rows[a][a], rows[b][b]
+        if lower is not None:
+            for x in (a, b):
+                row_x = rows[x]
+                for y in range(n):
+                    if y != x:
+                        low, high = (x, y) if x < y else (y, x)
+                        if row_x[y] + rows[y][x] < stay[x] + stay[y]:
+                            lower[low].add(high)
+                        else:
+                            lower[low].discard(high)
         value, cost, jam = best_value, best_cost, best_jam
     slots = {key: list(placed) for key, placed in start.slots.items()}
     for (_, slot), i in zip(placed, held):

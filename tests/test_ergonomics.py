@@ -1,6 +1,10 @@
 """Thumb-movement model: ranking, costs, model files."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnkeypad.ergonomics import (
     DEFAULT_CONSONANT_KEYS,
@@ -12,6 +16,7 @@ from bnkeypad.ergonomics import (
     format_model_tsv,
     key_cost,
     load_model,
+    over_common_denominator,
     parse_model_tsv,
     rank_keys,
 )
@@ -179,3 +184,24 @@ def test_model_tsv_errors(model):
         parse_model_tsv("\n".join([lines[0], "1\t120\tlateral\tflexion"]))
     with pytest.raises(MissingKeyError):
         parse_model_tsv("\n".join(lines[:-1]))  # one key short
+
+
+def reference_over_common_denominator(rows):
+    """Numerators over the largest denominator by a floor division and a product."""
+    ratios = [list(map(float.as_integer_ratio, row)) for row in rows]
+    den = max((d for row in ratios for _, d in row), default=1)
+    return [[num * (den // d) for num, d in row] for row in ratios], den
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.one_of(finite_floats, st.sampled_from(
+    [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300, 1.7976931348623157e308])),
+    max_size=6), max_size=4))
+def test_common_denominator_equals_the_division_reference(rows):
+    nums, den = over_common_denominator(rows)
+    assert (nums, den) == reference_over_common_denominator(rows)
+    assert [[Fraction(num, den) for num in row] for row in nums] == [
+        [Fraction(x) for x in row] for row in rows]

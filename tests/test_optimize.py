@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from math import fsum, perm
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
@@ -47,7 +48,7 @@ from bnkeypad.optimize import (
 )
 from bnkeypad.transcribe import evaluate
 
-KA, KHA, GA = (unit_for(c) for c in "কখগ")
+KA, KHA, GA, GHA, NGA, CA, CHA, JA = (unit_for(c) for c in "কখগঘঙচছজ")
 
 
 def flat_model(angle: float = 90.0) -> ErgonomicModel:
@@ -488,6 +489,20 @@ def test_exhaustive_with_subnormal_slot_costs(model):
     assert solve_exhaustive(instance, objective) == reference_solve_exhaustive(instance, objective)
 
 
+@pytest.mark.parametrize("jam_weight", [0.2, 2.0])
+def test_exhaustive_when_one_unit_closes_pairs_on_two_keys(jam_weight):
+    # GHA, placed last, closes its pairs with KA and KHA on one key and with
+    # GA on the other whenever KA and KHA share a key that GA is not on; at
+    # jam weight 0.2 a search that kept one pair per key picks another layout
+    model = default_model()
+    key_slots = [KeySlot(k, s, s * key_cost(model, k)) for k in ("2", "5") for s in (1, 2, 3)]
+    instance, freq = make_instance([(KA, 7), (KHA, 2), (GA, 9), (GHA, 4)], key_slots)
+    objective = Objective(freq, model, jam_weight, {(GHA, KA): 5, (KHA, GHA): 1, (GHA, GA): 3})
+    layout, value = solve_exhaustive(instance, objective)
+    assert (layout, value) == reference_solve_exhaustive(instance, objective)
+    assert value == objective_value(layout, objective)
+
+
 def test_exhaustive_counts_a_self_pair_in_every_value(model):
     # the self pair's jam of 1.0 swamps the costs, so every assignment has
     # value 1.0 and the lexicographically first one wins; a search that
@@ -753,10 +768,12 @@ def reference_improve_local_rescoring(start, objective, max_iters=100):
                   roles=start.roles, name=start.name), value
 
 
-def random_full_local_case(rng, jam_weight, angle_weight):
+def random_full_local_case(rng, jam_weight, angle_weight, paired_share=1.0, counts=None):
     """Up to 35 objective units crowded on a few keys, with self and one-way pairs.
 
     Some counts (or all of them) are zero, and so are some pair counts.
+    Pairs are drawn among the first ``paired_share`` of the objective units
+    (at least one), and unit counts from ``counts`` when it is given.
     """
     model = default_model(extension_penalty=rng.choice([0.0, 1.0]), angle_weight=angle_weight)
     keys = rng.sample(list(KEYPAD_KEYS), rng.randint(1, 12))
@@ -772,11 +789,15 @@ def random_full_local_case(rng, jam_weight, angle_weight):
     def count(high):
         return 0 if rng.random() < zero_share else rng.randint(1, high)
 
-    freq = FrequencyTable.from_counts({u: count(500) for u in movable})
+    if counts is None:
+        freq = FrequencyTable.from_counts({u: count(500) for u in movable})
+    else:
+        freq = FrequencyTable.from_counts({u: rng.choice(counts) for u in movable})
+    paired = movable[:max(1, round(paired_share * len(movable)))]
     bigrams = None
     if jam_weight > 0 or rng.random() < 0.5:
         # drawn with replacement: (a, a) pairs and (a, b) without (b, a) occur
-        bigrams = {(rng.choice(movable), rng.choice(movable)): count(100)
+        bigrams = {(rng.choice(paired), rng.choice(paired)): count(100)
                    for _ in range(rng.randint(0, 4 * len(movable)))}
     return start, Objective(freq, model, jam_weight, bigrams)
 
@@ -791,6 +812,88 @@ def test_local_equals_rescoring_reference(rng, jam_weight, max_iters, angle_weig
                                                               max_iters=max_iters)
     assert layout == ref_layout
     assert value == ref_value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.floats(0.0, 7.0),
+       st.sampled_from([1, 2, 100]), st.sampled_from([1e-310, 0.5, 1e300]))
+def test_local_equals_rescoring_reference_with_unpaired_units_and_tied_counts(
+        rng, jam_weight, max_iters, angle_weight):
+    # units outside every pair never jam, so the scans of their slots score
+    # only the partners that jam or lower the cost; tied counts tie swaps
+    start, objective = random_full_local_case(rng, jam_weight, angle_weight,
+                                              paired_share=rng.random(), counts=(3, 5))
+    assert (improve_local(start, objective, max_iters=max_iters)
+            == reference_improve_local_rescoring(start, objective, max_iters=max_iters))
+
+
+def improving_swaps(start, objective):
+    """The pairs of objective units whose swap lowers the value of ``start``."""
+    movable = set(objective.freq.counts)
+    spots = [(key, i) for key in KEYPAD_KEYS
+             for i, unit in enumerate(start.slots[key]) if unit in movable]
+    value = objective_value(start, objective)
+    return [(start.slots[ka][ia], start.slots[kb][ib])
+            for (ka, ia), (kb, ib) in itertools.combinations(spots, 2)
+            if objective_value(reference_swap(start, (ka, ia), (kb, ib)), objective) < value]
+
+
+def assert_local_equals_rescoring(start, objective):
+    for max_iters in (1, 100):
+        assert (improve_local(start, objective, max_iters=max_iters)
+                == reference_improve_local_rescoring(start, objective, max_iters=max_iters))
+
+
+def test_local_from_a_non_greedy_start_without_jams(model):
+    # no unit jams, so each slot's scan scores only the swaps that lower the cost
+    units = [KA, KHA, GA, GHA, NGA, CA]
+    start = Layout(slots={"2": (KA, KHA), "3": (GA, GHA), "4": (NGA, CA)})
+    objective = Objective(FrequencyTable.from_counts(dict(zip(units, [1, 2, 3, 5, 8, 13]))),
+                          model)
+    assert len(improving_swaps(start, objective)) > 1
+    assert_local_equals_rescoring(start, objective)
+    layout, value = improve_local(start, objective)
+    assert value < objective_value(start, objective)
+    assert improve_local(layout, objective) == (layout, value)
+
+
+def test_local_finds_a_swap_of_two_units_that_do_not_jam(model):
+    # CA and GA jam on key 3; the one improving swap moves NGA and KA, of
+    # which neither jams, and lowers the cost while it adds the jam (CA, KA)
+    start = Layout(slots={"3": (NGA, CA, GA), "4": (KA,)})
+    objective = Objective(FrequencyTable.from_counts({KA: 4, NGA: 6, CA: 2, GA: 1}), model,
+                          0.3, {(GA, CA): 4, (CA, KA): 4})
+    assert improving_swaps(start, objective) == [(NGA, KA)]
+    assert_local_equals_rescoring(start, objective)
+
+
+def test_local_finds_a_swap_that_raises_the_cost_to_lower_the_jam(model):
+    # NGA and JA jam on key 6; the one improving swap puts CHA, which does
+    # not jam and comes first in scan order, in NGA's place at a higher cost
+    start = Layout(slots={"3": (CHA,), "6": (NGA, JA)})
+    objective = Objective(FrequencyTable.from_counts({NGA: 4, JA: 1, CHA: 7}), model,
+                          0.1, {(NGA, CHA): 3, (NGA, JA): 4})
+    assert improving_swaps(start, objective) == [(CHA, NGA)]
+    swapped = Layout(slots={"3": (NGA,), "6": (CHA, JA)})
+    cost_only = replace(objective, jam_weight=0.0)
+    assert objective_value(swapped, cost_only) > objective_value(start, cost_only)
+    assert objective_value(swapped, objective) < objective_value(start, objective)
+    assert_local_equals_rescoring(start, objective)
+
+
+@pytest.mark.parametrize("max_iters", [-1, -3])
+def test_local_rejects_a_negative_round_limit(model, max_iters):
+    objective = Objective(FrequencyTable.from_counts({KA: 1, KHA: 5}), model)
+    with pytest.raises(ValueError, match="max_iters must be >= 0"):
+        improve_local(Layout(slots={"5": (KA, KHA)}), objective, max_iters=max_iters)
+
+
+def test_local_scores_the_start_at_zero_rounds(model):
+    start = Layout(slots={"5": (KA, KHA)}, name="start")
+    objective = Objective(FrequencyTable.from_counts({KA: 1, KHA: 5}), model)
+    assert improve_local(start, objective, max_iters=0) == (
+        start, objective_value(start, objective))
+    assert improve_local(start, objective)[1] < objective_value(start, objective)
 
 
 @pytest.mark.parametrize("evaluate_layout", [improve_local, objective_value],

@@ -1,6 +1,7 @@
 """Corpus statistics and the count-based evaluator against a trace-based reference."""
 
 import hashlib
+import itertools
 import json
 import random
 from collections import Counter
@@ -492,6 +493,42 @@ def test_pairs_among_counts_self_pairs_at_both_offsets():
     assert stats.pairs_among([KHA]) == {}
     assert stats.pairs_among(ALL_UNITS) == stats.bigrams == {
         (KA, KA): 3, (KA, KHA): 1, (KHA, KA): 1, (KA, GA): 1, (GA, GA): 1}
+
+
+def reference_pairs_among(units, chosen):
+    keep = set(chosen)
+    return dict(Counter(p for p in zip(units, units[1:]) if p[0] in keep and p[1] in keep))
+
+
+def test_pairs_among_on_every_short_sequence():
+    # lengths 0-3 take both paddings (one or two separator bytes) and hold
+    # no pair, one pair or two, one at each offset
+    for length in range(4):
+        for units in itertools.product([KA, KHA, GA], repeat=length):
+            stats = CorpusStats.from_units(units)
+            for chosen in ([], [KA], [KA, GA], [KHA, GA, KA], ALL_UNITS):
+                assert stats.pairs_among(chosen) == reference_pairs_among(units, chosen)
+
+
+# KA is code 0, so a sequence that ends in it ends its bytes in a zero,
+# which reads as no byte at the high end of an integer
+@pytest.mark.parametrize("units, chosen", [
+    pytest.param([GA, KA], [KA, GA], id="ends-in-ka-even"),
+    pytest.param([KHA, GA, KA], [KA, GA], id="ends-in-ka-odd"),
+    pytest.param([KA] * 6, [KA], id="ka-run-even"),
+    pytest.param([KA] * 7, [KA], id="ka-run-odd"),
+    pytest.param([KHA, KA, KA], [KA], id="ka-pair-at-the-end"),
+    pytest.param([KA, KHA] * 5, [KA, GA], id="chosen-and-unchosen-alternate"),
+    pytest.param([KHA, KA] * 5 + [KHA], [KA], id="unchosen-at-both-ends"),
+    pytest.param([KA, GA, KHA, GA, KA, KA], [KA, GA, KA, GA, GA], id="repeated-chosen-units"),
+    pytest.param(list(ALL_UNITS) + [KA, KA] + list(reversed(ALL_UNITS)), ALL_UNITS,
+                 id="all-72-units"),
+])
+def test_pairs_among_at_the_edges(units, chosen):
+    stats = CorpusStats.from_units(units)
+    assert stats.pairs_among(chosen) == reference_pairs_among(units, chosen)
+    if chosen is ALL_UNITS:
+        assert stats.bigrams == reference_pairs_among(units, chosen)
 
 
 def test_from_units_rejects_units_outside_the_inventory():
