@@ -48,16 +48,21 @@ from .layout import (
     parse,
     serialize,
 )
-from .optimize import (
-    AssignmentInstance,
-    KeySlot,
-    Objective,
-    consonant_instance,
-    improve_local,
-    objective_value,
-    solve_exhaustive,
-    solve_greedy,
-)
 from .transcribe import EvaluationReport, KeystrokeTrace, decode, evaluate, transcribe
 
 __version__ = "0.1.0"
+
+# The optimizer is loaded on first use of one of its names (PEP 562), so
+# importing the package, or running a command that does not optimize,
+# never loads it.
+_OPTIMIZE_NAMES = frozenset({
+    "AssignmentInstance", "KeySlot", "Objective", "consonant_instance", "improve_local",
+    "objective_value", "solve_exhaustive", "solve_greedy",
+})
+
+
+def __getattr__(name):
+    if name in _OPTIMIZE_NAMES:
+        from . import optimize
+        return getattr(optimize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,13 +23,14 @@ ones. Otherwise the two planes are XOR-ed as integers, each code unit
 whose high byte differs (another block's scalar, a surrogate) gets the
 untypable low byte 0xFF, and the same ``translate`` deletes it too.
 
-Counting does only what its callers need. The 72 codes fall into eight
-fixed groups of consecutive codes. For each group one ``translate``
-deletes every other byte, and ``bytes.count`` counts each code of the
-group but the first, whose count is what remains of the group's length.
-So eight full-length passes and counts over the bytes they keep replace
-a pass a code, and only one group's bytes are alive at a time. Adjacent
-pairs are counted only among a chosen set of units
+Counting does only what its callers need, when they ask for it. The 72
+codes fall into eight fixed groups of consecutive codes. A group is
+counted by one ``translate`` that deletes every other byte, and
+``bytes.count`` counts each code of the group but the first, whose count
+is what remains of the group's length. :class:`CorpusStats` counts only
+the groups that hold the units asked for, each once, so the optimizer's
+consonants take four of the eight passes and the full table all eight.
+Adjacent pairs are counted only among a chosen set of units
 (:meth:`CorpusStats.pairs_among`): every other unit becomes a separator
 byte. The code bytes, read as one integer, are cut into 16-bit windows at
 even and at odd offsets, and a mask fills each window that touches a
@@ -43,10 +44,12 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from threading import Lock
 from typing import Callable, Iterable, Mapping, Sequence
+from weakref import WeakValueDictionary
 
 from .errors import CorpusDecodeError
 
@@ -62,25 +65,44 @@ class Category(Enum):
     SPACE = "space"
 
 
-@dataclass(frozen=True)
+# every unit alive, by its fields; see GraphemeUnit
+_UNITS: WeakValueDictionary = WeakValueDictionary()
+_UNITS_LOCK = Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class GraphemeUnit:
-    """One typable unit: an ordered codepoint sequence plus its class."""
+    """One typable unit: an ordered codepoint sequence plus its class.
+
+    Units are interned: building a unit from the fields of an existing one
+    returns that unit, and a copy, a deep copy or an unpickled unit is that
+    unit too. So equal units are the same object, and equality and hashing
+    are by identity, which runs no Python code on a dict lookup.
+    """
 
     codepoints: tuple[int, ...]
     category: Category
     display: str
 
-    def __post_init__(self):
-        if not self.codepoints:
-            raise ValueError("GraphemeUnit needs at least one codepoint")
+    def __new__(cls, codepoints, category, display):
+        fields = (tuple(codepoints), category, display)
+        # two threads that build one unit at once must get one object
+        with _UNITS_LOCK:
+            unit = _UNITS.get(fields)
+            if unit is None:
+                if not fields[0]:
+                    raise ValueError("GraphemeUnit needs at least one codepoint")
+                unit = _UNITS[fields] = super().__new__(cls)
+                for name, value in zip(("codepoints", "category", "display"), fields):
+                    object.__setattr__(unit, name, value)
+        return unit
+
+    def __reduce__(self):
+        return GraphemeUnit, (self.codepoints, self.category, self.display)
 
     @property
     def text(self) -> str:
         return "".join(chr(cp) for cp in self.codepoints)
-
-    def __hash__(self):
-        # the generated hash would also hash the Enum category, in Python code
-        return hash(self.codepoints)
 
     def __repr__(self):
         # the glyph reads better than the codepoint tuple in test output
@@ -267,10 +289,15 @@ _EXPECTED_HIGH_BYTE = bytes(_HIGH_BY_LOW.get(b, 0x09 if b >= 0x80 else 0x00)
 assert 0xFF not in _HIGH_BY_LOW
 _MISMATCH_MARK = b"\x00" + b"\xff" * 255
 
-# _counted's groups of consecutive codes, each as (its codes but the
+# _group_counts' groups of consecutive codes, each as (its codes but the
 # first, as one-byte needles; every byte outside it). Any grouping counts
-# exactly; eight groups of nine balance the eight full-length translate
-# passes against the count passes over what they keep.
+# exactly. Deleting and counting bytes branch on each byte, so they cost
+# far more on varied text than on text that repeats a few lines, as the
+# fixture does (it cycles through 48 distinct lines): on a shared 2-vCPU
+# host, counting every group of the fixture x8 with its lines shuffled
+# took 13-15 ms for any group size from 4 to 36, against 4-8 ms in file
+# order. Groups of nine hold the 35 consonants (codes 0-34) in four, so
+# the optimizer's counts take four of the eight passes.
 _GROUP_SIZE = 9
 _COUNT_GROUPS = tuple(
     (tuple(bytes((code,)) for code in range(lo + 1, hi)),
@@ -381,31 +408,55 @@ def count_unit_bigrams(units: Sequence[GraphemeUnit]) -> dict[tuple[GraphemeUnit
     return CorpusStats.from_units(units).bigrams
 
 
+def _code(unit: GraphemeUnit) -> int:
+    """The code of a unit; a unit outside :data:`ALL_UNITS` raises ``ValueError``."""
+    try:
+        return ord(_CODE_BY_UNIT[unit])
+    except KeyError:
+        raise ValueError(f"{unit!r} is not a typable unit") from None
+
+
+def _group_counts(data: bytes, group: int) -> list[int]:
+    """The counts in the code bytes ``data`` of the codes of one of ``_COUNT_GROUPS``."""
+    others, outside = _COUNT_GROUPS[group]
+    part = data.translate(None, outside)
+    rest = list(map(part.count, others))
+    return [len(part) - sum(rest), *rest]
+
+
 @dataclass(frozen=True)
 class CorpusStats:
-    """Unit counts and the typable sequence, from which every typing metric follows.
+    """The typable sequence of a corpus, from which every typing metric follows.
 
-    ``table`` holds the unit counts, skipped scalars and source bytes.
     ``typable`` is the typable sequence of the whole corpus, one code
-    scalar per unit; evaluation reads its jams from it, and it locates a
-    unit a layout lacks and lets evaluation recount without it.
-    :meth:`pairs_among` counts its adjacent pairs of chosen units, so a
-    pair that spans two sources counts like any other; the optimizer's jam
-    term asks for the pairs of its instance's units alone. ``bigrams`` is
-    ``pairs_among(ALL_UNITS)``, computed on first use, and no command
-    builds it. Build instances with :meth:`from_text` or
-    :meth:`from_units`, and combine shards with :func:`merge_stats`.
+    scalar per unit; ``source_bytes`` and ``skipped`` are the corpus size
+    and its untypable scalars. Counting is on demand: :meth:`counts_among`
+    counts chosen units, ``table`` (every unit's count, with the skipped
+    scalars and source bytes) counts them all on first use, and a code
+    group once counted is kept, so no group is counted twice. Evaluation
+    reads its jams from ``typable``, and it locates a unit a layout lacks
+    and lets evaluation recount without it. :meth:`pairs_among` counts its
+    adjacent pairs of chosen units, so a pair that spans two sources
+    counts like any other; the optimizer's jam term asks for the pairs of
+    its instance's units alone. ``bigrams`` is ``pairs_among(ALL_UNITS)``,
+    computed on first use, and no command builds it. Build instances with
+    :meth:`from_text` or :meth:`from_units`, and combine shards with
+    :func:`merge_stats`.
 
     :meth:`from_text` classifies from the text's UTF-16 byte planes (see
     the module docstring); a lone surrogate is skipped like any untypable
-    scalar and counts three bytes in ``source_bytes``. The unit counts
-    come from one pass per group of consecutive codes that keeps only the
-    group's codes, and a count of each code in what it keeps, so no
-    ``Counter`` looks at each code.
+    scalar and counts three bytes in ``source_bytes``. A group of
+    consecutive codes is counted by one pass that keeps only the group's
+    codes and a count of each code in what it keeps, so no ``Counter``
+    looks at each code.
     """
 
-    table: FrequencyTable
     typable: str
+    source_bytes: int = 0
+    skipped: int = 0
+    # the counts of each code group counted so far, by group index
+    _groups: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
 
     @classmethod
     def from_text(cls, text: str, source_bytes: int | None = None) -> "CorpusStats":
@@ -417,7 +468,7 @@ class CorpusStats:
         codes, skipped = _codes(text)
         if source_bytes is None:
             source_bytes = len(text.encode("utf-8", "surrogatepass"))
-        return _counted(codes, source_bytes, skipped)
+        return cls(codes.decode("latin-1"), source_bytes, skipped)
 
     @classmethod
     def from_units(cls, units: Iterable[GraphemeUnit]) -> "CorpusStats":
@@ -426,23 +477,57 @@ class CorpusStats:
             typable = "".join([_CODE_BY_UNIT[u] for u in units])
         except KeyError as exc:
             raise ValueError(f"{exc.args[0]!r} is not a typable unit") from None
-        return _counted(typable.encode("latin-1"), 0, 0)
+        return cls(typable)
+
+    @cached_property
+    def table(self) -> FrequencyTable:
+        """Every unit's count, in :data:`ALL_UNITS` order, with the skipped scalars and bytes."""
+        return FrequencyTable(self.counts_among(ALL_UNITS), len(self.typable),
+                              self.source_bytes, self.skipped)
+
+    def counts_among(self, units: Iterable[GraphemeUnit]) -> dict[GraphemeUnit, int]:
+        """The counts of ``units`` in ``typable``, in :data:`ALL_UNITS` order.
+
+        Units that do not occur are left out. ``units`` may repeat a unit;
+        one outside :data:`ALL_UNITS` raises ``ValueError``. Only the code
+        groups that hold the units' codes are counted, each once per
+        instance.
+        """
+        codes = sorted(set(map(_code, units)))
+        groups, data = self._groups, None
+        counts: dict[GraphemeUnit, int] = {}
+        for code in codes:
+            group, i = divmod(code, _GROUP_SIZE)
+            if group not in groups:
+                if data is None:
+                    data = self.typable.encode("latin-1")
+                groups[group] = _group_counts(data, group)
+            count = groups[group][i]
+            if count:
+                counts[ALL_UNITS[code]] = count
+        return counts
 
     def first_position(self, unit: GraphemeUnit) -> int:
-        """Index of the first ``unit`` in the typable sequence, -1 if absent."""
-        return self.typable.find(_CODE_BY_UNIT[unit])
+        """Index of the first ``unit`` in the typable sequence, -1 if absent.
+
+        A unit outside :data:`ALL_UNITS` raises ``ValueError``.
+        """
+        return self.typable.find(chr(_code(unit)))
 
     def without(self, units: Iterable[GraphemeUnit]) -> "CorpusStats":
         """The statistics after deleting every occurrence of ``units``.
 
         Deletion joins each deleted run's neighbours into a new pair, and
-        leaves every other unit's count as it was.
+        leaves every other unit's count as it was: the groups counted here
+        are kept, with the deleted codes at zero, and not counted again. A
+        unit outside :data:`ALL_UNITS` raises ``ValueError``.
         """
-        units = set(units)
-        typable = self.typable.translate({ord(_CODE_BY_UNIT[u]): None for u in units})
-        counts = {u: c for u, c in self.table.counts.items() if u not in units}
-        table = FrequencyTable.from_counts(counts, self.table.source_bytes, self.table.skipped)
-        return CorpusStats(table, typable)
+        deleted = dict.fromkeys(map(_code, units))
+        kept = CorpusStats(self.typable.translate(deleted), self.source_bytes, self.skipped)
+        for group, counts in self._groups.items():
+            lo = group * _GROUP_SIZE
+            kept._groups[group] = [0 if lo + i in deleted else c for i, c in enumerate(counts)]
+        return kept
 
     def pairs_among(self, units: Iterable[GraphemeUnit]
                     ) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:
@@ -464,11 +549,7 @@ class CorpusStats:
         offsets whole, and one ``Counter`` pass counts what is left.
         """
         index = bytearray((_SEPARATOR,)) * 256
-        for unit in units:
-            try:
-                code = ord(_CODE_BY_UNIT[unit])
-            except KeyError:
-                raise ValueError(f"{unit!r} is not a typable unit") from None
+        for code in map(_code, units):
             index[code] = code
         data = self.typable.encode("latin-1").translate(index)
         # the padding ends the bytes in a separator, so the odd offset's last
@@ -491,20 +572,6 @@ class CorpusStats:
         return self.pairs_among(ALL_UNITS)
 
 
-def _counted(data: bytes, source_bytes: int, skipped: int) -> CorpusStats:
-    """Statistics of the code bytes ``data``, counted one code group at a time."""
-    counts: list[int] = []
-    for others, outside in _COUNT_GROUPS:
-        part = data.translate(None, outside)
-        rest = list(map(part.count, others))
-        counts.append(len(part) - sum(rest))
-        counts += rest
-        del part  # before the next group's translate, so one part is alive at a time
-    table = FrequencyTable({u: c for u, c in zip(ALL_UNITS, counts) if c}, len(data),
-                           source_bytes, skipped)
-    return CorpusStats(table, data.decode("latin-1"))
-
-
 def merge_stats(a: CorpusStats, b: CorpusStats) -> CorpusStats:
     """Statistics of ``a``'s corpus followed by ``b``'s.
 
@@ -512,7 +579,8 @@ def merge_stats(a: CorpusStats, b: CorpusStats) -> CorpusStats:
     typable sequences are joined, so the pair across the seam counts and
     shards merge to the single-pass result.
     """
-    return CorpusStats(merge(a.table, b.table), a.typable + b.typable)
+    return CorpusStats(a.typable + b.typable, a.source_bytes + b.source_bytes,
+                       a.skipped + b.skipped)
 
 
 def format_frequency_tsv(table: FrequencyTable) -> str:

@@ -26,7 +26,7 @@ from math import inf, isfinite
 from pathlib import Path
 
 from . import bn_text
-from .bn_text import Category, CorpusStats, FrequencyTable, scan_units
+from .bn_text import CorpusStats, FrequencyTable, scan_units
 from .ergonomics import (
     KEYPAD_KEYS,
     ErgonomicModel,
@@ -44,13 +44,6 @@ from .layout import (
     build_layout,
     load_layout,
     serialize,
-)
-from .optimize import (
-    Objective,
-    consonant_instance,
-    improve_local,
-    solve_exhaustive,
-    solve_greedy,
 )
 from .transcribe import EvaluationReport, evaluate, transcribe
 
@@ -508,9 +501,19 @@ def _cmd_transcribe(config: RunConfig) -> int:
 
 
 def _cmd_optimize(config: RunConfig) -> int:
+    # imported here, so that the other commands never load the optimizer
+    from .optimize import (
+        Objective,
+        consonant_instance,
+        improve_local,
+        solve_exhaustive,
+        solve_greedy,
+    )
+
     stats = _corpus_stats(config.corpus)
     model = _model(config)
-    consonant_table = stats.table.restricted([Category.CONSONANT])
+    # the instance reads the consonants alone, so only their code groups are counted
+    consonant_table = FrequencyTable.from_counts(stats.counts_among(bn_text.CONSONANTS))
     instance = consonant_instance(consonant_table, model,
                                   max_units=config.max_units,
                                   slots_per_key=config.slots_per_key)

@@ -1,6 +1,11 @@
 """Classification, counting, merging, ranking."""
 
+import copy
+import dataclasses
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +21,9 @@ from bnkeypad.bn_text import (
     SYMBOLS,
     VOWEL_SIGNS,
     Category,
+    CorpusStats,
     FrequencyTable,
+    GraphemeUnit,
     classify_char,
     count_frequencies,
     count_unit_bigrams,
@@ -29,6 +36,7 @@ from bnkeypad.bn_text import (
     unit_token,
 )
 from bnkeypad.errors import CorpusDecodeError
+from bnkeypad.layout import Layout
 
 # ---------------------------------------------------------------------------
 # independent re-statement of the classification table, used as the oracle
@@ -359,3 +367,98 @@ def test_scan_units_positions():
     units, skipped = scan_units("কxখ")
     assert [u.text for u in units] == ["ক", "খ"]
     assert skipped == 1
+
+
+# ---------------------------------------------------------------------------
+# units are interned: one built by hand from an inventory unit's fields is
+# that unit, so it keeps value semantics while hashing by identity
+# ---------------------------------------------------------------------------
+
+def hand_built(unit):
+    """A unit built from fresh copies of the fields of ``unit``."""
+    return GraphemeUnit(tuple(list(unit.codepoints)), Category(unit.category.value),
+                        "".join(list(unit.display)))
+
+
+SAMPLE_UNITS = [CONSONANTS[0], CONSONANTS[-1], INDEPENDENT_VOWELS[3], VOWEL_SIGNS[0],
+                SYMBOLS[0], SYMBOLS[-1], CONJUNCT_JOINER, SPACE_UNIT]
+
+
+@pytest.mark.parametrize("unit", SAMPLE_UNITS, ids=repr)
+def test_a_hand_built_unit_equals_the_inventory_unit(unit):
+    twin = hand_built(unit)
+    assert twin == unit and hash(twin) == hash(unit)
+    assert twin is unit
+    assert twin != hand_built(ALL_UNITS[ALL_UNITS.index(unit) - 1])
+    assert GraphemeUnit(unit.codepoints, unit.category, unit.display + "x") != unit
+
+
+@pytest.mark.parametrize("unit", SAMPLE_UNITS, ids=repr)
+def test_a_hand_built_unit_finds_the_same_entries(unit):
+    twin = hand_built(unit)
+    other = CONSONANTS[1] if unit is not CONSONANTS[1] else CONSONANTS[2]
+    stats = CorpusStats.from_units([twin, other, twin, twin])
+    assert stats == CorpusStats.from_units([unit, other, unit, unit])
+    assert stats.counts_among([twin]) == {unit: 3}
+    assert stats.pairs_among([twin]) == {(unit, unit): 1}
+    assert stats.pairs_among([twin, other]) == {(unit, other): 1, (other, unit): 1,
+                                                (unit, unit): 1}
+    layout = Layout(slots={"2": (other, unit)}, roles={}, name="pair")
+    assert layout.position(twin) == ("2", 2)
+    table = FrequencyTable.from_counts({unit: 3, other: 1})
+    assert table.counts[twin] == 3
+    assert table.frequency(twin) == 0.75
+    assert FrequencyTable.from_counts({twin: 3, other: 1}) == table
+
+
+@pytest.mark.parametrize("unit", SAMPLE_UNITS + [GraphemeUnit((0x41,), Category.SYMBOL, "A")],
+                         ids=repr)
+def test_a_unit_survives_copy_deepcopy_and_pickle(unit):
+    twin = hand_built(unit)
+    copies = [copy.copy(twin), copy.deepcopy(twin), copy.deepcopy([twin])[0]]
+    copies += [pickle.loads(pickle.dumps(twin, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for got in copies:
+        assert got == unit and hash(got) == hash(unit)
+        assert (got.codepoints, got.category, got.display) == (
+            unit.codepoints, unit.category, unit.display)
+
+
+def test_a_hand_built_unit_is_frozen():
+    twin = hand_built(CONSONANTS[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        twin.display = "x"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del twin.category
+    assert CONSONANTS[0].display == "BENGALI LETTER KA"
+
+
+def test_units_outside_the_inventory_compare_by_their_fields():
+    a = GraphemeUnit((0x41,), Category.SYMBOL, "A")
+    assert a == GraphemeUnit([0x41], Category.SYMBOL, "A")
+    assert hash(a) == hash(GraphemeUnit((0x41,), Category.SYMBOL, "A"))
+    assert a != GraphemeUnit((0x41,), Category.SPACE, "A")
+    with pytest.raises(ValueError):
+        GraphemeUnit((), Category.SYMBOL, "none")
+
+
+def test_threads_that_build_one_unit_at_once_get_one_object():
+    fields = ((0x10FFFF,), Category.SYMBOL, "threads")
+    built = []
+
+    def build():
+        built.extend(GraphemeUnit(*fields) for _ in range(300))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(built) == 8 * 300
+    assert len({id(unit) for unit in built}) == 1

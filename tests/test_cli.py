@@ -403,29 +403,59 @@ def test_determinism_byte_identical_outputs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+def _src_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # a unit hashes by its identity, which differs between processes, and a
+    # str by the hash seed: no artifact and no report may follow either
     runs = []
     for seed in ("0", "1"):
         out = tmp_path / f"seed{seed}"
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for args in (["analyze", "--corpus", str(CORPUS_PATH), "-o", str(out / "freq.tsv")],
-                     ["reproduce-paper", "--corpus", str(CORPUS_PATH), "--out-dir", str(out)],
-                     ["optimize", "--corpus", str(CORPUS_PATH), "--method", "local",
-                      "--jam-weight", "0.5", "-o", str(out / "opt.tsv")]):
-            subprocess.run([sys.executable, "-m", "bnkeypad.cli", *args], env=env, check=True,
-                           capture_output=True)
-        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert sorted(runs[0]) == ["baseline_layout.tsv", "freq.tsv", "opt.tsv",
-                               "proposed_layout.tsv", "report.tsv"]
+        corpus = ["--corpus", str(CORPUS_PATH)]
+        optimize = ["optimize", *corpus, "--jam-weight", "0.5"]
+        reports = []
+        for args in (["analyze", *corpus, "-o", str(out / "freq.tsv")],
+                     ["build-layout", *corpus, "-o", str(out / "layout.tsv")],
+                     ["reproduce-paper", *corpus, "--out-dir", str(out)],
+                     [*optimize, "--method", "local", "-o", str(out / "opt.tsv")],
+                     [*optimize, "--method", "exhaustive", "--max-units", "6",
+                      "-o", str(out / "exhaustive.tsv")]):
+            done = subprocess.run([sys.executable, "-m", "bnkeypad.cli", *args],
+                                  env=_src_env(PYTHONHASHSEED=seed), check=True,
+                                  capture_output=True)
+            reports.append(done.stderr)
+        runs.append(({p.name: p.read_bytes() for p in sorted(out.iterdir())}, reports))
+    assert sorted(runs[0][0]) == ["baseline_layout.tsv", "exhaustive.tsv", "freq.tsv",
+                                  "layout.tsv", "opt.tsv", "proposed_layout.tsv",
+                                  "report.tsv"]
+    assert runs[0][1][0].startswith(b"analyzed ") and runs[0][1][3].startswith(b"method=local")
     assert runs[0] == runs[1]
 
 
+def test_commands_that_do_not_optimize_never_load_the_optimizer(tmp_path):
+    code = textwrap.dedent(f"""
+        import sys
+        import bnkeypad.cli
+        corpus = ["--corpus", {str(CORPUS_PATH)!r}]
+        assert bnkeypad.cli.main(["analyze", *corpus, "-o", {str(tmp_path / "f.tsv")!r}]) == 0
+        assert bnkeypad.cli.main(["reproduce-paper", *corpus,
+                                  "--out-dir", {str(tmp_path / "paper")!r}]) == 0
+        assert "bnkeypad.optimize" not in sys.modules
+        from bnkeypad import solve_exhaustive
+        import bnkeypad.optimize
+        assert solve_exhaustive is bnkeypad.optimize.solve_exhaustive
+        assert bnkeypad.Objective is bnkeypad.optimize.Objective
+    """)
+    subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
+
+
 def test_stdout_artifacts_are_the_utf8_of_the_file_whatever_the_stream_encoding(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONIOENCODING="ascii",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env(PYTHONIOENCODING="ascii")
     layout = tmp_path / "named.tsv"
     for args, out in ((["build-layout", "--corpus", str(CORPUS_PATH), "--name", "নাম"], layout),
                       (["compare", "--layouts", str(layout), str(TOY_LAYOUT_PATH),
@@ -870,12 +900,9 @@ def test_parser_is_built_on_the_first_main_call_only(tmp_path):
         print(json.dumps({"after_import": after_import, "built": built,
                           "statuses": statuses}))
     """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script, "analyze", "--corpus",
                            str(CORPUS_PATH), "-o", str(tmp_path / "freq.tsv")],
-                          env=env, check=True, capture_output=True, text=True)
+                          env=_src_env(), check=True, capture_output=True, text=True)
     result = json.loads(done.stdout)
     assert result["after_import"] == []
     assert result["statuses"] == [0] * 5

@@ -1,8 +1,10 @@
 """Corpus statistics and the count-based evaluator against a trace-based reference."""
 
+import cProfile
 import hashlib
 import itertools
 import json
+import pstats
 import random
 from collections import Counter
 from dataclasses import replace
@@ -232,17 +234,29 @@ def test_jam_count_from_one_integer_at_the_edges(units):
 def built_stats(monkeypatch):
     """Every CorpusStats the code under test builds, in order."""
     built = []
+    init = CorpusStats.__init__
 
-    def recording(build):
-        def record(*args):
-            built.append(build(*args))
-            return built[-1]
-        return record
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
 
-    # counting builds every corpus's statistics; without() derives a skip's
-    monkeypatch.setattr(bn_text, "_counted", recording(bn_text._counted))
-    monkeypatch.setattr(CorpusStats, "without", recording(CorpusStats.without))
+    # each corpus's statistics, and each skip's without() of them
+    monkeypatch.setattr(CorpusStats, "__init__", record)
     return built
+
+
+@pytest.fixture
+def counted_groups(monkeypatch):
+    """The indices of the code groups counted, in order."""
+    counted = []
+    count = bn_text._group_counts
+
+    def record(data, group):
+        counted.append(group)
+        return count(data, group)
+
+    monkeypatch.setattr(bn_text, "_group_counts", record)
+    return counted
 
 
 def test_evaluation_never_builds_the_pair_table(tmp_path, capsys, built_stats):
@@ -282,6 +296,31 @@ def test_optimize_jam_term_still_counts_pairs(tmp_path, capsys, built_stats):
         "96264c3ff5731f2c674fb7b37314d9bbadedabee45240d8b0174b0dd2213d3d1")
     [stats] = built_stats
     assert "bigrams" not in vars(stats)  # only the instance's pairs are counted
+
+
+def test_optimize_counts_only_the_consonant_groups(tmp_path, capsys, built_stats,
+                                                   counted_groups):
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--method", "local",
+                 "--jam-weight", "0.5", "-o", str(tmp_path / "opt.tsv")]) == 0
+    capsys.readouterr()
+    [stats] = built_stats
+    assert "table" not in vars(stats)
+    # the 35 consonants are codes 0-34, which the first four groups of nine hold
+    assert [bn_text._code(u) for u in bn_text.CONSONANTS] == list(range(35))
+    assert bn_text._GROUP_SIZE == 9
+    assert counted_groups == [0, 1, 2, 3]
+
+
+def test_optimize_calls_no_python_hash_of_a_unit(tmp_path, capsys):
+    profiler = cProfile.Profile()
+    status = profiler.runcall(main, ["optimize", "--corpus", str(CORPUS_PATH), "--method",
+                                     "local", "--jam-weight", "0.5",
+                                     "-o", str(tmp_path / "opt.tsv")])
+    capsys.readouterr()
+    assert status == 0
+    calls = pstats.Stats(profiler).stats
+    assert [fn for fn in calls if fn[0].endswith("bn_text.py") and fn[2] == "__hash__"] == []
+    assert bn_text.GraphemeUnit.__hash__ is object.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +592,78 @@ def test_without_deletes_and_rejoins():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sampled_from(ALL_UNITS), max_size=200), unit_subsets)
-def test_without_equals_the_statistics_of_the_kept_units(units, dropped):
-    kept = CorpusStats.from_units(units).without(dropped)
-    assert kept == CorpusStats.from_units([u for u in units if u not in set(dropped)])
+@given(st.lists(st.sampled_from(ALL_UNITS), max_size=200), unit_subsets, unit_subsets)
+def test_without_equals_the_statistics_of_the_kept_units(units, counted, dropped):
+    stats = CorpusStats.from_units(units)
+    stats.counts_among(counted)  # the groups counted here are carried over
+    kept = stats.without(dropped)
+    want = CorpusStats.from_units([u for u in units if u not in set(dropped)])
+    assert kept == want
+    assert kept.table == want.table
+
+
+def test_without_counts_no_group_again(counted_groups):
+    stats = CorpusStats.from_units([KHA, KA, GA, KA, bn_text.SPACE_UNIT])
+    assert stats.counts_among([GA, KA]) == {KA: 2, GA: 1}
+    kept = stats.without([KA, bn_text.SPACE_UNIT])
+    assert kept.counts_among([KA, KHA, GA]) == {KHA: 1, GA: 1}
+    assert counted_groups == [0]
+    assert kept.table == FrequencyTable.from_counts({KHA: 1, GA: 1})
+    assert counted_groups == list(range(8))
+
+
+STRANGER = bn_text.GraphemeUnit((0x0041,), bn_text.Category.SYMBOL, "A")
+
+
+def test_first_position_rejects_units_outside_the_inventory():
+    with pytest.raises(ValueError, match="not a typable unit"):
+        CorpusStats.from_units([KA]).first_position(STRANGER)
+
+
+def test_without_rejects_units_outside_the_inventory():
+    with pytest.raises(ValueError, match="not a typable unit"):
+        CorpusStats.from_units([KA]).without([KA, STRANGER])
+
+
+def test_counts_among_rejects_units_outside_the_inventory():
+    with pytest.raises(ValueError, match="not a typable unit"):
+        CorpusStats.from_units([KA]).counts_among([KA, STRANGER])
+
+
+# reference: the eager counting, of all eight groups of nine codes as the
+# statistics were built, that counting on demand replaced
+_EAGER_GROUPS = tuple(
+    (tuple(bytes((code,)) for code in range(lo + 1, hi)),
+     bytes(b for b in range(256) if not lo <= b < hi))
+    for lo in range(0, len(ALL_UNITS), 9)
+    for hi in (min(lo + 9, len(ALL_UNITS)),))
+
+
+def eager_table(typable, source_bytes, skipped):
+    data = typable.encode("latin-1")
+    counts = []
+    for others, outside in _EAGER_GROUPS:
+        part = data.translate(None, outside)
+        rest = list(map(part.count, others))
+        counts.append(len(part) - sum(rest))
+        counts += rest
+    return FrequencyTable({u: c for u, c in zip(ALL_UNITS, counts) if c}, len(data),
+                          source_bytes, skipped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(adversarial_texts, st.text(adversarial_chars, max_size=400)),
+       unit_subsets, unit_subsets)
+def test_counts_on_demand_equal_the_eager_counts(text, units, more):
+    stats = CorpusStats.from_text(text)
+    want = eager_table(stats.typable, stats.source_bytes, stats.skipped)
+    for chosen in (units, more):  # the second call reuses the groups the first counted
+        got = stats.counts_among(chosen)
+        assert got == {u: c for u, c in want.counts.items() if u in set(chosen)}
+        assert list(got) == [u for u in want.counts if u in set(chosen)]
+    assert stats.table == want
+    assert list(stats.table.counts) == list(want.counts)
+    assert CorpusStats.from_text(text).table == want  # nothing counted before
 
 
 def test_stats_table_counts_skipped_scalars_and_bytes():
