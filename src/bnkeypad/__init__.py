@@ -61,6 +61,22 @@ _OPTIMIZE_NAMES = frozenset({
 })
 
 
+# A star import binds these, so it loads the optimizer; a plain import does not.
+__all__ = [
+    "ALL_UNITS", "CONJUNCT_JOINER", "CONSONANTS", "INDEPENDENT_VOWELS", "SPACE_UNIT",
+    "SYMBOLS", "VOWEL_SIGNS", "Category", "CorpusStats", "FrequencyTable", "GraphemeUnit",
+    "classify_char", "count_frequencies", "count_unit_bigrams", "merge", "merge_stats",
+    "rank_by_frequency", "read_corpus", "scan_units", "unit_for",
+    "DEFAULT_CONSONANT_KEYS", "KEYPAD_KEYS", "Direction", "ErgonomicModel", "KeyErgonomics",
+    "default_model", "key_cost", "rank_keys",
+    "KeypadError",
+    "DEFAULT_ROLES", "Layout", "PlacementPolicy", "Role", "Strategy", "build_layout",
+    "parse", "serialize",
+    "EvaluationReport", "KeystrokeTrace", "decode", "evaluate", "transcribe",
+    *sorted(_OPTIMIZE_NAMES),
+]
+
+
 def __getattr__(name):
     if name in _OPTIMIZE_NAMES:
         from . import optimize

@@ -23,13 +23,21 @@ ones. Otherwise the two planes are XOR-ed as integers, each code unit
 whose high byte differs (another block's scalar, a surrogate) gets the
 untypable low byte 0xFF, and the same ``translate`` deletes it too.
 
-Counting does only what its callers need, when they ask for it. The 72
-codes fall into eight fixed groups of consecutive codes. A group is
-counted by one ``translate`` that deletes every other byte, and
-``bytes.count`` counts each code of the group but the first, whose count
-is what remains of the group's length. :class:`CorpusStats` counts only
-the groups that hold the units asked for, each once, so the optimizer's
-consonants take four of the eight passes and the full table all eight.
+Counting does only what its callers need, when they ask for it, and it
+peels: one ``translate`` deletes every code not asked for, and then each
+code asked for is deleted from what is left, one pass each, most frequent
+first; its count is how much shorter that leaves the bytes. The order
+comes from an evenly spaced sample of about a thousand codes of what is
+left, drawn again until less than a sample is left, which one ``Counter``
+counts (a short text is counted by it alone). So each code is deleted at
+most once: at most 72 deleting passes, each over what is left. A deleting
+pass branches on each byte it deletes, so on varied text with a skewed
+unit distribution, as real corpora have, peeling pays about one
+mispredicted branch per unit, and its passes shrink as the frequent codes
+go. It gains less, or loses, on text spread evenly over the codes, whose
+passes shrink slowly, and on text that repeats a few lines, whose
+branches are predicted well. :class:`CorpusStats` counts only the codes
+asked for, each once.
 Adjacent pairs are counted only among a chosen set of units
 (:meth:`CorpusStats.pairs_among`): every other unit becomes a separator
 byte. The code bytes, read as one integer, are cut into 16-bit windows at
@@ -289,21 +297,10 @@ _EXPECTED_HIGH_BYTE = bytes(_HIGH_BY_LOW.get(b, 0x09 if b >= 0x80 else 0x00)
 assert 0xFF not in _HIGH_BY_LOW
 _MISMATCH_MARK = b"\x00" + b"\xff" * 255
 
-# _group_counts' groups of consecutive codes, each as (its codes but the
-# first, as one-byte needles; every byte outside it). Any grouping counts
-# exactly. Deleting and counting bytes branch on each byte, so they cost
-# far more on varied text than on text that repeats a few lines, as the
-# fixture does (it cycles through 48 distinct lines): on a shared 2-vCPU
-# host, counting every group of the fixture x8 with its lines shuffled
-# took 13-15 ms for any group size from 4 to 36, against 4-8 ms in file
-# order. Groups of nine hold the 35 consonants (codes 0-34) in four, so
-# the optimizer's counts take four of the eight passes.
-_GROUP_SIZE = 9
-_COUNT_GROUPS = tuple(
-    (tuple(bytes((code,)) for code in range(lo + 1, hi)),
-     bytes(b for b in range(256) if not lo <= b < hi))
-    for lo in range(0, len(ALL_UNITS), _GROUP_SIZE)
-    for hi in (min(lo + _GROUP_SIZE, len(ALL_UNITS)),))
+# _peeled_counts reads at most this many codes of what is left at a time; a
+# larger sample's Counter costs more than it saves
+_SAMPLE_SIZE = 1024
+_BYTE_VALUES = frozenset(range(256))
 
 # pairs_among's separator byte; codes stay below it, so a window of two
 # codes holds no separator byte
@@ -416,12 +413,22 @@ def _code(unit: GraphemeUnit) -> int:
         raise ValueError(f"{unit!r} is not a typable unit") from None
 
 
-def _group_counts(data: bytes, group: int) -> list[int]:
-    """The counts in the code bytes ``data`` of the codes of one of ``_COUNT_GROUPS``."""
-    others, outside = _COUNT_GROUPS[group]
-    part = data.translate(None, outside)
-    rest = list(map(part.count, others))
-    return [len(part) - sum(rest), *rest]
+def _peeled_counts(data: bytes, codes: Iterable[int]) -> dict[int, int]:
+    """The counts of ``codes`` in the code bytes ``data``, by code, from peeling.
+
+    Each sample of what is left is deleted code by code, most frequent
+    first; the codes it missed are in what is left, which is sampled again
+    until it is smaller than a sample and one ``Counter`` counts it.
+    """
+    counts = dict.fromkeys(codes, 0)
+    rest = data.translate(None, bytes(_BYTE_VALUES.difference(counts)))
+    while len(rest) >= _SAMPLE_SIZE:
+        for code, _ in Counter(rest[::len(rest) // _SAMPLE_SIZE + 1]).most_common():
+            size = len(rest)
+            rest = rest.translate(None, bytes((code,)))
+            counts[code] = size - len(rest)
+    counts.update(Counter(rest))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -432,8 +439,8 @@ class CorpusStats:
     scalar per unit; ``source_bytes`` and ``skipped`` are the corpus size
     and its untypable scalars. Counting is on demand: :meth:`counts_among`
     counts chosen units, ``table`` (every unit's count, with the skipped
-    scalars and source bytes) counts them all on first use, and a code
-    group once counted is kept, so no group is counted twice. Evaluation
+    scalars and source bytes) counts them all on first use, and a code's
+    count once counted is kept, so no code is counted twice. Evaluation
     reads its jams from ``typable``, and it locates a unit a layout lacks
     and lets evaluation recount without it. :meth:`pairs_among` counts its
     adjacent pairs of chosen units, so a pair that spans two sources
@@ -445,18 +452,17 @@ class CorpusStats:
 
     :meth:`from_text` classifies from the text's UTF-16 byte planes (see
     the module docstring); a lone surrogate is skipped like any untypable
-    scalar and counts three bytes in ``source_bytes``. A group of
-    consecutive codes is counted by one pass that keeps only the group's
-    codes and a count of each code in what it keeps, so no ``Counter``
-    looks at each code.
+    scalar and counts three bytes in ``source_bytes``. Counts come from
+    peeling (see the module docstring): one deleting pass per code over
+    what is left, and a ``Counter`` over what is left once it is short.
     """
 
     typable: str
     source_bytes: int = 0
     skipped: int = 0
-    # the counts of each code group counted so far, by group index
-    _groups: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False,
-                                          compare=False)
+    # the count of each code counted so far
+    _counts: dict[int, int] = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
 
     @classmethod
     def from_text(cls, text: str, source_bytes: int | None = None) -> "CorpusStats":
@@ -489,23 +495,16 @@ class CorpusStats:
         """The counts of ``units`` in ``typable``, in :data:`ALL_UNITS` order.
 
         Units that do not occur are left out. ``units`` may repeat a unit;
-        one outside :data:`ALL_UNITS` raises ``ValueError``. Only the code
-        groups that hold the units' codes are counted, each once per
-        instance.
+        one outside :data:`ALL_UNITS` raises ``ValueError``. Only the codes
+        of ``units`` not counted before are counted, by peeling them from
+        what is left once every other code is deleted.
         """
         codes = sorted(set(map(_code, units)))
-        groups, data = self._groups, None
-        counts: dict[GraphemeUnit, int] = {}
-        for code in codes:
-            group, i = divmod(code, _GROUP_SIZE)
-            if group not in groups:
-                if data is None:
-                    data = self.typable.encode("latin-1")
-                groups[group] = _group_counts(data, group)
-            count = groups[group][i]
-            if count:
-                counts[ALL_UNITS[code]] = count
-        return counts
+        counted = self._counts
+        new = [code for code in codes if code not in counted]
+        if new:
+            counted.update(_peeled_counts(self.typable.encode("latin-1"), new))
+        return {ALL_UNITS[code]: counted[code] for code in codes if counted[code]}
 
     def first_position(self, unit: GraphemeUnit) -> int:
         """Index of the first ``unit`` in the typable sequence, -1 if absent.
@@ -518,15 +517,14 @@ class CorpusStats:
         """The statistics after deleting every occurrence of ``units``.
 
         Deletion joins each deleted run's neighbours into a new pair, and
-        leaves every other unit's count as it was: the groups counted here
+        leaves every other unit's count as it was: the counts taken here
         are kept, with the deleted codes at zero, and not counted again. A
         unit outside :data:`ALL_UNITS` raises ``ValueError``.
         """
         deleted = dict.fromkeys(map(_code, units))
         kept = CorpusStats(self.typable.translate(deleted), self.source_bytes, self.skipped)
-        for group, counts in self._groups.items():
-            lo = group * _GROUP_SIZE
-            kept._groups[group] = [0 if lo + i in deleted else c for i, c in enumerate(counts)]
+        kept._counts.update(self._counts)
+        kept._counts.update(dict.fromkeys(deleted, 0))
         return kept
 
     def pairs_among(self, units: Iterable[GraphemeUnit]

@@ -512,7 +512,7 @@ def _cmd_optimize(config: RunConfig) -> int:
 
     stats = _corpus_stats(config.corpus)
     model = _model(config)
-    # the instance reads the consonants alone, so only their code groups are counted
+    # the instance reads the consonants alone, so only they are counted
     consonant_table = FrequencyTable.from_counts(stats.counts_among(bn_text.CONSONANTS))
     instance = consonant_instance(consonant_table, model,
                                   max_units=config.max_units,

@@ -99,10 +99,14 @@ def _entry(key: str, angle: float, direction: Direction) -> KeyErgonomics:
     return KeyErgonomics(key, angle, direction, flexion=not lateral, extension=lateral)
 
 
+# the entries are frozen, so every default model shares them; each gets its
+# own dict
+_DEFAULT_ENTRIES = {k: _entry(k, a, d) for k, (a, d) in _MEASUREMENTS.items()}
+
+
 def default_model(extension_penalty: float = 1.0, angle_weight: float = 1.0) -> ErgonomicModel:
     """The built-in measurement table with the given cost parameters."""
-    entries = {k: _entry(k, a, d) for k, (a, d) in _MEASUREMENTS.items()}
-    return ErgonomicModel(entries, extension_penalty, angle_weight)
+    return ErgonomicModel(dict(_DEFAULT_ENTRIES), extension_penalty, angle_weight)
 
 
 def rank_keys(model: ErgonomicModel, keys: Iterable[str]) -> list[str]:

@@ -21,6 +21,7 @@ from math import ceil
 from typing import Mapping
 
 from .bn_text import (
+    ALL_UNITS,
     CONJUNCT_JOINER,
     CONSONANTS,
     INDEPENDENT_VOWELS,
@@ -132,6 +133,17 @@ class Layout:
             for i, unit in enumerate(self.slots[key], start=1):
                 pos[unit] = (key, i)
         return pos
+
+    @cached_property
+    def _key_indices(self) -> bytes:
+        # each unit code's key as its index in KEYPAD_KEYS, 0 for a unit the
+        # layout lacks; evaluate translates the typable codes through it
+        table = bytearray(256)
+        for code, unit in enumerate(ALL_UNITS):
+            spot = self._positions.get(unit)
+            if spot is not None:
+                table[code] = KEYPAD_KEYS.index(spot[0])
+        return bytes(table)
 
     def position(self, unit: GraphemeUnit) -> tuple[str, int] | None:
         """(key, 1-based slot) of a unit, i.e. its key and tap count."""

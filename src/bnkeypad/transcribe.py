@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bn_text import ALL_UNITS, CorpusStats, GraphemeUnit
+from .bn_text import CorpusStats, GraphemeUnit
 from .ergonomics import KEYPAD_KEYS, ErgonomicModel, key_cost, over_common_denominator
 from .errors import CorruptTraceError, UntypableUnitError
 from .layout import Layout
@@ -120,7 +120,8 @@ def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
     which makes their neighbours adjacent.
     """
     stats = corpus if isinstance(corpus, CorpusStats) else CorpusStats.from_units(corpus)
-    missing = [u for u in stats.table.counts if layout.position(u) is None]
+    positions = layout._positions
+    missing = [u for u in stats.table.counts if u not in positions]
     skipped_units = 0
     if missing:
         if not skip_untypable:
@@ -135,7 +136,7 @@ def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
     # expected cost: the exact sum of count * fl(taps * cost) as
     # numerator / scale, rounded once
     counts = stats.table.counts
-    spots = [layout.position(unit) for unit in counts]
+    spots = [positions[unit] for unit in counts]
     (nums,), scale = over_common_denominator([[taps * cost[key] for key, taps in spots]])
     numerator = 0
     for (key, taps), count, num in zip(spots, counts.values(), nums):
@@ -146,12 +147,7 @@ def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
     # of x ^ (x >> 8) is 0 exactly when units i and i + 1 share a key, the
     # explicit length keeps the zero bytes of jams at the end, and the last
     # byte, the last unit against nothing, is dropped
-    key_index = bytearray(256)
-    for code, unit in enumerate(ALL_UNITS):
-        spot = layout.position(unit)
-        if spot is not None:
-            key_index[code] = KEYPAD_KEYS.index(spot[0])
-    keys = stats.typable.encode("latin-1").translate(key_index)
+    keys = stats.typable.encode("latin-1").translate(layout._key_indices)
     x = int.from_bytes(keys, "little")
     jams = (x ^ (x >> 8)).to_bytes(len(keys), "little")[:-1].count(0)
 

@@ -454,6 +454,24 @@ def test_commands_that_do_not_optimize_never_load_the_optimizer(tmp_path):
     subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
 
 
+def test_a_star_import_binds_every_public_name_and_a_plain_import_no_optimizer():
+    code = textwrap.dedent("""
+        import sys
+        import bnkeypad
+        assert "bnkeypad.optimize" not in sys.modules
+        names = {}
+        exec("from bnkeypad import *", names)
+        import bnkeypad.optimize
+        assert names["solve_exhaustive"] is bnkeypad.optimize.solve_exhaustive
+        assert names["CorpusStats"] is bnkeypad.CorpusStats
+        public = {n for n, v in vars(bnkeypad).items()
+                  if not n.startswith("_") and type(v) is not type(sys)}
+        assert set(names) - {"__builtins__"} == public | bnkeypad._OPTIMIZE_NAMES
+        assert len(bnkeypad.__all__) == len(set(bnkeypad.__all__))
+    """)
+    subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
+
+
 def test_stdout_artifacts_are_the_utf8_of_the_file_whatever_the_stream_encoding(tmp_path):
     env = _src_env(PYTHONIOENCODING="ascii")
     layout = tmp_path / "named.tsv"

@@ -48,6 +48,13 @@ def test_default_model_measured_rows():
         assert entry.extension is (direction is Direction.LATERAL)
 
 
+def test_default_models_share_entries_but_not_the_dict():
+    a, b = default_model(), default_model(2.0, 0.5)
+    assert a.entries == b.entries and a.entries is not b.entries
+    a.entries.pop("1")  # a caller that edits its model's dict leaves the next one whole
+    assert len(default_model().entries) == 12
+
+
 def test_default_model_extrapolated_bottom_row():
     model = default_model()
     assert model.entries["*"].ij_angle == 58.0

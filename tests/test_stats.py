@@ -246,16 +246,30 @@ def built_stats(monkeypatch):
 
 
 @pytest.fixture
-def counted_groups(monkeypatch):
-    """The indices of the code groups counted, in order."""
+def counter_sizes(monkeypatch):
+    """The sizes of the inputs of the Counters that bn_text builds, in order."""
+    sizes = []
+
+    class Recording(Counter):
+        def __init__(self, iterable):
+            sizes.append(len(iterable))
+            super().__init__(iterable)
+
+    monkeypatch.setattr(bn_text, "Counter", Recording)
+    return sizes
+
+
+@pytest.fixture
+def counted_codes(monkeypatch):
+    """The codes each peel counting was asked for, call by call."""
     counted = []
-    count = bn_text._group_counts
+    count = bn_text._peeled_counts
 
-    def record(data, group):
-        counted.append(group)
-        return count(data, group)
+    def record(data, codes):
+        counted.append(list(codes))
+        return count(data, codes)
 
-    monkeypatch.setattr(bn_text, "_group_counts", record)
+    monkeypatch.setattr(bn_text, "_peeled_counts", record)
     return counted
 
 
@@ -298,17 +312,16 @@ def test_optimize_jam_term_still_counts_pairs(tmp_path, capsys, built_stats):
     assert "bigrams" not in vars(stats)  # only the instance's pairs are counted
 
 
-def test_optimize_counts_only_the_consonant_groups(tmp_path, capsys, built_stats,
-                                                   counted_groups):
+def test_optimize_counts_only_the_consonant_codes(tmp_path, capsys, built_stats,
+                                                  counted_codes):
     assert main(["optimize", "--corpus", str(CORPUS_PATH), "--method", "local",
                  "--jam-weight", "0.5", "-o", str(tmp_path / "opt.tsv")]) == 0
     capsys.readouterr()
     [stats] = built_stats
     assert "table" not in vars(stats)
-    # the 35 consonants are codes 0-34, which the first four groups of nine hold
+    # the 35 consonants are codes 0-34, asked for once
     assert [bn_text._code(u) for u in bn_text.CONSONANTS] == list(range(35))
-    assert bn_text._GROUP_SIZE == 9
-    assert counted_groups == [0, 1, 2, 3]
+    assert counted_codes == [list(range(35))]
 
 
 def test_optimize_calls_no_python_hash_of_a_unit(tmp_path, capsys):
@@ -436,34 +449,72 @@ def assert_counts_equal_deletion_counts(stats):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(adversarial_texts, st.text(adversarial_chars, max_size=400)))
-def test_grouped_counts_equal_the_deletion_counts(text):
+def test_counts_equal_the_deletion_counts(text):
     assert_counts_equal_deletion_counts(CorpusStats.from_text(text))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(ALL_UNITS), max_size=300))
-def test_grouped_counts_of_unit_sequences_equal_the_deletion_counts(units):
+def test_counts_of_unit_sequences_equal_the_deletion_counts(units):
     assert_counts_equal_deletion_counts(CorpusStats.from_units(units))
 
 
-_GROUPS = [ALL_UNITS[lo:lo + bn_text._GROUP_SIZE]
-           for lo in range(0, len(ALL_UNITS), bn_text._GROUP_SIZE)]
+SPACE = bn_text.SPACE_UNIT
+SAMPLE = bn_text._SAMPLE_SIZE
+# a sequence of LONG units is three samples long, so the first sample reads
+# every STEP-th unit from the first on
+LONG = 3 * SAMPLE
+STEP = LONG // SAMPLE + 1
+
+
+def spaces_with(unit, positions):
+    units = [SPACE] * LONG
+    for i in positions:
+        units[i] = unit
+    return units
 
 
 @pytest.mark.parametrize("units", [
     [],
     list(ALL_UNITS),
     list(ALL_UNITS) * 2 + [KA] * 7,
-    [g[0] for g in _GROUPS] * 3,        # the counts that come from the subtraction
-    [g[-1] for g in _GROUPS] * 3,
-    *([g[0]] * 4 for g in _GROUPS),     # a group holding only its first code
-    *([g[-1]] * 4 for g in _GROUPS),    # ... or only its last
-    *([u] * 5 for u in ALL_UNITS),      # one code repeated
+    pytest.param([KA] * LONG, id="one-code-only"),
+    pytest.param(list(ALL_UNITS) * (LONG // len(ALL_UNITS) + 1), id="all-codes-equally-often"),
+    pytest.param(random.Random(7).sample(list(ALL_UNITS) * 50, 50 * len(ALL_UNITS)),
+                 id="all-codes-equally-often-shuffled"),
+    pytest.param([SPACE] * LONG + list(ALL_UNITS) * 3, id="most-frequent-code-last"),
+    pytest.param(random.Random(8).sample([SPACE] * LONG + list(ALL_UNITS) * 3, LONG + 216),
+                 id="most-frequent-code-last-shuffled"),
+    pytest.param(spaces_with(KA, range(1, LONG, 97 * STEP)), id="only-where-the-sample-skips"),
+    pytest.param(spaces_with(KA, range(0, LONG, STEP)), id="only-where-the-sample-reads"),
+    pytest.param(spaces_with(GA, [LONG - 1]), id="once-at-the-end"),
+    *([u] * 5 for u in ALL_UNITS),                      # one code repeated
 ], ids=repr)
-def test_grouped_counts_at_the_group_edges(units):
+def test_peeled_counts_at_the_edges(units, counter_sizes):
     stats = CorpusStats.from_units(units)
     assert_counts_equal_deletion_counts(stats)
     assert stats.table.counts == dict(Counter(units))
+    # a round per Counter but the last, each deleting at least one code
+    assert len(counter_sizes) <= len({*units}) + 1
+    assert max(counter_sizes) <= SAMPLE
+
+
+# the first sample reads every (length // SAMPLE + 1)-th unit: every second
+# from SAMPLE units on, every third from 2 * SAMPLE, and so on
+@pytest.mark.parametrize("length", [SAMPLE, 2 * SAMPLE - 1, 2 * SAMPLE, LONG, 5 * SAMPLE + 3])
+@pytest.mark.parametrize("rare, common", [(KA, SPACE), (SPACE, KA)], ids=["ka", "space"])
+def test_a_code_the_first_sample_misses_is_still_counted(length, rare, common):
+    step = length // SAMPLE + 1
+    positions = range(1, length, 97 * step)
+    units = [common] * length
+    for i in positions:
+        units[i] = rare
+    assert rare not in units[::step]
+    want = {rare: len(positions), common: length - len(positions)}
+    stats = CorpusStats.from_units(units)
+    assert stats.counts_among([rare, rare, common]) == want
+    assert stats.counts_among([]) == {}
+    assert stats.table.counts == want
 
 
 def takes_masked_branch(text):
@@ -602,14 +653,15 @@ def test_without_equals_the_statistics_of_the_kept_units(units, counted, dropped
     assert kept.table == want.table
 
 
-def test_without_counts_no_group_again(counted_groups):
-    stats = CorpusStats.from_units([KHA, KA, GA, KA, bn_text.SPACE_UNIT])
+def test_without_counts_no_code_again(counted_codes):
+    stats = CorpusStats.from_units([KHA, KA, GA, KA, SPACE])
     assert stats.counts_among([GA, KA]) == {KA: 2, GA: 1}
-    kept = stats.without([KA, bn_text.SPACE_UNIT])
+    kept = stats.without([KA, SPACE])
     assert kept.counts_among([KA, KHA, GA]) == {KHA: 1, GA: 1}
-    assert counted_groups == [0]
+    assert counted_codes == [[0, 2], [1]]
     assert kept.table == FrequencyTable.from_counts({KHA: 1, GA: 1})
-    assert counted_groups == list(range(8))
+    # each code once, and the deleted SPACE (code 71) not at all
+    assert sorted(c for codes in counted_codes for c in codes) == list(range(71))
 
 
 STRANGER = bn_text.GraphemeUnit((0x0041,), bn_text.Category.SYMBOL, "A")
@@ -664,6 +716,28 @@ def test_counts_on_demand_equal_the_eager_counts(text, units, more):
     assert stats.table == want
     assert list(stats.table.counts) == list(want.counts)
     assert CorpusStats.from_text(text).table == want  # nothing counted before
+
+
+@st.composite
+def long_unit_lists(draw):
+    """Up to three samples of units, a few common and many rare, as in a corpus."""
+    rng = draw(st.randoms(use_true_random=False))
+    length = draw(st.integers(0, LONG))
+    alphabet = rng.sample(ALL_UNITS, rng.randint(1, len(ALL_UNITS)))
+    weights = [rng.paretovariate(0.7) for _ in alphabet]
+    return rng.choices(alphabet, weights, k=length)
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_unit_lists(), unit_subsets, unit_subsets)
+def test_peeled_counts_of_long_sequences_equal_the_eager_counts(units, chosen, more):
+    stats = CorpusStats.from_units(units)
+    want = eager_table(stats.typable, 0, 0)
+    for subset in (chosen, more):  # the second call reuses the codes the first counted
+        got = stats.counts_among(subset)
+        assert got == {u: c for u, c in want.counts.items() if u in set(subset)}
+        assert list(got) == [u for u in want.counts if u in set(subset)]
+    assert stats.table == want
 
 
 def test_stats_table_counts_skipped_scalars_and_bytes():
