@@ -276,9 +276,9 @@ class FrequencyTable:
 
 
 # A unit's code is its index in ALL_UNITS. Typable sequences are kept as
-# one code per unit: Latin-1 scalars, which Python iterates, hashes and
-# counts much faster than Bengali ones.
-_CODE_BY_UNIT: dict[GraphemeUnit, str] = {u: chr(i) for i, u in enumerate(ALL_UNITS)}
+# one code byte per unit, which bytes methods scan, count and translate in C.
+_CODE_BY_UNIT: dict[GraphemeUnit, int] = {u: i for i, u in enumerate(ALL_UNITS)}
+_FOREIGN_CODE = 0xFF  # the code of a unit outside ALL_UNITS, which no layout places
 
 # each typable scalar's high byte in UTF-16, keyed by its low byte in
 # ALL_UNITS order
@@ -408,7 +408,7 @@ def count_unit_bigrams(units: Sequence[GraphemeUnit]) -> dict[tuple[GraphemeUnit
 def _code(unit: GraphemeUnit) -> int:
     """The code of a unit; a unit outside :data:`ALL_UNITS` raises ``ValueError``."""
     try:
-        return ord(_CODE_BY_UNIT[unit])
+        return _CODE_BY_UNIT[unit]
     except KeyError:
         raise ValueError(f"{unit!r} is not a typable unit") from None
 
@@ -421,7 +421,9 @@ def _peeled_counts(data: bytes, codes: Iterable[int]) -> dict[int, int]:
     until it is smaller than a sample and one ``Counter`` counts it.
     """
     counts = dict.fromkeys(codes, 0)
-    rest = data.translate(None, bytes(_BYTE_VALUES.difference(counts)))
+    # data holds codes alone, so with every code asked for nothing is deleted
+    rest = data if len(counts) == len(ALL_UNITS) else data.translate(
+        None, bytes(_BYTE_VALUES.difference(counts)))
     while len(rest) >= _SAMPLE_SIZE:
         for code, _ in Counter(rest[::len(rest) // _SAMPLE_SIZE + 1]).most_common():
             size = len(rest)
@@ -436,7 +438,7 @@ class CorpusStats:
     """The typable sequence of a corpus, from which every typing metric follows.
 
     ``typable`` is the typable sequence of the whole corpus, one code
-    scalar per unit; ``source_bytes`` and ``skipped`` are the corpus size
+    byte per unit; ``source_bytes`` and ``skipped`` are the corpus size
     and its untypable scalars. Counting is on demand: :meth:`counts_among`
     counts chosen units, ``table`` (every unit's count, with the skipped
     scalars and source bytes) counts them all on first use, and a code's
@@ -457,7 +459,7 @@ class CorpusStats:
     what is left, and a ``Counter`` over what is left once it is short.
     """
 
-    typable: str
+    typable: bytes
     source_bytes: int = 0
     skipped: int = 0
     # the count of each code counted so far
@@ -474,16 +476,12 @@ class CorpusStats:
         codes, skipped = _codes(text)
         if source_bytes is None:
             source_bytes = len(text.encode("utf-8", "surrogatepass"))
-        return cls(codes.decode("latin-1"), source_bytes, skipped)
+        return cls(codes, source_bytes, skipped)
 
     @classmethod
     def from_units(cls, units: Iterable[GraphemeUnit]) -> "CorpusStats":
         """Statistics of a sequence of units from :data:`ALL_UNITS`."""
-        try:
-            typable = "".join([_CODE_BY_UNIT[u] for u in units])
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]!r} is not a typable unit") from None
-        return cls(typable)
+        return cls(bytes(map(_code, units)))
 
     @cached_property
     def table(self) -> FrequencyTable:
@@ -503,7 +501,7 @@ class CorpusStats:
         counted = self._counts
         new = [code for code in codes if code not in counted]
         if new:
-            counted.update(_peeled_counts(self.typable.encode("latin-1"), new))
+            counted.update(_peeled_counts(self.typable, new))
         return {ALL_UNITS[code]: counted[code] for code in codes if counted[code]}
 
     def first_position(self, unit: GraphemeUnit) -> int:
@@ -511,7 +509,7 @@ class CorpusStats:
 
         A unit outside :data:`ALL_UNITS` raises ``ValueError``.
         """
-        return self.typable.find(chr(_code(unit)))
+        return self.typable.find(_code(unit))
 
     def without(self, units: Iterable[GraphemeUnit]) -> "CorpusStats":
         """The statistics after deleting every occurrence of ``units``.
@@ -521,8 +519,8 @@ class CorpusStats:
         are kept, with the deleted codes at zero, and not counted again. A
         unit outside :data:`ALL_UNITS` raises ``ValueError``.
         """
-        deleted = dict.fromkeys(map(_code, units))
-        kept = CorpusStats(self.typable.translate(deleted), self.source_bytes, self.skipped)
+        deleted = bytes(set(map(_code, units)))
+        kept = CorpusStats(self.typable.translate(None, deleted), self.source_bytes, self.skipped)
         kept._counts.update(self._counts)
         kept._counts.update(dict.fromkeys(deleted, 0))
         return kept
@@ -549,7 +547,7 @@ class CorpusStats:
         index = bytearray((_SEPARATOR,)) * 256
         for code in map(_code, units):
             index[code] = code
-        data = self.typable.encode("latin-1").translate(index)
+        data = self.typable.translate(index)
         # the padding ends the bytes in a separator, so the odd offset's last
         # lane, which holds one code byte and a zero, is dropped too
         data += _SEPARATOR_BYTE * (2 - len(data) % 2)

@@ -26,7 +26,7 @@ from math import inf, isfinite
 from pathlib import Path
 
 from . import bn_text
-from .bn_text import CorpusStats, FrequencyTable, scan_units
+from .bn_text import CorpusStats, FrequencyTable
 from .ergonomics import (
     KEYPAD_KEYS,
     ErgonomicModel,
@@ -45,7 +45,7 @@ from .layout import (
     load_layout,
     serialize,
 )
-from .transcribe import EvaluationReport, evaluate, transcribe
+from .transcribe import EvaluationReport, _trace, evaluate
 
 # The keys --config accepts, each with the check its value must pass: the
 # flag's type applied to the value's text, the flag's choices, or the JSON
@@ -484,9 +484,9 @@ def _cmd_compare(config: RunConfig) -> int:
 def _cmd_transcribe(config: RunConfig) -> int:
     path = config.layouts[0]
     layout = load_layout(path)
-    units, dropped = scan_units(_read_source(config.text_in)[0])
-    _require_units(len(units), dropped, "transcribe", "the --in text")
-    trace = transcribe(units, layout, skip_untypable=config.skip_untypable)
+    codes, dropped = bn_text._codes(_read_source(config.text_in)[0])
+    _require_units(len(codes), dropped, "transcribe", "the --in text")
+    trace = _trace(codes, layout, skip_untypable=config.skip_untypable)
     _require_placed(len(trace.boundaries), len(trace.skipped_positions),
                     layout.name or path.stem, "the --in text")
     if dropped or trace.skipped_positions:

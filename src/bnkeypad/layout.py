@@ -16,18 +16,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from math import ceil
 from typing import Mapping
 
 from .bn_text import (
-    ALL_UNITS,
     CONJUNCT_JOINER,
     CONSONANTS,
     INDEPENDENT_VOWELS,
     SPACE_UNIT,
     SYMBOLS,
     VOWEL_SIGNS,
+    _CODE_BY_UNIT,
+    _FOREIGN_CODE,
     FrequencyTable,
     GraphemeUnit,
     decode_document,
@@ -75,8 +75,9 @@ class PlacementPolicy:
 class Layout:
     """Immutable key -> slot-list mapping with reserved-key roles.
 
-    Construction validates the invariants: no unit occupies two slots,
-    the space key holds exactly the space, the link key exactly the
+    Construction validates the invariants: every unit is in the typable
+    inventory (:data:`~bnkeypad.bn_text.ALL_UNITS`), no unit occupies two
+    slots, the space key holds exactly the space, the link key exactly the
     conjunct joiner. Missing keys are normalized to empty slot lists.
     """
 
@@ -104,14 +105,23 @@ class Layout:
         roles = dict(self.roles)
         object.__setattr__(self, "roles", roles)
 
-        seen: dict[GraphemeUnit, str] = {}
-        for key in KEYPAD_KEYS:
-            for unit in complete[key]:
-                if unit in seen:
+        # each code's (key, taps), None where lacking, and its key's index in
+        # KEYPAD_KEYS (0 where lacking), which evaluate translates codes through
+        spots: list[tuple[str, int] | None] = [None] * 256
+        key_indices = bytearray(256)
+        for index, key in enumerate(KEYPAD_KEYS):
+            for taps, unit in enumerate(complete[key], start=1):
+                code = _CODE_BY_UNIT.get(unit)
+                if code is None:
+                    raise LayoutInvariantError(f"unit {unit!r} is not in the typable inventory")
+                if spots[code] is not None:
                     raise LayoutInvariantError(
-                        f"unit {unit.display} assigned to both key {seen[unit]} and key {key}"
+                        f"unit {unit.display} assigned to both key {spots[code][0]} and key {key}"
                     )
-                seen[unit] = key
+                spots[code] = (key, taps)
+                key_indices[code] = index
+        object.__setattr__(self, "_spot_by_code", tuple(spots))
+        object.__setattr__(self, "_key_index_by_code", bytes(key_indices))
 
         role_keys = list(roles.values())
         if len(set(role_keys)) != len(role_keys):
@@ -126,28 +136,9 @@ class Layout:
         if link_key is not None and complete[link_key] != (CONJUNCT_JOINER,):
             raise LayoutInvariantError(f"link key {link_key} must hold exactly the conjunct joiner")
 
-    @cached_property
-    def _positions(self) -> dict[GraphemeUnit, tuple[str, int]]:
-        pos: dict[GraphemeUnit, tuple[str, int]] = {}
-        for key in KEYPAD_KEYS:
-            for i, unit in enumerate(self.slots[key], start=1):
-                pos[unit] = (key, i)
-        return pos
-
-    @cached_property
-    def _key_indices(self) -> bytes:
-        # each unit code's key as its index in KEYPAD_KEYS, 0 for a unit the
-        # layout lacks; evaluate translates the typable codes through it
-        table = bytearray(256)
-        for code, unit in enumerate(ALL_UNITS):
-            spot = self._positions.get(unit)
-            if spot is not None:
-                table[code] = KEYPAD_KEYS.index(spot[0])
-        return bytes(table)
-
     def position(self, unit: GraphemeUnit) -> tuple[str, int] | None:
         """(key, 1-based slot) of a unit, i.e. its key and tap count."""
-        return self._positions.get(unit)
+        return self._spot_by_code[_CODE_BY_UNIT.get(unit, _FOREIGN_CODE)]
 
     def units(self) -> list[GraphemeUnit]:
         return [u for key in KEYPAD_KEYS for u in self.slots[key]]

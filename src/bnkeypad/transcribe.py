@@ -10,7 +10,8 @@ raw typing effort.
 :func:`evaluate` reads the unit counts and the typable code sequence of a
 :class:`~bnkeypad.bn_text.CorpusStats` in a few C-level passes and never
 builds a trace; :func:`transcribe` and :func:`decode` exist for trace
-output.
+output. Evaluation and tracing read keys and tap counts from the layout's
+table by unit code; the CLI traces the text's codes without building units.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bn_text import CorpusStats, GraphemeUnit
+from .bn_text import _CODE_BY_UNIT, _FOREIGN_CODE, ALL_UNITS, CorpusStats, GraphemeUnit
 from .ergonomics import KEYPAD_KEYS, ErgonomicModel, key_cost, over_common_denominator
 from .errors import CorruptTraceError, UntypableUnitError
 from .layout import Layout
@@ -67,18 +68,27 @@ def transcribe(units: Sequence[GraphemeUnit], layout: Layout,
     Raises :class:`UntypableUnitError` for units absent from the layout
     unless ``skip_untypable`` downgrades them to a skip record.
     """
+    units = list(units)
+    return _trace(bytes([_CODE_BY_UNIT.get(u, _FOREIGN_CODE) for u in units]), layout,
+                  skip_untypable, units)
+
+
+def _trace(codes: bytes, layout: Layout, skip_untypable: bool = False,
+           units: Sequence[GraphemeUnit] | None = None) -> KeystrokeTrace:
+    """:func:`transcribe` of unit codes; an error names ``units[pos]``, or else the code's unit."""
+    spots = layout._spot_by_code
     presses: list[str] = []
     boundaries: list[tuple[int, tuple[int, int]]] = []
     jams: list[int] = []
     skipped: list[int] = []
     prev_key: str | None = None
-    for pos, unit in enumerate(units):
-        spot = layout.position(unit)
+    for pos, code in enumerate(codes):
+        spot = spots[code]
         if spot is None:
             if skip_untypable:
                 skipped.append(pos)
                 continue
-            raise UntypableUnitError(unit, pos)
+            raise UntypableUnitError(ALL_UNITS[code] if units is None else units[pos], pos)
         key, taps = spot
         start = len(presses)
         presses.extend([key] * taps)
@@ -120,8 +130,8 @@ def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
     which makes their neighbours adjacent.
     """
     stats = corpus if isinstance(corpus, CorpusStats) else CorpusStats.from_units(corpus)
-    positions = layout._positions
-    missing = [u for u in stats.table.counts if u not in positions]
+    position = layout.position
+    missing = [u for u in stats.table.counts if position(u) is None]
     skipped_units = 0
     if missing:
         if not skip_untypable:
@@ -136,7 +146,7 @@ def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
     # expected cost: the exact sum of count * fl(taps * cost) as
     # numerator / scale, rounded once
     counts = stats.table.counts
-    spots = [positions[unit] for unit in counts]
+    spots = list(map(position, counts))
     (nums,), scale = over_common_denominator([[taps * cost[key] for key, taps in spots]])
     numerator = 0
     for (key, taps), count, num in zip(spots, counts.values(), nums):
@@ -147,7 +157,7 @@ def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
     # of x ^ (x >> 8) is 0 exactly when units i and i + 1 share a key, the
     # explicit length keeps the zero bytes of jams at the end, and the last
     # byte, the last unit against nothing, is dropped
-    keys = stats.typable.encode("latin-1").translate(layout._key_indices)
+    keys = stats.typable.translate(layout._key_index_by_code)
     x = int.from_bytes(keys, "little")
     jams = (x ^ (x >> 8)).to_bytes(len(keys), "little")[:-1].count(0)
 

@@ -4,9 +4,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from bnkeypad import bn_text
 from bnkeypad.bn_text import (
+    ALL_UNITS,
     CONJUNCT_JOINER,
     CONSONANTS,
     INDEPENDENT_VOWELS,
@@ -25,6 +27,25 @@ TOY_LAYOUT_PATH = FIXTURES / "toy_layout.tsv"
 # layout name, which the file keeps as one TAB-separated row.
 NAME_BREAKERS = ["\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                  "\u2028", "\u2029"]
+
+# Untypable scalars chosen to break a classifier that looks at low bytes:
+# Devanagari shares the Bengali block's low bytes (U+0965 is untypable, its
+# neighbour danda U+0964 typable), Latin-1 and Bengali digits sit next to
+# typable scalars, astral scalars are surrogate pairs in UTF-16, lone
+# surrogates are single code units, and Gujarati and General Punctuation
+# share typable low bytes under other high bytes.
+adversarial_chars = st.one_of(
+    st.sampled_from([u.text for u in ALL_UNITS]),
+    st.characters(min_codepoint=0x0900, max_codepoint=0x097F),
+    st.characters(min_codepoint=0x0080, max_codepoint=0x00FF),
+    st.sampled_from("\u200c\u200d\r\n০১২৩৪৫৬৭৮৯\u0965\u0964"),
+    st.characters(min_codepoint=0x10000),
+    st.characters(categories=["Cs"]),
+    st.characters(min_codepoint=0x0A81, max_codepoint=0x0ADF),
+    st.characters(min_codepoint=0x2020, max_codepoint=0x205E),
+)
+adversarial_texts = st.integers(0, 41).flatmap(
+    lambda n: st.text(adversarial_chars, min_size=n, max_size=n))
 
 
 @pytest.fixture(scope="session")

@@ -334,13 +334,47 @@ def test_transcribe_untypable_unit(tmp_path, capsys):
     out = tmp_path / "trace.tsv"
     assert main(["transcribe", "--layout", str(TOY_LAYOUT_PATH),
                  "--in", str(text_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("E_UNTYPABLE\t")
+    assert capsys.readouterr().err == ("E_UNTYPABLE\tunit BENGALI LETTER HA at text position 1 "
+                                       "is not in the layout\n")
     assert not out.exists()  # atomic: nothing partial left behind
     assert not list(out.parent.glob(".trace.tsv.*"))
 
     assert main(["transcribe", "--layout", str(TOY_LAYOUT_PATH),
                  "--in", str(text_path), "--out", str(out), "--skip-untypable"]) == 0
     assert out.exists()
+
+
+# The fixture's trace and evaluation artifacts, under build-layout's default
+# (serpentine) layout of the fixture and under the toy layout, which lacks
+# most units
+@pytest.mark.parametrize("layout_name, args, digest, err", [
+    ("serpentine", ["transcribe", "--in", str(CORPUS_PATH), "--out"],
+     "338671469318b25949509fabf4dc30f78e2c26d07cf74ddafb18b0e5491a0e6b",
+     "skipped 1439 non-typable scalars, 0 units not in the layout\n"),
+    ("toy", ["transcribe", "--in", str(CORPUS_PATH), "--skip-untypable", "--out"],
+     "3fac938920cab8ef7f2b53610023381230e44ff46c6e604b84d089eb2d7e0fa5",
+     "skipped 1439 non-typable scalars, 43050 units not in the layout\n"),
+    ("serpentine", ["evaluate", "--corpus", str(CORPUS_PATH), "-o"],
+     "1bd28b215247409f0cbeb0f5e09ed9f15b6011082799cc158e7d9527616a3c07", ""),
+    ("serpentine", ["evaluate", "--corpus", str(CORPUS_PATH), "--format", "json", "-o"],
+     "6e8cf49b2427963811b578e7201e41b1ed09291763ce4dbd9734a238eefad31e", ""),
+    ("toy", ["evaluate", "--corpus", str(CORPUS_PATH), "--skip-untypable", "-o"],
+     "abb37c4008d99390a0a9db5e1d6b5b39f7930db94000eff7026a7eb5cd056572", ""),
+    ("toy", ["evaluate", "--corpus", str(CORPUS_PATH), "--skip-untypable",
+             "--format", "json", "-o"],
+     "736c10c937b420ff76132164e97d25aac68025794bd1c459a5d8577604df59f5", ""),
+])
+def test_fixture_trace_and_evaluation_are_pinned(tmp_path, capsys, layout_name, args, digest,
+                                                 err):
+    layout = TOY_LAYOUT_PATH
+    if layout_name == "serpentine":
+        layout = tmp_path / "serpentine.tsv"
+        assert main(["build-layout", "--corpus", str(CORPUS_PATH), "-o", str(layout)]) == 0
+        capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([args[0], "--layout", str(layout), *args[1:], str(out)]) == 0
+    assert capsys.readouterr().err == err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_layout_syntax_error_code(tmp_path, capsys):

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CORPUS_PATH, TOY_LAYOUT_PATH, random_full_layout
+from conftest import (
+    CORPUS_PATH,
+    TOY_LAYOUT_PATH,
+    adversarial_chars,
+    adversarial_texts,
+    random_full_layout,
+)
 
 from bnkeypad import bn_text
 from bnkeypad.bn_text import (
@@ -372,17 +378,15 @@ def test_merge_is_associative_and_equals_one_pass(a, b, c):
 # classifier and the 16-bit pair windows replaced
 # ---------------------------------------------------------------------------
 
-_REFERENCE_CODE_BY_CP = {u.codepoints[0]: chr(i) for i, u in enumerate(ALL_UNITS)}
+_REFERENCE_CODE_BY_CP = {u.codepoints[0]: i for i, u in enumerate(ALL_UNITS)}
 
 
 def reference_from_text(text):
     """(table, typable, bigrams) of a text, one scalar at a time."""
-    codes = dict(_REFERENCE_CODE_BY_CP)
-    codes.update(dict.fromkeys(cp for cp in map(ord, set(text))
-                               if cp not in _REFERENCE_CODE_BY_CP))
-    typable = text.translate(codes)
-    counts = {ALL_UNITS[ord(c)]: n for c, n in Counter(typable).items()}
-    bigrams = {(ALL_UNITS[ord(a)], ALL_UNITS[ord(b)]): n
+    typable = bytes(_REFERENCE_CODE_BY_CP[cp] for cp in map(ord, text)
+                    if cp in _REFERENCE_CODE_BY_CP)
+    counts = {ALL_UNITS[c]: n for c, n in Counter(typable).items()}
+    bigrams = {(ALL_UNITS[a], ALL_UNITS[b]): n
                for (a, b), n in Counter(zip(typable, typable[1:])).items()}
     # a lone surrogate is one skipped scalar of three bytes
     table = FrequencyTable(counts, len(typable), len(text.encode("utf-8", "surrogatepass")),
@@ -393,26 +397,6 @@ def reference_from_text(text):
 def reference_scan_units(text):
     units = [unit_for(ch) for ch in text]
     return [u for u in units if u is not None], units.count(None)
-
-
-# Untypable scalars chosen to break a classifier that looks at low bytes:
-# Devanagari shares the Bengali block's low bytes (U+0965 is untypable, its
-# neighbour danda U+0964 typable), Latin-1 and Bengali digits sit next to
-# typable scalars, astral scalars are surrogate pairs in UTF-16, lone
-# surrogates are single code units, and Gujarati and General Punctuation
-# share typable low bytes under other high bytes.
-adversarial_chars = st.one_of(
-    st.sampled_from([u.text for u in ALL_UNITS]),
-    st.characters(min_codepoint=0x0900, max_codepoint=0x097F),
-    st.characters(min_codepoint=0x0080, max_codepoint=0x00FF),
-    st.sampled_from("\u200c\u200d\r\n০১২৩৪৫৬৭৮৯\u0965\u0964"),
-    st.characters(min_codepoint=0x10000),
-    st.characters(categories=["Cs"]),
-    st.characters(min_codepoint=0x0A81, max_codepoint=0x0ADF),
-    st.characters(min_codepoint=0x2020, max_codepoint=0x205E),
-)
-adversarial_texts = st.integers(0, 41).flatmap(
-    lambda n: st.text(adversarial_chars, min_size=n, max_size=n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -429,8 +413,7 @@ def test_two_pass_statistics_equal_the_scalar_reference(text):
 _REFERENCE_CODE_BYTES = tuple(bytes((code,)) for code in range(len(ALL_UNITS)))
 
 
-def reference_deletion_counts(typable):
-    data = typable.encode("latin-1")
+def reference_deletion_counts(data):
     n = len(data)
     counts = {}
     for unit, code in zip(ALL_UNITS, _REFERENCE_CODE_BYTES):
@@ -691,8 +674,7 @@ _EAGER_GROUPS = tuple(
     for hi in (min(lo + 9, len(ALL_UNITS)),))
 
 
-def eager_table(typable, source_bytes, skipped):
-    data = typable.encode("latin-1")
+def eager_table(data, source_bytes, skipped):
     counts = []
     for others, outside in _EAGER_GROUPS:
         part = data.translate(None, outside)

@@ -4,10 +4,19 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_full_layout, random_text
+from conftest import adversarial_texts, random_full_layout, random_text
 
-from bnkeypad.bn_text import CONJUNCT_JOINER, SPACE_UNIT, unit_for
+from bnkeypad.bn_text import (
+    CONJUNCT_JOINER,
+    SPACE_UNIT,
+    Category,
+    GraphemeUnit,
+    scan_units,
+    unit_for,
+)
 from bnkeypad.ergonomics import KEYPAD_KEYS, key_cost
 from bnkeypad.errors import CorruptTraceError, UntypableUnitError
 from bnkeypad.layout import DEFAULT_ROLES, Layout, PlacementPolicy, Strategy, build_layout
@@ -148,6 +157,76 @@ def test_roundtrip_random_texts_and_layouts():
         layout = random_full_layout(rng)
         text = random_text(rng, layout, rng.randint(0, 120))
         assert decode(transcribe(text, layout), layout) == text
+
+
+# ---------------------------------------------------------------------------
+# references: transcribe and decode unit by unit, as they were before the
+# trace was read from unit codes
+# ---------------------------------------------------------------------------
+
+def reference_transcribe(units, layout, skip_untypable=False):
+    positions = {}
+    for key in KEYPAD_KEYS:
+        for taps, unit in enumerate(layout.slots[key], start=1):
+            positions[unit] = (key, taps)
+    presses, boundaries, jams, skipped = [], [], [], []
+    prev_key = None
+    for pos, unit in enumerate(units):
+        spot = positions.get(unit)
+        if spot is None:
+            if skip_untypable:
+                skipped.append(pos)
+                continue
+            raise UntypableUnitError(unit, pos)
+        key, taps = spot
+        start = len(presses)
+        presses.extend([key] * taps)
+        if prev_key == key:
+            jams.append(len(boundaries) - 1)
+        boundaries.append((pos, (start, start + taps)))
+        prev_key = key
+    return KeystrokeTrace(tuple(presses), tuple(boundaries), tuple(jams), tuple(skipped))
+
+
+def reference_decode(trace, layout):
+    out = []
+    for _pos, (start, end) in trace.boundaries:
+        run = trace.presses[start:end]
+        if not run or run.count(run[0]) != len(run) or len(run) > len(layout.slots[run[0]]):
+            raise CorruptTraceError(f"press range {start}..{end}")
+        out.append(layout.slots[run[0]][len(run) - 1])
+    return out
+
+
+FOREIGN = GraphemeUnit((0x41,), Category.SYMBOL, "A")  # outside the typable inventory
+
+
+def thinned(layout, rng):
+    """The layout without a random share of its units, and without roles."""
+    share = rng.choice([0.0, 0.1, 0.5, 1.0])
+    return Layout(slots={key: tuple(u for u in units if rng.random() >= share)
+                         for key, units in layout.slots.items()}, name=layout.name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversarial_texts, st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_transcribe_and_decode_equal_the_unit_references(text, rng, skip_untypable,
+                                                          as_generator):
+    layout = thinned(random_full_layout(rng), rng)
+    units, _skipped = scan_units(text)
+    if rng.random() < 0.3:
+        units.insert(rng.randint(0, len(units)), FOREIGN)
+    given_units = iter(units) if as_generator else units
+    try:
+        want = reference_transcribe(units, layout, skip_untypable)
+    except UntypableUnitError as exc:
+        with pytest.raises(UntypableUnitError) as got:
+            transcribe(given_units, layout, skip_untypable)
+        assert (got.value.unit, got.value.position) == (exc.unit, exc.position)
+        return
+    trace = transcribe(given_units, layout, skip_untypable)
+    assert trace == want
+    assert decode(trace, layout) == reference_decode(want, layout)
 
 
 # ---------------------------------------------------------------------------
