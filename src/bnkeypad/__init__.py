@@ -20,10 +20,8 @@ from .bn_text import (
     classify_char,
     count_frequencies,
     count_unit_bigrams,
-    merge,
     merge_stats,
     rank_by_frequency,
-    read_corpus,
     scan_units,
     unit_for,
 )
@@ -65,8 +63,8 @@ _OPTIMIZE_NAMES = frozenset({
 __all__ = [
     "ALL_UNITS", "CONJUNCT_JOINER", "CONSONANTS", "INDEPENDENT_VOWELS", "SPACE_UNIT",
     "SYMBOLS", "VOWEL_SIGNS", "Category", "CorpusStats", "FrequencyTable", "GraphemeUnit",
-    "classify_char", "count_frequencies", "count_unit_bigrams", "merge", "merge_stats",
-    "rank_by_frequency", "read_corpus", "scan_units", "unit_for",
+    "classify_char", "count_frequencies", "count_unit_bigrams", "merge_stats",
+    "rank_by_frequency", "scan_units", "unit_for",
     "DEFAULT_CONSONANT_KEYS", "KEYPAD_KEYS", "Direction", "ErgonomicModel", "KeyErgonomics",
     "default_model", "key_cost", "rank_keys",
     "KeypadError",

@@ -50,6 +50,7 @@ offsets sees the real pairs alone. The full pair table
 
 from __future__ import annotations
 
+import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -211,6 +212,7 @@ def unit_token(unit: GraphemeUnit) -> str:
 # The canonical token of every unit; other spellings of a unit (lower-case
 # or unpadded hex, say) go through the parser in parse_unit_token
 _UNIT_BY_TOKEN: dict[str, GraphemeUnit] = {unit_token(u): u for u in ALL_UNITS}
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
 def parse_unit_token(token: str) -> GraphemeUnit:
@@ -220,12 +222,12 @@ def parse_unit_token(token: str) -> GraphemeUnit:
         return unit
     parts = token.split("+")
     # "U+0995" splits into ["U", "0995"]; multi-codepoint tokens alternate.
-    if len(parts) < 2 or any(parts[i] != "U" for i in range(0, len(parts), 2)):
+    # Each codepoint is ASCII hex digits alone: int() would also read a
+    # "0x", "_", spaces and non-ASCII digits.
+    if (len(parts) < 2 or any(parts[i] != "U" for i in range(0, len(parts), 2))
+            or not all(part and not part.strip(_HEX_DIGITS) for part in parts[1::2])):
         raise ValueError(f"malformed unit token {token!r}")
-    try:
-        cps = tuple(int(parts[i], 16) for i in range(1, len(parts), 2))
-    except ValueError:
-        raise ValueError(f"malformed unit token {token!r}") from None
+    cps = tuple(int(part, 16) for part in parts[1::2])
     unit = _UNIT_BY_CPS.get(cps)
     if unit is None:
         raise ValueError(f"unknown unit {token!r}")
@@ -238,7 +240,7 @@ class FrequencyTable:
 
     ``total`` is the number of typable scalars consumed, ``skipped`` the
     number of non-typable ones, and ``source_bytes`` the UTF-8 size of
-    the corpus. Treat instances as immutable; ``merge`` builds new ones.
+    the corpus. Treat instances as immutable.
     """
 
     counts: Mapping[GraphemeUnit, int]
@@ -257,10 +259,6 @@ class FrequencyTable:
                     skipped: int = 0) -> "FrequencyTable":
         counts = dict(counts)
         return cls(counts, sum(counts.values()), source_bytes, skipped)
-
-    @classmethod
-    def empty(cls) -> "FrequencyTable":
-        return cls({}, 0, 0, 0)
 
     def frequency(self, unit: GraphemeUnit) -> float:
         """Normalized frequency count/total, 0.0 for an empty table."""
@@ -342,14 +340,6 @@ def count_frequencies(text: str) -> FrequencyTable:
     return CorpusStats.from_text(text).table
 
 
-def decode_corpus(raw: bytes, source: str) -> str:
-    """UTF-8 text of corpus bytes; invalid bytes raise :class:`CorpusDecodeError`."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusDecodeError(source, exc.start, exc.reason) from None
-
-
 def decode_document(raw: bytes, syntax_error: Callable[[int, str], Exception]) -> str:
     """UTF-8 text of a layout or model file's bytes.
 
@@ -364,28 +354,6 @@ def decode_document(raw: bytes, syntax_error: Callable[[int, str], Exception]) -
         line_no = len((before + "?").splitlines())
         raise syntax_error(line_no, f"invalid UTF-8 at byte offset {exc.start} "
                                     f"({exc.reason})") from None
-
-
-def read_corpus(path, *, sized: bool = False) -> str | tuple[str, int]:
-    """Read a UTF-8 file; invalid bytes raise :class:`CorpusDecodeError`.
-
-    With ``sized`` the result is the pair (text, number of bytes read), so
-    a caller that needs the source size does not encode the text again.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    text = decode_corpus(raw, str(path))
-    return (text, len(raw)) if sized else text
-
-
-def merge(a: FrequencyTable, b: FrequencyTable) -> FrequencyTable:
-    """Pointwise sum of two tables (associative, commutative, empty identity)."""
-    counts = dict(a.counts)
-    for unit, c in b.counts.items():
-        counts[unit] = counts.get(unit, 0) + c
-    return FrequencyTable(counts, a.total + b.total,
-                          a.source_bytes + b.source_bytes,
-                          a.skipped + b.skipped)
 
 
 def rank_by_frequency(table: FrequencyTable,
@@ -449,8 +417,8 @@ class CorpusStats:
     counts like any other; the optimizer's jam term asks for the pairs of
     its instance's units alone. ``bigrams`` is ``pairs_among(ALL_UNITS)``,
     computed on first use, and no command builds it. Build instances with
-    :meth:`from_text` or :meth:`from_units`, and combine shards with
-    :func:`merge_stats`.
+    :meth:`read`, :meth:`from_text` or :meth:`from_units`, and combine
+    shards with :func:`merge_stats`.
 
     :meth:`from_text` classifies from the text's UTF-16 byte planes (see
     the module docstring); a lone surrogate is skipped like any untypable
@@ -467,16 +435,39 @@ class CorpusStats:
                                     compare=False)
 
     @classmethod
-    def from_text(cls, text: str, source_bytes: int | None = None) -> "CorpusStats":
+    def read(cls, paths: Iterable) -> "CorpusStats":
+        """Statistics of the corpus sources ``paths`` in order, ``-`` being standard input.
+
+        Each source is read once as bytes and decoded as strict UTF-8; an
+        invalid byte raises :class:`CorpusDecodeError` with the path, or
+        ``<stdin>``, and the offset within that source. The texts are
+        joined and classified once, and ``source_bytes`` is the number of
+        bytes read, so no text is encoded again to measure it.
+        """
+        texts, size = [], 0
+        for path in paths:
+            if str(path) == "-":
+                source, raw = "<stdin>", sys.stdin.buffer.read()
+            else:
+                with open(path, "rb") as fh:
+                    source, raw = str(path), fh.read()
+            size += len(raw)
+            try:
+                texts.append(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise CorpusDecodeError(source, exc.start, exc.reason) from None
+        raw = None  # the last source's bytes are not kept while the text is classified
+        codes, skipped = _codes("".join(texts))
+        return cls(codes, size, skipped)
+
+    @classmethod
+    def from_text(cls, text: str) -> "CorpusStats":
         """Statistics of a text; non-typable scalars are skipped and tallied.
 
-        ``source_bytes`` is the size of the bytes ``text`` was decoded
-        from; when it is not given, the text is encoded to UTF-8 to take it.
+        ``source_bytes`` is the size of the text encoded to UTF-8.
         """
         codes, skipped = _codes(text)
-        if source_bytes is None:
-            source_bytes = len(text.encode("utf-8", "surrogatepass"))
-        return cls(codes, source_bytes, skipped)
+        return cls(codes, len(text.encode("utf-8", "surrogatepass")), skipped)
 
     @classmethod
     def from_units(cls, units: Iterable[GraphemeUnit]) -> "CorpusStats":

@@ -358,25 +358,6 @@ def _model(config: RunConfig) -> ErgonomicModel:
     return model
 
 
-def _read_source(path: Path) -> tuple[str, int]:
-    """One corpus source and its size in bytes: a UTF-8 file, or standard input for '-'."""
-    if str(path) == "-":
-        raw = sys.stdin.buffer.read()
-        return bn_text.decode_corpus(raw, "<stdin>"), len(raw)
-    return bn_text.read_corpus(path, sized=True)
-
-
-def _corpus_stats(paths) -> CorpusStats:
-    """Statistics of all corpus sources, each read once (stdin cannot be re-read), in order.
-
-    The source size is the sum of the bytes read, so the text is never
-    encoded again to measure it.
-    """
-    sources = [_read_source(p) for p in paths]
-    return CorpusStats.from_text("".join([text for text, _size in sources]),
-                                 sum(size for _text, size in sources))
-
-
 def _format_report_tsv(report: EvaluationReport) -> str:
     lines = [
         "metric\tvalue",
@@ -429,7 +410,7 @@ def _evaluate_corpus(stats: CorpusStats, layout: Layout, name: str, model: Ergon
 
 
 def _cmd_analyze(config: RunConfig) -> int:
-    table = _corpus_stats(config.corpus).table
+    table = CorpusStats.read(config.corpus).table
     _require_units(table.total, table.skipped, "analyze")
     sys.stderr.write(f"analyzed {table.total} units, skipped {table.skipped} scalars\n")
     _emit(config, bn_text.format_frequency_tsv(table))
@@ -437,7 +418,7 @@ def _cmd_analyze(config: RunConfig) -> int:
 
 
 def _cmd_build_layout(config: RunConfig) -> int:
-    table = _corpus_stats(config.corpus).table
+    table = CorpusStats.read(config.corpus).table
     model = _model(config)
     policy = PlacementPolicy(strategy=Strategy(config.strategy))
     try:
@@ -452,7 +433,7 @@ def _cmd_evaluate(config: RunConfig) -> int:
     path = config.layouts[0]
     layout = load_layout(path)
     model = _model(config)
-    stats = _corpus_stats(config.corpus)
+    stats = CorpusStats.read(config.corpus)
     report = _evaluate_corpus(stats, layout, layout.name or path.stem, model, config)
     if config.report_format == "json":
         _emit(config, json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n")
@@ -463,7 +444,7 @@ def _cmd_evaluate(config: RunConfig) -> int:
 
 def _cmd_compare(config: RunConfig) -> int:
     model = _model(config)
-    stats = _corpus_stats(config.corpus)
+    stats = CorpusStats.read(config.corpus)
     rows = []
     for path in config.layouts:
         layout = load_layout(path)
@@ -484,13 +465,13 @@ def _cmd_compare(config: RunConfig) -> int:
 def _cmd_transcribe(config: RunConfig) -> int:
     path = config.layouts[0]
     layout = load_layout(path)
-    codes, dropped = bn_text._codes(_read_source(config.text_in)[0])
-    _require_units(len(codes), dropped, "transcribe", "the --in text")
-    trace = _trace(codes, layout, skip_untypable=config.skip_untypable)
+    stats = CorpusStats.read([config.text_in])
+    _require_units(len(stats.typable), stats.skipped, "transcribe", "the --in text")
+    trace = _trace(stats.typable, layout, skip_untypable=config.skip_untypable)
     _require_placed(len(trace.boundaries), len(trace.skipped_positions),
                     layout.name or path.stem, "the --in text")
-    if dropped or trace.skipped_positions:
-        sys.stderr.write(f"skipped {dropped} non-typable scalars, "
+    if stats.skipped or trace.skipped_positions:
+        sys.stderr.write(f"skipped {stats.skipped} non-typable scalars, "
                          f"{len(trace.skipped_positions)} units not in the layout\n")
     lines = ["press_index\tkey\ttext_position"]
     for pos, (start, end) in trace.boundaries:
@@ -510,7 +491,7 @@ def _cmd_optimize(config: RunConfig) -> int:
         solve_greedy,
     )
 
-    stats = _corpus_stats(config.corpus)
+    stats = CorpusStats.read(config.corpus)
     model = _model(config)
     # the instance reads the consonants alone, so only they are counted
     consonant_table = FrequencyTable.from_counts(stats.counts_among(bn_text.CONSONANTS))
@@ -549,7 +530,7 @@ def reproduce_paper(corpus_paths, model: ErgonomicModel) -> tuple[Layout, Layout
     the reserved-key roles, per-layout metrics, and the measured key-jam
     reduction of the proposed layout over the baseline.
     """
-    stats = _corpus_stats(corpus_paths)
+    stats = CorpusStats.read(corpus_paths)
     proposed = build_layout(stats.table, model, PlacementPolicy(Strategy.SERPENTINE),
                             name="serpentine")
     baseline = build_layout(stats.table, model, PlacementPolicy(Strategy.SEQUENTIAL),

@@ -118,18 +118,18 @@ def decode(trace: KeystrokeTrace, layout: Layout) -> list[GraphemeUnit]:
     return out
 
 
-def evaluate(corpus: CorpusStats | Sequence[GraphemeUnit], layout: Layout,
-             model: ErgonomicModel, skip_untypable: bool = False) -> EvaluationReport:
+def evaluate(stats: CorpusStats, layout: Layout, model: ErgonomicModel,
+             skip_untypable: bool = False) -> EvaluationReport:
     """KSPC, expected per-unit cost, jam rate, and per-key load.
 
-    ``corpus`` is a :class:`CorpusStats` or a typable unit sequence. The
-    costs come from the unit counts; the jams come from a few C-level
-    passes over ``typable``, so the pair table ``bigrams`` is never built.
-    A unit absent from the layout raises :class:`UntypableUnitError` at
-    its first position, unless ``skip_untypable`` deletes its occurrences,
-    which makes their neighbours adjacent.
+    The costs come from the unit counts of ``stats``; the jams come from a
+    few C-level passes over ``typable``, so the pair table ``bigrams`` is
+    never built. A unit sequence is evaluated as
+    ``CorpusStats.from_units(units)``. A unit absent from the layout raises
+    :class:`UntypableUnitError` at its first position, unless
+    ``skip_untypable`` deletes its occurrences, which makes their
+    neighbours adjacent.
     """
-    stats = corpus if isinstance(corpus, CorpusStats) else CorpusStats.from_units(corpus)
     position = layout.position
     missing = [u for u in stats.table.counts if position(u) is None]
     skipped_units = 0

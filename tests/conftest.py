@@ -48,6 +48,11 @@ adversarial_texts = st.integers(0, 41).flatmap(
     lambda n: st.text(adversarial_chars, min_size=n, max_size=n))
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, with no newline translation."""
+    return Path(path).read_bytes().decode("utf-8")
+
+
 @pytest.fixture(scope="session")
 def model():
     return default_model()
@@ -60,7 +65,7 @@ def corpus_path():
 
 @pytest.fixture(scope="session")
 def corpus_text():
-    return bn_text.read_corpus(CORPUS_PATH)
+    return read_text(CORPUS_PATH)
 
 
 @pytest.fixture(scope="session")

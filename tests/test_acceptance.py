@@ -12,7 +12,7 @@ from conftest import CORPUS_PATH, random_full_layout, random_text
 from test_bn_text import oracle_recount, random_stream
 from test_optimize import random_instance
 
-from bnkeypad.bn_text import SYMBOLS, VOWEL_SIGNS, Category, count_frequencies
+from bnkeypad.bn_text import SYMBOLS, VOWEL_SIGNS, Category, CorpusStats, count_frequencies
 from bnkeypad.cli import main, reproduce_paper
 from bnkeypad.ergonomics import default_model, rank_keys
 from bnkeypad.layout import PlacementPolicy, Role, Strategy, build_layout, parse, serialize
@@ -89,8 +89,8 @@ def test_criterion_5_jamming_reduction_at_desk_scale(corpus_units, corpus_table,
     assert FIXTURE_UNIT_COUNT >= 50_000
     serp = build_layout(corpus_table, model, PlacementPolicy(Strategy.SERPENTINE))
     seq = build_layout(corpus_table, model, PlacementPolicy(Strategy.SEQUENTIAL))
-    serp_report = evaluate(corpus_units, serp, model)
-    seq_report = evaluate(corpus_units, seq, model)
+    serp_report = evaluate(CorpusStats.from_units(corpus_units), serp, model)
+    seq_report = evaluate(CorpusStats.from_units(corpus_units), seq, model)
     assert serp_report.jam_rate < seq_report.jam_rate  # strict reduction
     assert serp_report.jam_rate == SERPENTINE_JAM_RATE
     assert seq_report.jam_rate == SEQUENTIAL_JAM_RATE
@@ -119,12 +119,12 @@ def test_criterion_7_metric_sanity(corpus_units, corpus_table, model):
     reports = []
     for strategy in (Strategy.SERPENTINE, Strategy.SEQUENTIAL):
         layout = build_layout(corpus_table, model, PlacementPolicy(strategy))
-        reports.append(evaluate(corpus_units, layout, model))
+        reports.append(evaluate(CorpusStats.from_units(corpus_units), layout, model))
     rng = random.Random(7777)
     for _ in range(20):
         layout = random_full_layout(rng)
         text = random_text(rng, layout, rng.randint(1, 400))
-        reports.append(evaluate(text, layout, model))
+        reports.append(evaluate(CorpusStats.from_units(text), layout, model))
     for report in reports:
         assert report.kspc >= 1.0
         assert 0.0 <= report.jam_rate <= 1.0

@@ -13,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS_PATH, NAME_BREAKERS, TOY_LAYOUT_PATH
+from conftest import CORPUS_PATH, NAME_BREAKERS, TOY_LAYOUT_PATH, read_text
 
 from bnkeypad import bn_text, cli
+from bnkeypad.bn_text import CorpusStats
 from bnkeypad.cli import main
 from bnkeypad.ergonomics import default_model, format_model_tsv, load_model, parse_model_tsv
+from bnkeypad.errors import CorpusDecodeError
 from bnkeypad.layout import Role, load_layout, parse
 from bnkeypad.transcribe import evaluate
 
@@ -36,7 +38,7 @@ def test_analyze_writes_ranked_tsv(tmp_path, mini_corpus, capsys):
     out = tmp_path / "freq.tsv"
     assert main(["analyze", "--corpus", str(mini_corpus), "-o", str(out)]) == 0
     expected = bn_text.format_frequency_tsv(
-        bn_text.count_frequencies(bn_text.read_corpus(mini_corpus)))
+        bn_text.count_frequencies(read_text(mini_corpus)))
     assert out.read_text(encoding="utf-8") == expected
     assert "analyzed" in capsys.readouterr().err
 
@@ -103,8 +105,8 @@ def test_build_layout_and_evaluate_flow(tmp_path, capsys):
     assert text.startswith("metric\tvalue\nkspc\t")
     assert "load[0]\t" in text
 
-    units, _ = bn_text.scan_units(bn_text.read_corpus(CORPUS_PATH))
-    expected = evaluate(units, layout, default_model())
+    units, _ = bn_text.scan_units(read_text(CORPUS_PATH))
+    expected = evaluate(CorpusStats.from_units(units), layout, default_model())
     assert f"kspc\t{expected.kspc:.9f}\n" in text
     assert f"jam_rate\t{expected.jam_rate:.9f}\n" in text
 
@@ -115,8 +117,8 @@ def test_evaluate_json_format(tmp_path, capsys):
     assert main(["evaluate", "--layout", str(layout_path),
                  "--corpus", str(CORPUS_PATH), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    units, _ = bn_text.scan_units(bn_text.read_corpus(CORPUS_PATH))
-    expected = evaluate(units, load_layout(layout_path), default_model())
+    units, _ = bn_text.scan_units(read_text(CORPUS_PATH))
+    expected = evaluate(CorpusStats.from_units(units), load_layout(layout_path), default_model())
     assert payload["kspc"] == expected.kspc
     assert payload["unit_count"] == expected.unit_count
     assert set(payload["per_key_load"]) == set("123456789*0#")
@@ -140,11 +142,11 @@ def test_compare_equals_two_evaluates(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "layout\tkspc\texpected_cost\tjam_rate"
     assert len(lines) == 3
-    units, _ = bn_text.scan_units(bn_text.read_corpus(CORPUS_PATH))
+    units, _ = bn_text.scan_units(read_text(CORPUS_PATH))
     model = default_model()
     for line, path in zip(lines[1:], (serp, seq)):
         layout = load_layout(path)
-        expected = evaluate(units, layout, model)
+        expected = evaluate(CorpusStats.from_units(units), layout, model)
         name, kspc, cost, jam = line.split("\t")
         assert name == layout.name
         assert kspc == f"{expected.kspc:.9f}"
@@ -272,7 +274,7 @@ def test_output_through_a_symlink_replaces_the_link_target(tmp_path, capsys):
     assert main(["analyze", "--corpus", str(CORPUS_PATH), "-o", str(link)]) == 0
     capsys.readouterr()
     assert link.is_symlink() and os.readlink(link) == "real.tsv"
-    table = bn_text.count_frequencies(bn_text.read_corpus(CORPUS_PATH))
+    table = bn_text.count_frequencies(read_text(CORPUS_PATH))
     assert real.read_text(encoding="utf-8") == bn_text.format_frequency_tsv(table)
     assert real.stat().st_mode & 0o777 == 0o640
     assert sorted(tmp_path.iterdir()) == [link, real]
@@ -295,21 +297,38 @@ def test_write_text_atomic_through_a_dangling_symlink_creates_its_target(tmp_pat
 SIZED_TEXT = "\ufeffকখ\r\nxé😀 ।\n"
 
 
+class _CountedReads(io.BytesIO):
+    reads = 0
+
+    def read(self, *args):
+        self.reads += 1
+        return super().read(*args)
+
+
 def test_cli_corpus_size_is_the_bytes_read(tmp_path, monkeypatch):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
     a.write_bytes(SIZED_TEXT.encode("utf-8"))
     b.write_bytes("গ\n".encode("utf-8"))
-    one = cli._corpus_stats([a])
-    assert one.table.source_bytes == len(SIZED_TEXT.encode("utf-8"))
-    assert one == bn_text.CorpusStats.from_text(SIZED_TEXT)
-    two = cli._corpus_stats([a, b])
-    assert two.table.source_bytes == len((SIZED_TEXT + "গ\n").encode("utf-8"))
-    assert two == bn_text.CorpusStats.from_text(SIZED_TEXT + "গ\n")
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(SIZED_TEXT.encode("utf-8"))))
-    stdin = cli._corpus_stats([Path("-")])
-    assert stdin.table.source_bytes == len(SIZED_TEXT.encode("utf-8"))
-    assert stdin == one
+    one = CorpusStats.read([a])
+    assert one.source_bytes == len(SIZED_TEXT.encode("utf-8"))
+    assert one == CorpusStats.from_text(SIZED_TEXT)
+    assert one.skipped == 7  # the BOM, the CRLF, x, é, 😀 and the last LF: nothing is dropped
+    three = CorpusStats.read([a, b, a])  # a file given twice counts twice
+    assert three.source_bytes == len((SIZED_TEXT + "গ\n" + SIZED_TEXT).encode("utf-8"))
+    assert three == CorpusStats.from_text(SIZED_TEXT + "গ\n" + SIZED_TEXT)
+    stdin = _CountedReads(SIZED_TEXT.encode("utf-8"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(stdin))
+    assert CorpusStats.read([b, Path("-")]) == CorpusStats.from_text("গ\n" + SIZED_TEXT)
+    assert stdin.reads == 1
+    # an invalid byte is named by its source and the offset within it
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes("ক".encode("utf-8") + b"\xff")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
+    for source, name in ((bad, str(bad)), (Path("-"), "<stdin>")):
+        with pytest.raises(CorpusDecodeError) as exc_info:
+            CorpusStats.read([a, source])
+        assert str(exc_info.value) == f"{name}: invalid UTF-8 at byte offset 3 (invalid start byte)"
 
 
 def test_transcribe_trace_tsv(tmp_path):
@@ -375,6 +394,14 @@ def test_fixture_trace_and_evaluation_are_pinned(tmp_path, capsys, layout_name, 
     assert main([args[0], "--layout", str(layout), *args[1:], str(out)]) == 0
     assert capsys.readouterr().err == err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("token", ["U+0_995", "U+ 995", "U+\uff10\uff19\uff19\uff15"])
+def test_layout_token_that_is_not_ascii_hex_is_a_syntax_error(tmp_path, capsys, token):
+    bad = tmp_path / "bad_layout.tsv"
+    bad.write_text(f"keypad-layout v1\n2\t{token}\n", encoding="utf-8")
+    assert main(["evaluate", "--layout", str(bad), "--corpus", str(CORPUS_PATH)]) == 1
+    assert capsys.readouterr().err == f"E_LAYOUT_SYNTAX\tline 2: malformed unit token {token!r}\n"
 
 
 def test_layout_syntax_error_code(tmp_path, capsys):

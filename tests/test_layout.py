@@ -294,6 +294,10 @@ def test_parse_duplicate_unit_is_invariant_error():
     ("keypad-layout v1\nroles\tboss=1\n", 2),
     ("keypad-layout v1\n2\tU+0995\n2\tU+0996\n", 3),
     ("keypad-layout v1\nname\ta\tb\n", 2),
+    # int() reads these as hex, the layout format does not
+    ("keypad-layout v1\n\n2\tU+0996,U+0_995\n", 3),
+    ("keypad-layout v1\n2\tU+ 995\n", 2),
+    ("keypad-layout v1\n2\tU+\uff10\uff19\uff19\uff15\n", 2),
 ])
 def test_parse_syntax_errors_carry_line_numbers(doc, line):
     with pytest.raises(LayoutSyntaxError) as e:

@@ -15,6 +15,7 @@ from bnkeypad.bn_text import (
     CONSONANTS,
     INDEPENDENT_VOWELS,
     Category,
+    CorpusStats,
     FrequencyTable,
     count_unit_bigrams,
     unit_for,
@@ -264,7 +265,7 @@ def test_objective_agrees_with_evaluate_on_matching_corpus(model, corpus_table):
     text = [u for u, c in consonant_table.counts.items() for _ in range(c % 97)]
     small = FrequencyTable.from_counts({u: c % 97 for u, c in consonant_table.counts.items()
                                         if c % 97})
-    report = evaluate(text, layout, model)
+    report = evaluate(CorpusStats.from_units(text), layout, model)
     assert report.expected_cost == pytest.approx(
         objective_value(layout, Objective(small, model)), rel=1e-9)
 

@@ -20,6 +20,7 @@ from conftest import (
     adversarial_chars,
     adversarial_texts,
     random_full_layout,
+    read_text,
 )
 
 from bnkeypad import bn_text
@@ -73,10 +74,10 @@ def assert_same_outcome(units, layout, skip_untypable):
         want = trace_evaluate(units, layout, MODEL, skip_untypable)
     except UntypableUnitError as exc:
         with pytest.raises(UntypableUnitError) as got:
-            evaluate(units, layout, MODEL, skip_untypable)
+            evaluate(CorpusStats.from_units(units), layout, MODEL, skip_untypable)
         assert (got.value.unit, got.value.position) == (exc.unit, exc.position)
         return
-    assert evaluate(units, layout, MODEL, skip_untypable) == want
+    assert evaluate(CorpusStats.from_units(units), layout, MODEL, skip_untypable) == want
 
 
 def partial_layout(rng: random.Random) -> Layout:
@@ -107,7 +108,7 @@ def test_empty_and_single_unit_match_trace():
     layout = random_full_layout(random.Random(3))
     for units in ([], [KA], [KA, KA]):
         assert_same_outcome(units, layout, skip_untypable=False)
-    report = evaluate([], layout, MODEL)
+    report = evaluate(CorpusStats.from_units([]), layout, MODEL)
     assert (report.kspc, report.expected_cost, report.jam_rate) == (1.0, 0.0, 0.0)
     assert set(report.per_key_load.values()) == {0.0}
 
@@ -116,7 +117,7 @@ def test_skip_untypable_collapses_adjacency():
     layout = Layout(slots={"4": (KHA, GA)}, roles={}, name="toy")
     # KA is missing: deleting it makes KHA and GA adjacent on key 4
     units = [KHA, KA, KA, GA]
-    report = evaluate(units, layout, MODEL, skip_untypable=True)
+    report = evaluate(CorpusStats.from_units(units), layout, MODEL, skip_untypable=True)
     assert report == trace_evaluate(units, layout, MODEL, skip_untypable=True)
     assert report.jam_rate == 1.0
     assert report.unit_count == 2
@@ -126,13 +127,13 @@ def test_skip_untypable_collapses_adjacency():
 def test_untypable_position_is_the_first_missing_unit():
     layout = Layout(slots={"2": (KA,)}, roles={}, name="toy")
     with pytest.raises(UntypableUnitError) as exc_info:
-        evaluate([KA, KA, GA, KHA, GA], layout, MODEL)
+        evaluate(CorpusStats.from_units([KA, KA, GA, KHA, GA]), layout, MODEL)
     assert exc_info.value.unit == GA
     assert exc_info.value.position == 2
 
 
 def test_fixture_reports_equal_trace(corpus_units, corpus_table):
-    stats = CorpusStats.from_text(bn_text.read_corpus(CORPUS_PATH))
+    stats = CorpusStats.from_text(read_text(CORPUS_PATH))
     for strategy in (Strategy.SERPENTINE, Strategy.SEQUENTIAL):
         layout = build_layout(corpus_table, MODEL, PlacementPolicy(strategy))
         want = trace_evaluate(corpus_units, layout, MODEL)
@@ -180,7 +181,7 @@ def test_jam_count_equals_the_pair_table_sum(rng, runs, partial):
         layout = Layout(slots={key: tuple(u for u in slot if u not in dropped)
                                for key, slot in full.slots.items()},
                         roles={}, name="partial")
-    report = evaluate(units, layout, MODEL, skip_untypable=True)
+    report = evaluate(CorpusStats.from_units(units), layout, MODEL, skip_untypable=True)
     assert report.jam_rate == reference_jam_rate(units, layout)
 
 
@@ -204,7 +205,7 @@ def test_jam_count_on_runs_at_the_ends_and_deletions(units, jams):
     # ক and খ on key 2, গ and ঘ on '#' (index 11), ঙ on 3; চ is missing
     layout = Layout(slots={"2": (KA, KHA), "3": (NGA,), "#": (GA, GHA)},
                     roles={}, name="toy")
-    report = evaluate(units, layout, MODEL, skip_untypable=True)
+    report = evaluate(CorpusStats.from_units(units), layout, MODEL, skip_untypable=True)
     assert report.jam_rate == reference_jam_rate(units, layout)
     assert report.jam_rate == jams / max(1, report.unit_count - 1)
 
@@ -228,7 +229,7 @@ def test_jam_count_from_one_integer_at_the_edges(units):
     # brings in a 0 above the last unit
     layout = Layout(slots={"1": (SIGN,), "2": (KA, KHA), "3": (NGA,), "#": (GA, GHA)},
                     roles={}, name="edges")
-    report = evaluate(units, layout, MODEL)
+    report = evaluate(CorpusStats.from_units(units), layout, MODEL)
     assert report.jam_rate == reference_jam_rate(units, layout)
 
 
@@ -280,7 +281,7 @@ def counted_codes(monkeypatch):
 
 
 def test_evaluation_never_builds_the_pair_table(tmp_path, capsys, built_stats):
-    stats = CorpusStats.from_text(bn_text.read_corpus(CORPUS_PATH))
+    stats = CorpusStats.from_text(read_text(CORPUS_PATH))
     toy = load_layout(TOY_LAYOUT_PATH)
     for strategy in (Strategy.SERPENTINE, Strategy.SEQUENTIAL):
         evaluate(stats, build_layout(stats.table, MODEL, PlacementPolicy(strategy)), MODEL)
@@ -507,7 +508,7 @@ def takes_masked_branch(text):
 
 
 def test_fixture_text_classifies_without_the_mask():
-    text = bn_text.read_corpus(CORPUS_PATH)
+    text = read_text(CORPUS_PATH)
     assert not takes_masked_branch(text)
     stats = CorpusStats.from_text(text)
     assert (stats.table, stats.typable, stats.bigrams) == reference_from_text(text)
@@ -517,7 +518,7 @@ def test_fixture_text_classifies_without_the_mask():
 def test_mismatched_high_bytes_classify_through_the_mask(stranger):
     # Gujarati ka U+0A95 has Bengali ka's low byte, so only the mask tells
     # them apart; the others are untypable whatever the mask does
-    text = bn_text.read_corpus(CORPUS_PATH)[:500].replace(" ", stranger + " ")
+    text = read_text(CORPUS_PATH)[:500].replace(" ", stranger + " ")
     assert takes_masked_branch(text)
     stats = CorpusStats.from_text(text)
     assert (stats.table, stats.typable, stats.bigrams) == reference_from_text(text)

@@ -13,6 +13,7 @@ from bnkeypad.bn_text import (
     CONJUNCT_JOINER,
     SPACE_UNIT,
     Category,
+    CorpusStats,
     GraphemeUnit,
     scan_units,
     unit_for,
@@ -201,6 +202,19 @@ def reference_decode(trace, layout):
 FOREIGN = GraphemeUnit((0x41,), Category.SYMBOL, "A")  # outside the typable inventory
 
 
+def test_a_unit_outside_the_inventory_is_untypable_in_a_trace_and_not_a_corpus_unit():
+    # evaluate takes CorpusStats, which cannot hold such a unit
+    with pytest.raises(ValueError, match="GraphemeUnit\\('A'\\) is not a typable unit"):
+        CorpusStats.from_units([KA, FOREIGN])
+    layout = toy_layout()
+    with pytest.raises(UntypableUnitError) as exc_info:
+        transcribe([KA, FOREIGN], layout)
+    assert (exc_info.value.unit, exc_info.value.position) == (FOREIGN, 1)
+    trace = transcribe([KA, FOREIGN], layout, skip_untypable=True)
+    assert trace.skipped_positions == (1,)
+    assert [pos for pos, _presses in trace.boundaries] == [0]
+
+
 def thinned(layout, rng):
     """The layout without a random share of its units, and without roles."""
     share = rng.choice([0.0, 0.1, 0.5, 1.0])
@@ -235,18 +249,18 @@ def test_transcribe_and_decode_equal_the_unit_references(text, rng, skip_untypab
 
 def test_kspc_lower_bound_attained(model):
     layout = toy_layout()
-    report = evaluate([KA, KHA, GHA], layout, model)  # all at slot 1
+    report = evaluate(CorpusStats.from_units([KA, KHA, GHA]), layout, model)  # all at slot 1
     assert report.kspc == 1.0
     assert report.press_count == report.unit_count == 3
 
 
 def test_single_unit_has_no_jam(model):
-    report = evaluate([KA], toy_layout(), model)
+    report = evaluate(CorpusStats.from_units([KA]), toy_layout(), model)
     assert report.jam_rate == 0.0
 
 
 def test_empty_text(model):
-    report = evaluate([], toy_layout(), model)
+    report = evaluate(CorpusStats.from_units([]), toy_layout(), model)
     assert report.kspc == 1.0
     assert report.expected_cost == 0.0
     assert report.unit_count == report.press_count == 0
@@ -257,7 +271,7 @@ def test_metrics_match_oracle_on_random_inputs(model):
     for _ in range(20):
         layout = random_full_layout(rng)
         text = random_text(rng, layout, rng.randint(1, 300))
-        report = evaluate(text, layout, model)
+        report = evaluate(CorpusStats.from_units(text), layout, model)
         expected = oracle_metrics(text, layout, model)
         assert report.kspc == expected["kspc"]
         assert report.jam_rate == expected["jam_rate"]
@@ -281,8 +295,8 @@ def test_moving_unit_to_earlier_slot_never_hurts(model):
     pool = [KA, KHA, GA, CA, chha, SPACE_UNIT]
     for _ in range(20):
         text = [rng.choice(pool) for _ in range(rng.randint(1, 60))]
-        rb = evaluate(text, before, model)
-        ra = evaluate(text, after, model)
+        rb = evaluate(CorpusStats.from_units(text), before, model)
+        ra = evaluate(CorpusStats.from_units(text), after, model)
         assert ra.kspc <= rb.kspc
         assert ra.expected_cost <= rb.expected_cost + 1e-12
 
@@ -299,8 +313,8 @@ def test_jam_rate_invariant_under_slot_relabeling(model):
         # roles dropped: shuffling may move space/joiner inside their keys
         shuffled = Layout(slots=shuffled_slots, roles={}, name="shuffled")
         text = random_text(rng, layout, 200)
-        assert (evaluate(text, layout, model).jam_rate
-                == evaluate(text, shuffled, model).jam_rate)
+        assert (evaluate(CorpusStats.from_units(text), layout, model).jam_rate
+                == evaluate(CorpusStats.from_units(text), shuffled, model).jam_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +333,7 @@ def test_fixture_slice_metrics_frozen(corpus_units, corpus_table, model):
     text = corpus_units[:1000]
     for strategy, expected in GOLDEN_1000.items():
         layout = build_layout(corpus_table, model, PlacementPolicy(Strategy(strategy)))
-        report = evaluate(text, layout, model)
+        report = evaluate(CorpusStats.from_units(text), layout, model)
         oracle = oracle_metrics(text, layout, model)
         assert report.kspc == expected["kspc"] == oracle["kspc"]
         assert report.jam_rate == expected["jam_rate"] == oracle["jam_rate"]
