@@ -234,31 +234,34 @@ def parse_unit_token(token: str) -> GraphemeUnit:
     return unit
 
 
+def _check_count(unit, count) -> None:
+    """Refuse a count that is not a non-negative ``int``; ``bool`` is not a count."""
+    if type(count) is not int or count < 0:
+        raise ValueError(f"count of {unit!r} must be a non-negative int, got {count!r}")
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Per-unit occurrence counts over a corpus.
+    """Per-unit occurrence counts and their total.
 
-    ``total`` is the number of typable scalars consumed, ``skipped`` the
-    number of non-typable ones, and ``source_bytes`` the UTF-8 size of
-    the corpus. Treat instances as immutable.
+    Each count is a non-negative ``int`` and ``total`` is their sum; a
+    corpus's untypable scalars and size are ``CorpusStats.skipped`` and
+    ``CorpusStats.source_bytes``. Treat instances as immutable.
     """
 
     counts: Mapping[GraphemeUnit, int]
     total: int
-    source_bytes: int = 0
-    skipped: int = 0
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts.values()):
-            raise ValueError("counts must be non-negative")
+        for unit, count in self.counts.items():
+            _check_count(unit, count)
         if self.total != sum(self.counts.values()):
             raise ValueError("total must equal the sum of counts")
 
     @classmethod
-    def from_counts(cls, counts: Mapping[GraphemeUnit, int], source_bytes: int = 0,
-                    skipped: int = 0) -> "FrequencyTable":
+    def from_counts(cls, counts: Mapping[GraphemeUnit, int]) -> "FrequencyTable":
         counts = dict(counts)
-        return cls(counts, sum(counts.values()), source_bytes, skipped)
+        return cls(counts, sum(counts.values()))
 
     def frequency(self, unit: GraphemeUnit) -> float:
         """Normalized frequency count/total, 0.0 for an empty table."""
@@ -270,7 +273,7 @@ class FrequencyTable:
         """Sub-table keeping only units of the given categories."""
         wanted = set(categories)
         counts = {u: c for u, c in self.counts.items() if u.category in wanted}
-        return FrequencyTable.from_counts(counts, self.source_bytes, self.skipped)
+        return FrequencyTable.from_counts(counts)
 
 
 # A unit's code is its index in ALL_UNITS. Typable sequences are kept as
@@ -356,16 +359,9 @@ def decode_document(raw: bytes, syntax_error: Callable[[int, str], Exception]) -
                                     f"({exc.reason})") from None
 
 
-def rank_by_frequency(table: FrequencyTable,
-                      categories: Iterable[Category] | None = None) -> list[GraphemeUnit]:
+def rank_by_frequency(table: FrequencyTable) -> list[GraphemeUnit]:
     """Units of the table sorted by count descending, codepoint ascending."""
-    if categories is not None:
-        wanted = set(categories)
-        units = [u for u in table.counts if u.category in wanted]
-    else:
-        units = list(table.counts)
-    units.sort(key=lambda u: (-table.counts[u], u.codepoints))
-    return units
+    return sorted(table.counts, key=lambda u: (-table.counts[u], u.codepoints))
 
 
 def count_unit_bigrams(units: Sequence[GraphemeUnit]) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:
@@ -407,9 +403,9 @@ class CorpusStats:
 
     ``typable`` is the typable sequence of the whole corpus, one code
     byte per unit; ``source_bytes`` and ``skipped`` are the corpus size
-    and its untypable scalars. Counting is on demand: :meth:`counts_among`
-    counts chosen units, ``table`` (every unit's count, with the skipped
-    scalars and source bytes) counts them all on first use, and a code's
+    and its untypable scalars, which no :class:`FrequencyTable` copies.
+    Counting is on demand: :meth:`counts_among` counts chosen units,
+    ``table`` (every unit's count) counts them all on first use, and a code's
     count once counted is kept, so no code is counted twice. Evaluation
     reads its jams from ``typable``, and it locates a unit a layout lacks
     and lets evaluation recount without it. :meth:`pairs_among` counts its
@@ -476,9 +472,8 @@ class CorpusStats:
 
     @cached_property
     def table(self) -> FrequencyTable:
-        """Every unit's count, in :data:`ALL_UNITS` order, with the skipped scalars and bytes."""
-        return FrequencyTable(self.counts_among(ALL_UNITS), len(self.typable),
-                              self.source_bytes, self.skipped)
+        """Every unit's count, in :data:`ALL_UNITS` order, and their total ``len(typable)``."""
+        return FrequencyTable(self.counts_among(ALL_UNITS), len(self.typable))
 
     def counts_among(self, units: Iterable[GraphemeUnit]) -> dict[GraphemeUnit, int]:
         """The counts of ``units`` in ``typable``, in :data:`ALL_UNITS` order.

@@ -5,9 +5,10 @@ optimize, reproduce-paper. All artifacts are written atomically with
 canonical formatting, so identical inputs always produce byte-identical
 outputs: the UTF-8 text goes to a temp file beside the target in one
 write, then a rename puts it in place, and the directory is created only
-when it is missing. Domain errors exit 1, usage errors exit 2, and both
-print one machine-parsable ``code<TAB>message`` line on stderr. Option
-precedence is flags > --config file > defaults.
+when it is missing. A command's report reaches stderr only once its
+artifact is in place. Domain errors exit 1, usage errors exit 2, and both
+print one machine-parsable ``code<TAB>message`` line on stderr and no
+other. Option precedence is flags > --config file > defaults.
 
 ``main(argv)`` may be called any number of times in one process. The
 argument parser is built on the first call and reused by the later ones.
@@ -385,11 +386,11 @@ def _report_dict(report: EvaluationReport) -> dict:
     }
 
 
-def _require_units(units: int, skipped: int, task: str, source: str = "the corpus") -> None:
+def _require_units(stats: CorpusStats, task: str, source: str = "the corpus") -> None:
     """Refuse input with no typable unit for ``task``."""
-    if not units:
+    if not stats.typable:
         raise EmptyCorpusError(f"{source} has no typable unit to {task} "
-                               f"({skipped} scalars skipped)")
+                               f"({stats.skipped} scalars skipped)")
 
 
 def _require_placed(units: int, skipped_units: int, layout_name: str,
@@ -403,21 +404,20 @@ def _require_placed(units: int, skipped_units: int, layout_name: str,
 def _evaluate_corpus(stats: CorpusStats, layout: Layout, name: str, model: ErgonomicModel,
                      config: RunConfig) -> EvaluationReport:
     """``evaluate``, refusing a corpus that leaves it no unit to evaluate."""
-    _require_units(stats.table.total, stats.table.skipped, "evaluate")
+    _require_units(stats, "evaluate")
     report = evaluate(stats, layout, model, skip_untypable=config.skip_untypable)
     _require_placed(report.unit_count, report.skipped_units, name)
     return report
 
 
-def _cmd_analyze(config: RunConfig) -> int:
-    table = CorpusStats.read(config.corpus).table
-    _require_units(table.total, table.skipped, "analyze")
-    sys.stderr.write(f"analyzed {table.total} units, skipped {table.skipped} scalars\n")
-    _emit(config, bn_text.format_frequency_tsv(table))
-    return 0
+def _cmd_analyze(config: RunConfig) -> str:
+    stats = CorpusStats.read(config.corpus)
+    _require_units(stats, "analyze")
+    _emit(config, bn_text.format_frequency_tsv(stats.table))
+    return f"analyzed {len(stats.typable)} units, skipped {stats.skipped} scalars\n"
 
 
-def _cmd_build_layout(config: RunConfig) -> int:
+def _cmd_build_layout(config: RunConfig) -> str:
     table = CorpusStats.read(config.corpus).table
     model = _model(config)
     policy = PlacementPolicy(strategy=Strategy(config.strategy))
@@ -426,10 +426,10 @@ def _cmd_build_layout(config: RunConfig) -> int:
     except ValueError as exc:  # a --name the layout file cannot hold
         raise UsageError(str(exc)) from None
     _emit(config, serialize(layout))
-    return 0
+    return ""
 
 
-def _cmd_evaluate(config: RunConfig) -> int:
+def _cmd_evaluate(config: RunConfig) -> str:
     path = config.layouts[0]
     layout = load_layout(path)
     model = _model(config)
@@ -439,10 +439,10 @@ def _cmd_evaluate(config: RunConfig) -> int:
         _emit(config, json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n")
     else:
         _emit(config, _format_report_tsv(report))
-    return 0
+    return ""
 
 
-def _cmd_compare(config: RunConfig) -> int:
+def _cmd_compare(config: RunConfig) -> str:
     model = _model(config)
     stats = CorpusStats.read(config.corpus)
     rows = []
@@ -459,29 +459,29 @@ def _cmd_compare(config: RunConfig) -> int:
             lines.append(f"{name}\t{report.kspc:.9f}\t{report.expected_cost:.9f}"
                          f"\t{report.jam_rate:.9f}")
         _emit(config, "\n".join(lines) + "\n")
-    return 0
+    return ""
 
 
-def _cmd_transcribe(config: RunConfig) -> int:
+def _cmd_transcribe(config: RunConfig) -> str:
     path = config.layouts[0]
     layout = load_layout(path)
     stats = CorpusStats.read([config.text_in])
-    _require_units(len(stats.typable), stats.skipped, "transcribe", "the --in text")
+    _require_units(stats, "transcribe", "the --in text")
     trace = _trace(stats.typable, layout, skip_untypable=config.skip_untypable)
     _require_placed(len(trace.boundaries), len(trace.skipped_positions),
                     layout.name or path.stem, "the --in text")
-    if stats.skipped or trace.skipped_positions:
-        sys.stderr.write(f"skipped {stats.skipped} non-typable scalars, "
-                         f"{len(trace.skipped_positions)} units not in the layout\n")
     lines = ["press_index\tkey\ttext_position"]
     for pos, (start, end) in trace.boundaries:
         for press_index in range(start, end):
             lines.append(f"{press_index}\t{trace.presses[press_index]}\t{pos}")
     write_text_atomic(config.output, "\n".join(lines) + "\n")
-    return 0
+    if stats.skipped or trace.skipped_positions:
+        return (f"skipped {stats.skipped} non-typable scalars, "
+                f"{len(trace.skipped_positions)} units not in the layout\n")
+    return ""
 
 
-def _cmd_optimize(config: RunConfig) -> int:
+def _cmd_optimize(config: RunConfig) -> str:
     # imported here, so that the other commands never load the optimizer
     from .optimize import (
         Objective,
@@ -506,20 +506,19 @@ def _cmd_optimize(config: RunConfig) -> int:
         objective = Objective(chosen, model, config.jam_weight, bigrams)
     except ValueError as exc:  # out-of-range or non-finite jam weight
         raise UsageError(str(exc)) from None
-    sys.stderr.write(f"method={config.method} units={len(instance.units)} "
-                     f"slots={len(instance.key_slots)} jam_weight={config.jam_weight:g}\n")
+    report = (f"method={config.method} units={len(instance.units)} "
+              f"slots={len(instance.key_slots)} jam_weight={config.jam_weight:g}\n")
     if config.method == "exhaustive":
         solution, value = solve_exhaustive(instance, objective,
                                            override_guard=config.override_guard)
     elif config.method == "local":
         start, start_value = solve_greedy(instance, objective)
-        sys.stderr.write(f"greedy start value={start_value!r}\n")
+        report += f"greedy start value={start_value!r}\n"
         solution, value = improve_local(start, objective, max_iters=config.max_iters)
     else:
         solution, value = solve_greedy(instance, objective)
-    sys.stderr.write(f"objective value={value!r}\n")
     _emit(config, serialize(solution))
-    return 0
+    return report + f"objective value={value!r}\n"
 
 
 def reproduce_paper(corpus_paths, model: ErgonomicModel) -> tuple[Layout, Layout, str]:
@@ -560,14 +559,14 @@ def reproduce_paper(corpus_paths, model: ErgonomicModel) -> tuple[Layout, Layout
     return proposed, baseline, "\n".join(lines) + "\n"
 
 
-def _cmd_reproduce_paper(config: RunConfig) -> int:
+def _cmd_reproduce_paper(config: RunConfig) -> str:
     model = _model(config)
     proposed, baseline, report_text = reproduce_paper(config.corpus, model)
     out_dir = config.out_dir
     write_text_atomic(out_dir / "proposed_layout.tsv", serialize(proposed))
     write_text_atomic(out_dir / "baseline_layout.tsv", serialize(baseline))
     write_text_atomic(out_dir / "report.tsv", report_text)
-    return 0
+    return ""
 
 
 _COMMANDS = {
@@ -585,7 +584,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _resolve(args)
-        return _COMMANDS[config.command](config)
+        sys.stderr.write(_COMMANDS[config.command](config))
+        return 0
     except UsageError as exc:
         sys.stderr.write(f"{exc.code}\t{exc}\n")
         return 2

@@ -44,6 +44,7 @@ from .bn_text import (
     Category,
     FrequencyTable,
     GraphemeUnit,
+    _check_count,
     rank_by_frequency,
 )
 from .ergonomics import (
@@ -83,8 +84,7 @@ class Objective:
         if self.bigram_counts is not None:
             units = set(self.freq.counts)
             for (a, b), count in self.bigram_counts.items():
-                if count < 0:
-                    raise ValueError("bigram counts must be non-negative")
+                _check_count((a, b), count)
                 if a not in units or b not in units:
                     raise ValueError(
                         f"bigram ({a.display}, {b.display}) references a unit "
@@ -102,7 +102,7 @@ class KeySlot(NamedTuple):
 
 @dataclass(frozen=True)
 class AssignmentInstance:
-    """A set of weighted units and the slot positions open to them."""
+    """A set of units with ``int`` counts, and the keypad slot positions open to them."""
 
     units: tuple[tuple[GraphemeUnit, int], ...]
     key_slots: tuple[KeySlot, ...]
@@ -110,10 +110,12 @@ class AssignmentInstance:
     def __post_init__(self):
         if len(set(u for u, _ in self.units)) != len(self.units):
             raise ValueError("instance units must be unique")
-        if any(c < 0 for _, c in self.units):
-            raise ValueError("unit frequencies must be non-negative")
+        for unit, count in self.units:
+            _check_count(unit, count)
         by_key: dict[str, list[KeySlot]] = {}
         for slot in self.key_slots:
+            if slot.key not in KEYPAD_KEYS:
+                raise ValueError(f"slot on unknown key {slot.key!r}")
             if not (isfinite(slot.cost) and slot.cost > 0):
                 raise ValueError("slot costs must be finite and strictly positive")
             by_key.setdefault(slot.key, []).append(slot)
@@ -146,7 +148,7 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
     if slots_per_key is not None and not 1 <= slots_per_key <= len(ALL_UNITS):
         raise ValueError(f"slots_per_key must be in 1..{len(ALL_UNITS)}, "
                          f"got {slots_per_key}")
-    ranked = rank_by_frequency(freq, [Category.CONSONANT])
+    ranked = rank_by_frequency(freq.restricted([Category.CONSONANT]))
     if not ranked:
         raise IncompleteAlphabetError(CONSONANTS)
     if max_units is not None:

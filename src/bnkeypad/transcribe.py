@@ -169,4 +169,4 @@ def evaluate(stats: CorpusStats, layout: Layout, model: ErgonomicModel,
     per_key_load = {key: (presses[key] / press_count if press_count else 0.0)
                     for key in KEYPAD_KEYS}
     return EvaluationReport(kspc, expected_cost, jam_rate, per_key_load,
-                            unit_count, press_count, stats.table.skipped, skipped_units)
+                            unit_count, press_count, stats.skipped, skipped_units)

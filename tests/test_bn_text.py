@@ -141,7 +141,7 @@ def test_count_empty():
     table = count_frequencies("")
     assert table.total == 0
     assert table.counts == {}
-    assert table.skipped == 0
+    assert CorpusStats.from_text("").skipped == 0
 
 
 def test_count_simple():
@@ -154,10 +154,10 @@ def test_count_simple():
 
 def test_count_tracks_skipped_and_bytes():
     text = "কx\nখ"
-    table = count_frequencies(text)
-    assert table.total == 2
-    assert table.skipped == 2
-    assert table.source_bytes == len(text.encode("utf-8"))
+    assert count_frequencies(text).total == 2
+    stats = CorpusStats.from_text(text)
+    assert stats.skipped == 2
+    assert stats.source_bytes == len(text.encode("utf-8"))
 
 
 def test_count_matches_bruteforce_recount():
@@ -166,7 +166,7 @@ def test_count_matches_bruteforce_recount():
     table = count_frequencies(text)
     expected_counts, expected_skipped = oracle_recount(text)
     assert {u.codepoints[0]: c for u, c in table.counts.items()} == expected_counts
-    assert table.skipped == expected_skipped
+    assert CorpusStats.from_text(text).skipped == expected_skipped
     assert table.total == sum(expected_counts.values())
 
 
@@ -194,6 +194,14 @@ def test_table_invariant_checked():
         FrequencyTable({ka: 2}, total=5)
 
 
+@pytest.mark.parametrize("count", [1.5, float("inf"), float("nan"), True], ids=repr)
+def test_table_refuses_a_count_that_is_not_an_int(count):
+    # NaN would trip the total check, but the error must name the unit
+    ka = unit_for("ক")
+    with pytest.raises(ValueError, match=re.escape(repr(ka))):
+        FrequencyTable.from_counts({ka: count})
+
+
 def test_restricted_subtable():
     table = count_frequencies("ককঅা ্")
     consonants = table.restricted([Category.CONSONANT])
@@ -219,7 +227,7 @@ def test_rank_tie_breaks_by_codepoint():
 
 def test_rank_category_filter():
     table = count_frequencies("কঅা। ্")
-    consonants_only = rank_by_frequency(table, [Category.CONSONANT])
+    consonants_only = rank_by_frequency(table.restricted([Category.CONSONANT]))
     assert consonants_only == [unit_for("ক")]
     ranked = rank_by_frequency(table)
     assert sorted(u.codepoints for u in ranked) == sorted(u.codepoints for u in table.counts)

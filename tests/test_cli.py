@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -671,7 +672,30 @@ def test_optimize_guard(tmp_path, capsys):
     out = tmp_path / "opt.tsv"
     assert main(["optimize", "--corpus", str(CORPUS_PATH), "--max-units", "20",
                  "--method", "exhaustive", "-o", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines()[-1].startswith("E_TOO_LARGE\t")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("E_TOO_LARGE\t")
+    assert not out.exists()
+
+
+# A command writes its report lines only after its artifact, so a run that
+# fails while solving or writing prints the error line alone
+@pytest.mark.parametrize("argv, code", [
+    (["optimize", "--corpus", str(CORPUS_PATH), "--slots-per-key", "2", "-o", "{out}"],
+     "E_CAPACITY"),
+    (["optimize", "--corpus", str(CORPUS_PATH), "-o", "{afile}/out.tsv"], "E_IO"),
+    (["analyze", "--corpus", str(CORPUS_PATH), "-o", "{afile}/out.tsv"], "E_IO"),
+    (["transcribe", "--layout", str(TOY_LAYOUT_PATH), "--in", str(CORPUS_PATH),
+      "--skip-untypable", "--out", "{afile}/out.tsv"], "E_IO"),
+], ids=["optimize-capacity", "optimize-io", "analyze-io", "transcribe-io"])
+def test_failed_run_prints_one_error_line(tmp_path, capsys, argv, code):
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file\n", encoding="utf-8")
+    paths = {"out": tmp_path / "out.tsv", "afile": afile}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(r"E_[A-Z_]+\t", err[0]) and err[0].startswith(code + "\t")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    assert afile.read_text(encoding="utf-8") == "a regular file\n"
 
 
 @pytest.mark.parametrize("method", ["greedy", "local", "exhaustive"])

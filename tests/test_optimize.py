@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from dataclasses import replace
 from math import fsum, perm
 from operator import mul
@@ -287,6 +288,22 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         AssignmentInstance(((KA, 1),),
                            (KeySlot("2", 1, 2.0), KeySlot("2", 2, 1.0)))  # decreasing
+
+
+@pytest.mark.parametrize("count", [1.5, float("inf"), float("nan"), True], ids=repr)
+def test_instance_and_objective_refuse_a_count_that_is_not_an_int(model, count):
+    with pytest.raises(ValueError, match=re.escape(repr(KA))):
+        AssignmentInstance(((KA, count),), (KeySlot("2", 1, 1.0),))
+    with pytest.raises(ValueError, match=re.escape(repr((KA, KHA)))):
+        Objective(FrequencyTable.from_counts({KA: 1, KHA: 1}), model, 1.0,
+                  bigram_counts={(KA, KHA): count})
+
+
+@pytest.mark.parametrize("solve", [solve_greedy, solve_exhaustive])
+def test_solvers_refuse_a_slot_on_an_unknown_key(model, solve):
+    objective = Objective(FrequencyTable.from_counts({KA: 1}), model)
+    with pytest.raises(ValueError, match="unknown key 'X'"):
+        solve(AssignmentInstance(((KA, 1),), (KeySlot("X", 1, 1.0),)), objective)
 
 
 def test_solver_rejects_mismatched_objective(model):

@@ -138,7 +138,7 @@ def test_fixture_reports_equal_trace(corpus_units, corpus_table):
         layout = build_layout(corpus_table, MODEL, PlacementPolicy(strategy))
         want = trace_evaluate(corpus_units, layout, MODEL)
         got = evaluate(stats, layout, MODEL)
-        assert got.skipped_scalars == stats.table.skipped > 0
+        assert got.skipped_scalars == stats.skipped > 0
         assert got == replace(want, skipped_scalars=got.skipped_scalars)
 
 
@@ -356,7 +356,7 @@ def test_stats_agree_with_table_and_bigram_counts(text):
     stats = CorpusStats.from_text(text)
     units, skipped = scan_units(text)
     assert stats.table == count_frequencies(text)
-    assert stats.table.skipped == skipped
+    assert stats.skipped == skipped
     assert stats.bigrams == count_unit_bigrams(units)
     from_units = CorpusStats.from_units(units)
     assert from_units.table.counts == stats.table.counts
@@ -383,16 +383,20 @@ _REFERENCE_CODE_BY_CP = {u.codepoints[0]: i for i, u in enumerate(ALL_UNITS)}
 
 
 def reference_from_text(text):
-    """(table, typable, bigrams) of a text, one scalar at a time."""
+    """(table, typable, bigrams, source_bytes, skipped) of a text, one scalar at a time."""
     typable = bytes(_REFERENCE_CODE_BY_CP[cp] for cp in map(ord, text)
                     if cp in _REFERENCE_CODE_BY_CP)
     counts = {ALL_UNITS[c]: n for c, n in Counter(typable).items()}
     bigrams = {(ALL_UNITS[a], ALL_UNITS[b]): n
                for (a, b), n in Counter(zip(typable, typable[1:])).items()}
     # a lone surrogate is one skipped scalar of three bytes
-    table = FrequencyTable(counts, len(typable), len(text.encode("utf-8", "surrogatepass")),
-                           len(text) - len(typable))
-    return table, typable, bigrams
+    return (FrequencyTable(counts, len(typable)), typable, bigrams,
+            len(text.encode("utf-8", "surrogatepass")), len(text) - len(typable))
+
+
+def facts(stats):
+    """The statistics in the shape of :func:`reference_from_text`."""
+    return stats.table, stats.typable, stats.bigrams, stats.source_bytes, stats.skipped
 
 
 def reference_scan_units(text):
@@ -403,10 +407,9 @@ def reference_scan_units(text):
 @settings(max_examples=300, deadline=None)
 @given(adversarial_texts)
 def test_two_pass_statistics_equal_the_scalar_reference(text):
-    table, typable, bigrams = reference_from_text(text)
-    stats = CorpusStats.from_text(text)
-    assert (stats.table, stats.typable, stats.bigrams) == (table, typable, bigrams)
-    assert count_frequencies(text) == table
+    want = reference_from_text(text)
+    assert facts(CorpusStats.from_text(text)) == want
+    assert count_frequencies(text) == want[0]
     assert scan_units(text) == reference_scan_units(text)
 
 
@@ -510,8 +513,7 @@ def takes_masked_branch(text):
 def test_fixture_text_classifies_without_the_mask():
     text = read_text(CORPUS_PATH)
     assert not takes_masked_branch(text)
-    stats = CorpusStats.from_text(text)
-    assert (stats.table, stats.typable, stats.bigrams) == reference_from_text(text)
+    assert facts(CorpusStats.from_text(text)) == reference_from_text(text)
 
 
 @pytest.mark.parametrize("stranger", ["\u200c", "\u0a95", "\ud800", "\U0001f600"])
@@ -520,14 +522,14 @@ def test_mismatched_high_bytes_classify_through_the_mask(stranger):
     # them apart; the others are untypable whatever the mask does
     text = read_text(CORPUS_PATH)[:500].replace(" ", stranger + " ")
     assert takes_masked_branch(text)
-    stats = CorpusStats.from_text(text)
-    assert (stats.table, stats.typable, stats.bigrams) == reference_from_text(text)
+    assert facts(CorpusStats.from_text(text)) == reference_from_text(text)
     assert scan_units(text) == reference_scan_units(text)
 
 
 def test_lone_surrogate_is_one_skipped_scalar():
-    want = FrequencyTable.from_counts({KA: 1}, source_bytes=6, skipped=1)
-    assert CorpusStats.from_text("\ud800ক").table == want
+    want = FrequencyTable.from_counts({KA: 1})
+    stats = CorpusStats.from_text("\ud800ক")
+    assert (stats.table, stats.source_bytes, stats.skipped) == (want, 6, 1)
     assert count_frequencies("\ud800ক") == want
     assert scan_units("\ud800ক") == ([KA], 1)
 
@@ -539,7 +541,7 @@ def test_merge_over_random_splits_equals_the_reference(text, cuts):
     merged = CorpusStats.from_text("")
     for lo, hi in zip(bounds, bounds[1:]):
         merged = merge_stats(merged, CorpusStats.from_text(text[lo:hi]))
-    assert (merged.table, merged.typable, merged.bigrams) == reference_from_text(text)
+    assert facts(merged) == reference_from_text(text)
 
 
 # the empty subset, every unit, units the text may lack, repeated units, and
@@ -556,7 +558,7 @@ unit_subsets = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(texts, adversarial_texts), unit_subsets)
 def test_pairs_among_equals_the_restricted_reference_pairs(text, units):
-    _table, _typable, bigrams = reference_from_text(text)
+    bigrams = reference_from_text(text)[2]
     assert CorpusStats.from_text(text).pairs_among(units) == restrict_bigrams(bigrams, units)
 
 
@@ -675,15 +677,14 @@ _EAGER_GROUPS = tuple(
     for hi in (min(lo + 9, len(ALL_UNITS)),))
 
 
-def eager_table(data, source_bytes, skipped):
+def eager_table(data):
     counts = []
     for others, outside in _EAGER_GROUPS:
         part = data.translate(None, outside)
         rest = list(map(part.count, others))
         counts.append(len(part) - sum(rest))
         counts += rest
-    return FrequencyTable({u: c for u, c in zip(ALL_UNITS, counts) if c}, len(data),
-                          source_bytes, skipped)
+    return FrequencyTable({u: c for u, c in zip(ALL_UNITS, counts) if c}, len(data))
 
 
 @settings(max_examples=300, deadline=None)
@@ -691,7 +692,7 @@ def eager_table(data, source_bytes, skipped):
        unit_subsets, unit_subsets)
 def test_counts_on_demand_equal_the_eager_counts(text, units, more):
     stats = CorpusStats.from_text(text)
-    want = eager_table(stats.typable, stats.source_bytes, stats.skipped)
+    want = eager_table(stats.typable)
     for chosen in (units, more):  # the second call reuses the groups the first counted
         got = stats.counts_among(chosen)
         assert got == {u: c for u, c in want.counts.items() if u in set(chosen)}
@@ -699,6 +700,8 @@ def test_counts_on_demand_equal_the_eager_counts(text, units, more):
     assert stats.table == want
     assert list(stats.table.counts) == list(want.counts)
     assert CorpusStats.from_text(text).table == want  # nothing counted before
+    assert (stats.source_bytes, stats.skipped) == (
+        len(text.encode("utf-8", "surrogatepass")), len(text) - len(stats.typable))
 
 
 @st.composite
@@ -715,18 +718,19 @@ def long_unit_lists(draw):
 @given(long_unit_lists(), unit_subsets, unit_subsets)
 def test_peeled_counts_of_long_sequences_equal_the_eager_counts(units, chosen, more):
     stats = CorpusStats.from_units(units)
-    want = eager_table(stats.typable, 0, 0)
+    want = eager_table(stats.typable)
     for subset in (chosen, more):  # the second call reuses the codes the first counted
         got = stats.counts_among(subset)
         assert got == {u: c for u, c in want.counts.items() if u in set(subset)}
         assert list(got) == [u for u in want.counts if u in set(subset)]
     assert stats.table == want
+    assert (stats.source_bytes, stats.skipped) == (0, 0)
 
 
 def test_stats_table_counts_skipped_scalars_and_bytes():
     stats = CorpusStats.from_text("কx খ\n")
-    assert stats.table == FrequencyTable.from_counts(
-        {KA: 1, KHA: 1, bn_text.SPACE_UNIT: 1}, source_bytes=9, skipped=2)
+    assert stats.table == FrequencyTable.from_counts({KA: 1, KHA: 1, bn_text.SPACE_UNIT: 1})
+    assert (stats.source_bytes, stats.skipped) == (9, 2)
 
 
 # ---------------------------------------------------------------------------
