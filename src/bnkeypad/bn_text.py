@@ -36,8 +36,8 @@ unit distribution, as real corpora have, peeling pays about one
 mispredicted branch per unit, and its passes shrink as the frequent codes
 go. It gains less, or loses, on text spread evenly over the codes, whose
 passes shrink slowly, and on text that repeats a few lines, whose
-branches are predicted well. :class:`CorpusStats` counts only the codes
-asked for, each once.
+branches are predicted well. Each :meth:`CorpusStats.counts_among` call
+counts exactly the codes it names.
 Adjacent pairs are counted only among a chosen set of units
 (:meth:`CorpusStats.pairs_among`): every other unit becomes a separator
 byte. The code bytes, read as one integer, are cut into 16-bit windows at
@@ -53,7 +53,7 @@ from __future__ import annotations
 import sys
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from threading import Lock
@@ -404,17 +404,17 @@ class CorpusStats:
     ``typable`` is the typable sequence of the whole corpus, one code
     byte per unit; ``source_bytes`` and ``skipped`` are the corpus size
     and its untypable scalars, which no :class:`FrequencyTable` copies.
-    Counting is on demand: :meth:`counts_among` counts chosen units,
-    ``table`` (every unit's count) counts them all on first use, and a code's
-    count once counted is kept, so no code is counted twice. Evaluation
-    reads its jams from ``typable``, and it locates a unit a layout lacks
-    and lets evaluation recount without it. :meth:`pairs_among` counts its
-    adjacent pairs of chosen units, so a pair that spans two sources
-    counts like any other; the optimizer's jam term asks for the pairs of
-    its instance's units alone. ``bigrams`` is ``pairs_among(ALL_UNITS)``,
-    computed on first use, and no command builds it. Build instances with
-    :meth:`read`, :meth:`from_text` or :meth:`from_units`, and combine
-    shards with :func:`merge_stats`.
+    Counting is on demand: each :meth:`counts_among` call counts the units
+    it names, and ``table`` (every unit's count) counts them all on first
+    use. The fields and the cached ``table`` and ``bigrams`` are the whole
+    state. Evaluation reads its jams from ``typable``, and :meth:`without`
+    lets it recount without the units a layout lacks. :meth:`pairs_among`
+    counts its adjacent pairs of chosen units, so a pair that spans two
+    sources counts like any other; the optimizer's jam term asks for the
+    pairs of its instance's units alone. ``bigrams`` is
+    ``pairs_among(ALL_UNITS)``, computed on first use, and no command builds
+    it. Build instances with :meth:`read`, :meth:`from_text` or
+    :meth:`from_units`, and combine shards with :func:`merge_stats`.
 
     :meth:`from_text` classifies from the text's UTF-16 byte planes (see
     the module docstring); a lone surrogate is skipped like any untypable
@@ -426,9 +426,6 @@ class CorpusStats:
     typable: bytes
     source_bytes: int = 0
     skipped: int = 0
-    # the count of each code counted so far
-    _counts: dict[int, int] = field(default_factory=dict, init=False, repr=False,
-                                    compare=False)
 
     @classmethod
     def read(cls, paths: Iterable) -> "CorpusStats":
@@ -479,37 +476,22 @@ class CorpusStats:
         """The counts of ``units`` in ``typable``, in :data:`ALL_UNITS` order.
 
         Units that do not occur are left out. ``units`` may repeat a unit;
-        one outside :data:`ALL_UNITS` raises ``ValueError``. Only the codes
-        of ``units`` not counted before are counted, by peeling them from
-        what is left once every other code is deleted.
+        one outside :data:`ALL_UNITS` raises ``ValueError``. Each call
+        counts the codes of ``units`` alone, by peeling them from what is
+        left once every other code is deleted.
         """
-        codes = sorted(set(map(_code, units)))
-        counted = self._counts
-        new = [code for code in codes if code not in counted]
-        if new:
-            counted.update(_peeled_counts(self.typable, new))
-        return {ALL_UNITS[code]: counted[code] for code in codes if counted[code]}
-
-    def first_position(self, unit: GraphemeUnit) -> int:
-        """Index of the first ``unit`` in the typable sequence, -1 if absent.
-
-        A unit outside :data:`ALL_UNITS` raises ``ValueError``.
-        """
-        return self.typable.find(_code(unit))
+        counts = _peeled_counts(self.typable, sorted(set(map(_code, units))))
+        return {ALL_UNITS[code]: count for code, count in counts.items() if count}
 
     def without(self, units: Iterable[GraphemeUnit]) -> "CorpusStats":
         """The statistics after deleting every occurrence of ``units``.
 
-        Deletion joins each deleted run's neighbours into a new pair, and
-        leaves every other unit's count as it was: the counts taken here
-        are kept, with the deleted codes at zero, and not counted again. A
+        Deletion joins each deleted run's neighbours into a new pair; the
+        counts of what is kept come from the kept sequence when asked. A
         unit outside :data:`ALL_UNITS` raises ``ValueError``.
         """
         deleted = bytes(set(map(_code, units)))
-        kept = CorpusStats(self.typable.translate(None, deleted), self.source_bytes, self.skipped)
-        kept._counts.update(self._counts)
-        kept._counts.update(dict.fromkeys(deleted, 0))
-        return kept
+        return CorpusStats(self.typable.translate(None, deleted), self.source_bytes, self.skipped)
 
     def pairs_among(self, units: Iterable[GraphemeUnit]
                     ) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:

@@ -17,6 +17,7 @@ argument parser is built on the first call and reused by the later ones.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -286,14 +287,20 @@ def write_text_atomic(path: Path, text: str) -> None:
     and a new one gets ``0o666`` less the umask. A symbolic link is
     followed to its target, which is replaced and may be created; the link
     itself stays. Only the last component needs resolving: the temp file
-    and the target share the directory their path names either way.
+    and the target share the directory their path names either way. A
+    file in the directory's way, or a directory at the target, raises an
+    error that names ``path``.
     """
     path = Path(path)
     if os.path.islink(path):
         # write through the link, as open() does, not over it
         path = Path(os.path.realpath(path))
     if not path.parent.is_dir():
-        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            # a file is in the way: name the output, not the file in the way
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path)) from None
     data = memoryview(text.encode("utf-8"))
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     while True:
@@ -313,7 +320,11 @@ def write_text_atomic(path: Path, text: str) -> None:
             os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         except FileNotFoundError:
             pass
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except IsADirectoryError:
+            # name the output, not the temp file, which is removed below
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path)) from None
     except BaseException:
         try:
             os.unlink(tmp)

@@ -135,8 +135,8 @@ def evaluate(stats: CorpusStats, layout: Layout, model: ErgonomicModel,
     skipped_units = 0
     if missing:
         if not skip_untypable:
-            unit = min(missing, key=stats.first_position)
-            raise UntypableUnitError(unit, stats.first_position(unit))
+            position = min(stats.typable.find(_CODE_BY_UNIT[u]) for u in missing)
+            raise UntypableUnitError(ALL_UNITS[stats.typable[position]], position)
         kept = stats.without(missing)
         skipped_units = stats.table.total - kept.table.total
         stats = kept

@@ -682,19 +682,39 @@ def test_optimize_guard(tmp_path, capsys):
 @pytest.mark.parametrize("argv, code", [
     (["optimize", "--corpus", str(CORPUS_PATH), "--slots-per-key", "2", "-o", "{out}"],
      "E_CAPACITY"),
-    (["optimize", "--corpus", str(CORPUS_PATH), "-o", "{afile}/out.tsv"], "E_IO"),
-    (["analyze", "--corpus", str(CORPUS_PATH), "-o", "{afile}/out.tsv"], "E_IO"),
+    (["optimize", "--corpus", str(CORPUS_PATH), "-o", "{afile}/out.tsv"],
+     "E_IO\t[Errno 20] Not a directory: '{afile}/out.tsv'"),
+    (["analyze", "--corpus", str(CORPUS_PATH), "-o", "{afile}/out.tsv"],
+     "E_IO\t[Errno 20] Not a directory: '{afile}/out.tsv'"),
     (["transcribe", "--layout", str(TOY_LAYOUT_PATH), "--in", str(CORPUS_PATH),
-      "--skip-untypable", "--out", "{afile}/out.tsv"], "E_IO"),
-], ids=["optimize-capacity", "optimize-io", "analyze-io", "transcribe-io"])
+      "--skip-untypable", "--out", "{afile}/out.tsv"],
+     "E_IO\t[Errno 20] Not a directory: '{afile}/out.tsv'"),
+    (["reproduce-paper", "--corpus", str(CORPUS_PATH), "--out-dir", "{afile}"],
+     "E_IO\t[Errno 20] Not a directory: '{afile}/proposed_layout.tsv'"),
+    (["analyze", "--corpus", str(CORPUS_PATH), "-o", "{adir}"],
+     "E_IO\t[Errno 21] Is a directory: '{adir}'"),
+], ids=["optimize-capacity", "optimize-io", "analyze-io", "transcribe-io", "reproduce-paper-io",
+        "analyze-dir-io"])
 def test_failed_run_prints_one_error_line(tmp_path, capsys, argv, code):
     afile = tmp_path / "afile"
     afile.write_text("a regular file\n", encoding="utf-8")
-    paths = {"out": tmp_path / "out.tsv", "afile": afile}
-    assert main([arg.format(**paths) for arg in argv]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and re.match(r"E_[A-Z_]+\t", err[0]) and err[0].startswith(code + "\t")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    adir = tmp_path / "adir"
+    (adir / "inner").mkdir(parents=True)
+    paths = {"out": tmp_path / "out.tsv", "afile": afile, "adir": adir}
+    errs = []
+    for _ in range(2):
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        errs.append(capsys.readouterr().err)
+    # the line names no temp file, so it reads the same on every run
+    assert errs[0] == errs[1]
+    err = errs[0].splitlines()
+    assert len(err) == 1 and re.match(r"E_[A-Z_]+\t", err[0])
+    if code.startswith("E_IO"):
+        assert err[0] == code.format(**paths)
+    else:
+        assert err[0].startswith(code + "\t")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert [p.name for p in adir.iterdir()] == ["inner"]
     assert afile.read_text(encoding="utf-8") == "a regular file\n"
 
 

@@ -7,7 +7,7 @@ import json
 import pstats
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import fsum
 
 import pytest
@@ -624,38 +624,40 @@ def test_without_deletes_and_rejoins():
     kept = stats.without([KA])
     assert kept == CorpusStats.from_units([KHA, GA])
     assert kept.bigrams == {(KHA, GA): 1}
-    assert stats.first_position(GA) == 2
-    assert stats.first_position(unit_for("ঘ")) == -1
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from(ALL_UNITS), max_size=200), unit_subsets, unit_subsets)
 def test_without_equals_the_statistics_of_the_kept_units(units, counted, dropped):
     stats = CorpusStats.from_units(units)
-    stats.counts_among(counted)  # the groups counted here are carried over
+    stats.counts_among(counted)  # counting first leaves no trace on what without() returns
     kept = stats.without(dropped)
     want = CorpusStats.from_units([u for u in units if u not in set(dropped)])
     assert kept == want
     assert kept.table == want.table
 
 
-def test_without_counts_no_code_again(counted_codes):
+def test_each_count_call_peels_the_codes_it_names(counted_codes):
     stats = CorpusStats.from_units([KHA, KA, GA, KA, SPACE])
     assert stats.counts_among([GA, KA]) == {KA: 2, GA: 1}
     kept = stats.without([KA, SPACE])
     assert kept.counts_among([KA, KHA, GA]) == {KHA: 1, GA: 1}
-    assert counted_codes == [[0, 2], [1]]
     assert kept.table == FrequencyTable.from_counts({KHA: 1, GA: 1})
-    # each code once, and the deleted SPACE (code 71) not at all
-    assert sorted(c for codes in counted_codes for c in codes) == list(range(71))
+    assert counted_codes == [[0, 2], [0, 1, 2], list(range(72))]
+
+
+def test_corpus_stats_holds_its_fields_and_cached_views_alone():
+    assert [f.name for f in fields(CorpusStats)] == ["typable", "source_bytes", "skipped"]
+    stats = CorpusStats.from_units([KHA, KA, GA, KA, SPACE])
+    stats.counts_among([KA, GA])
+    stats.table
+    stats.bigrams
+    stats.without([KA]).table
+    assert set(vars(stats)) == {"typable", "source_bytes", "skipped", "table", "bigrams"}
+    assert not hasattr(stats, "first_position")
 
 
 STRANGER = bn_text.GraphemeUnit((0x0041,), bn_text.Category.SYMBOL, "A")
-
-
-def test_first_position_rejects_units_outside_the_inventory():
-    with pytest.raises(ValueError, match="not a typable unit"):
-        CorpusStats.from_units([KA]).first_position(STRANGER)
 
 
 def test_without_rejects_units_outside_the_inventory():
