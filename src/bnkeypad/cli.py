@@ -1,14 +1,12 @@
 """Command-line front end.
 
 Subcommands: analyze, build-layout, evaluate, compare, transcribe,
-optimize, reproduce-paper. All artifacts are written atomically with
-canonical formatting, so identical inputs always produce byte-identical
-outputs: the UTF-8 text goes to a temp file beside the target in one
-write, then a rename puts it in place, and the directory is created only
-when it is missing. A command's report reaches stderr only once its
-artifact is in place. Domain errors exit 1, usage errors exit 2, and both
-print one machine-parsable ``code<TAB>message`` line on stderr and no
-other. Option precedence is flags > --config file > defaults.
+optimize, reproduce-paper. Each command computes its artifacts, with
+canonical formatting so that identical inputs give byte-identical
+outputs, and its report; ``main`` writes the artifacts, all or none, and
+then the report to stderr. Domain errors exit 1, usage errors exit 2, and
+both print one machine-parsable ``code<TAB>message`` line on stderr and
+no other. Option precedence is flags > --config file > defaults.
 
 ``main(argv)`` may be called any number of times in one process. The
 argument parser is built on the first call and reused by the later ones.
@@ -118,11 +116,6 @@ def _add_model_flags(p):
     _option(p, "--angle-weight", help="weight of the joint-angle cost term")
 
 
-def _add_config_flag(p):
-    p.add_argument("--config", metavar="FILE",
-                   help="JSON object with defaults for the keys " + ", ".join(_OPTIONS))
-
-
 # Built on the first main() call, not at import, and reused by every later
 # call. Reuse is safe because argparse keeps all parse state in the Namespace
 # it returns, the subparsers action parses into a new sub-namespace on each
@@ -137,7 +130,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="count unit frequencies in a corpus")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
     p.add_argument("-o", "--output", metavar="FILE")
-    _add_config_flag(p)
 
     p = sub.add_parser("build-layout", help="build a layout from corpus frequencies")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
@@ -145,7 +137,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--name", dest="layout_name")
     p.add_argument("-o", "--output", metavar="FILE")
     _add_model_flags(p)
-    _add_config_flag(p)
 
     p = sub.add_parser("evaluate", help="typing metrics of a layout on a corpus")
     p.add_argument("--layout", required=True, metavar="FILE")
@@ -154,7 +145,6 @@ def _build_parser() -> _Parser:
     _option(p, "--skip-untypable")
     p.add_argument("-o", "--output", metavar="FILE")
     _add_model_flags(p)
-    _add_config_flag(p)
 
     p = sub.add_parser("compare", help="metrics of several layouts side by side")
     p.add_argument("--layouts", nargs="+", required=True, metavar="FILE")
@@ -163,14 +153,12 @@ def _build_parser() -> _Parser:
     _option(p, "--skip-untypable")
     p.add_argument("-o", "--output", metavar="FILE")
     _add_model_flags(p)
-    _add_config_flag(p)
 
     p = sub.add_parser("transcribe", help="text to multi-tap keystroke trace")
     p.add_argument("--layout", required=True, metavar="FILE")
     p.add_argument("--in", dest="text_in", required=True, metavar="FILE")
     p.add_argument("--out", dest="output", required=True, metavar="FILE")
     _option(p, "--skip-untypable")
-    _add_config_flag(p)
 
     p = sub.add_parser("optimize", help="search consonant placements for minimum cost")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
@@ -182,15 +170,16 @@ def _build_parser() -> _Parser:
     _option(p, "--override-guard")
     p.add_argument("-o", "--output", metavar="FILE")
     _add_model_flags(p)
-    _add_config_flag(p)
 
     p = sub.add_parser("reproduce-paper",
                        help="build proposed + baseline layouts and report the jam reduction")
     p.add_argument("--corpus", nargs="+", required=True, metavar="FILE")
     p.add_argument("--out-dir", dest="out_dir", required=True, metavar="DIR")
     _add_model_flags(p)
-    _add_config_flag(p)
 
+    for p in sub.choices.values():  # every command's last flag
+        p.add_argument("--config", metavar="FILE",
+                       help="JSON object with defaults for the keys " + ", ".join(_OPTIONS))
     return parser
 
 
@@ -254,8 +243,11 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     layout, text_in = given.get("layout"), given.get("text_in")
     layouts = paths([layout] if layout is not None else given.get("layouts") or ())
     text_in = paths([text_in], allow_stdin=True)[0] if text_in is not None else None
-    if "" in (given.get("output"), given.get("out_dir")):
+    output, out_dir = given.get("output"), given.get("out_dir")
+    if "" in (output, out_dir):
         raise UsageError("an output path must not be empty")
+    if out_dir == "-":
+        raise UsageError("--out-dir must name a directory, not standard output ('-')")
     if given.get("layout_name") == "":  # compare would report the file's stem instead
         raise UsageError("--name must not be empty")
     if "ergonomics" in options:
@@ -272,79 +264,87 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"{flag} must be <= {high}, got {value}")
 
     return RunConfig(command=args.command, corpus=corpus, layouts=layouts, text_in=text_in,
-                     output=Path(given["output"]) if given.get("output") else None,
-                     out_dir=Path(given["out_dir"]) if given.get("out_dir") else None,
+                     output=Path(output) if output not in (None, "-") else None,
+                     out_dir=Path(out_dir) if out_dir else None,
                      layout_name=given.get("layout_name"), **options)
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename.
+def write_artifacts(artifacts) -> None:
+    """Write ``(path, text)`` artifacts, all or none; a path of None is stdout.
 
-    The directory is created only when it is missing. The text is encoded
-    to UTF-8 once, with no newline translation, and goes to the temp file
-    through ``os.write`` until every byte is written. The file gets the mode
-    that ``open(path, "w")`` would leave: an existing target keeps its mode,
-    and a new one gets ``0o666`` less the umask. A symbolic link is
-    followed to its target, which is replaced and may be created; the link
-    itself stays. Only the last component needs resolving: the temp file
-    and the target share the directory their path names either way. A
-    file in the directory's way, or a directory at the target, raises an
-    error that names ``path``.
+    Each file's text is encoded to UTF-8 once, with no newline translation,
+    and staged through ``os.write``, until every byte is written, in a temp
+    file beside its target. Only when every file is staged are they renamed
+    into place, in order, and then stdout gets its bytes. A failure before
+    that removes every temp file, so each target and its directory's listing
+    stay as they were (a missing directory is still created). A rename that
+    fails after another has succeeded is outside this guarantee.
+
+    A file gets the mode ``open(path, "w")`` would leave: the replaced
+    file's, else ``0o666`` less the umask. A symbolic link is followed to
+    its target, which is replaced and may be created; the link stays. Only
+    the last component needs resolving: the temp file and the target share
+    the directory their path names either way. A file in the directory's
+    way, or a directory at the target, raises an error that names the path.
     """
-    path = Path(path)
-    if os.path.islink(path):
-        # write through the link, as open() does, not over it
-        path = Path(os.path.realpath(path))
-    if not path.parent.is_dir():
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError):
-            # a file is in the way: name the output, not the file in the way
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path)) from None
-    data = memoryview(text.encode("utf-8"))
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    while True:
-        tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(6).hex()}.tmp")
-        try:
-            fd = os.open(tmp, flags, 0o666)  # the umask applies, as for open()
-            break
-        except FileExistsError:
-            continue
+    staged = []  # (temp file, target) in artifact order
     try:
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
-        try:
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        except FileNotFoundError:
-            pass
-        try:
+        for path, text in artifacts:
+            if path is None:
+                continue
+            if os.path.islink(path):
+                # write through the link, as open() does, not over it
+                path = Path(os.path.realpath(path))
+            try:
+                # a file in the directory's way raises here, naming the path
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+                if not path.parent.is_dir():
+                    try:
+                        path.parent.mkdir(parents=True, exist_ok=True)
+                    except (FileExistsError, NotADirectoryError):
+                        # e.g. a dangling link in the way: name the output
+                        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                                 str(path)) from None
+            if mode is not None and stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            data = memoryview(text.encode("utf-8"))
+            while True:
+                tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(6).hex()}.tmp")
+                try:
+                    fd = os.open(tmp, flags, 0o666)  # the umask applies, as for open()
+                    break
+                except FileExistsError:
+                    continue
+            staged.append((tmp, path))
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+        for tmp, path in staged:
             os.replace(tmp, path)
-        except IsADirectoryError:
-            # name the output, not the temp file, which is removed below
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path)) from None
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp, _path in staged:
+            try:
+                os.unlink(tmp)  # gone already if it was renamed
+            except OSError:
+                pass
         raise
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output is None:
-        # the bytes of the -o file, whatever the stream's encoding; a text-only
-        # stream such as io.StringIO has no byte layer and takes the str
-        out = sys.stdout
-        if hasattr(out, "buffer"):
-            out.flush()
-            out.buffer.write(text.encode("utf-8"))
-        else:
-            out.write(text)
-    else:
-        write_text_atomic(config.output, text)
+    for path, text in artifacts:
+        if path is None:
+            # the bytes of the file, whatever the stream's encoding; a text-only
+            # stream such as io.StringIO has no byte layer and takes the str
+            out = sys.stdout
+            if hasattr(out, "buffer"):
+                out.flush()
+                out.buffer.write(text.encode("utf-8"))
+            else:
+                out.write(text)
 
 
 def _model(config: RunConfig) -> ErgonomicModel:
@@ -421,14 +421,14 @@ def _evaluate_corpus(stats: CorpusStats, layout: Layout, name: str, model: Ergon
     return report
 
 
-def _cmd_analyze(config: RunConfig) -> str:
+def _cmd_analyze(config: RunConfig) -> tuple[list, str]:
     stats = CorpusStats.read(config.corpus)
     _require_units(stats, "analyze")
-    _emit(config, bn_text.format_frequency_tsv(stats.table))
-    return f"analyzed {len(stats.typable)} units, skipped {stats.skipped} scalars\n"
+    return ([(config.output, bn_text.format_frequency_tsv(stats.table))],
+            f"analyzed {len(stats.typable)} units, skipped {stats.skipped} scalars\n")
 
 
-def _cmd_build_layout(config: RunConfig) -> str:
+def _cmd_build_layout(config: RunConfig) -> tuple[list, str]:
     table = CorpusStats.read(config.corpus).table
     model = _model(config)
     policy = PlacementPolicy(strategy=Strategy(config.strategy))
@@ -436,24 +436,23 @@ def _cmd_build_layout(config: RunConfig) -> str:
         layout = build_layout(table, model, policy, name=config.layout_name)
     except ValueError as exc:  # a --name the layout file cannot hold
         raise UsageError(str(exc)) from None
-    _emit(config, serialize(layout))
-    return ""
+    return [(config.output, serialize(layout))], ""
 
 
-def _cmd_evaluate(config: RunConfig) -> str:
+def _cmd_evaluate(config: RunConfig) -> tuple[list, str]:
     path = config.layouts[0]
     layout = load_layout(path)
     model = _model(config)
     stats = CorpusStats.read(config.corpus)
     report = _evaluate_corpus(stats, layout, layout.name or path.stem, model, config)
     if config.report_format == "json":
-        _emit(config, json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n")
+        text = json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n"
     else:
-        _emit(config, _format_report_tsv(report))
-    return ""
+        text = _format_report_tsv(report)
+    return [(config.output, text)], ""
 
 
-def _cmd_compare(config: RunConfig) -> str:
+def _cmd_compare(config: RunConfig) -> tuple[list, str]:
     model = _model(config)
     stats = CorpusStats.read(config.corpus)
     rows = []
@@ -463,17 +462,17 @@ def _cmd_compare(config: RunConfig) -> str:
         rows.append((name, _evaluate_corpus(stats, layout, name, model, config)))
     if config.report_format == "json":
         payload = [dict(layout=name, **_report_dict(report)) for name, report in rows]
-        _emit(config, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = ["layout\tkspc\texpected_cost\tjam_rate"]
         for name, report in rows:
             lines.append(f"{name}\t{report.kspc:.9f}\t{report.expected_cost:.9f}"
                          f"\t{report.jam_rate:.9f}")
-        _emit(config, "\n".join(lines) + "\n")
-    return ""
+        text = "\n".join(lines) + "\n"
+    return [(config.output, text)], ""
 
 
-def _cmd_transcribe(config: RunConfig) -> str:
+def _cmd_transcribe(config: RunConfig) -> tuple[list, str]:
     path = config.layouts[0]
     layout = load_layout(path)
     stats = CorpusStats.read([config.text_in])
@@ -485,51 +484,43 @@ def _cmd_transcribe(config: RunConfig) -> str:
     for pos, (start, end) in trace.boundaries:
         for press_index in range(start, end):
             lines.append(f"{press_index}\t{trace.presses[press_index]}\t{pos}")
-    write_text_atomic(config.output, "\n".join(lines) + "\n")
+    report = ""
     if stats.skipped or trace.skipped_positions:
-        return (f"skipped {stats.skipped} non-typable scalars, "
-                f"{len(trace.skipped_positions)} units not in the layout\n")
-    return ""
+        report = (f"skipped {stats.skipped} non-typable scalars, "
+                  f"{len(trace.skipped_positions)} units not in the layout\n")
+    return [(config.output, "\n".join(lines) + "\n")], report
 
 
-def _cmd_optimize(config: RunConfig) -> str:
-    # imported here, so that the other commands never load the optimizer
-    from .optimize import (
-        Objective,
-        consonant_instance,
-        improve_local,
-        solve_exhaustive,
-        solve_greedy,
-    )
+def _cmd_optimize(config: RunConfig) -> tuple[list, str]:
+    from . import optimize  # imported here, so that the other commands never load it
 
     stats = CorpusStats.read(config.corpus)
     model = _model(config)
     # the instance reads the consonants alone, so only they are counted
     consonant_table = FrequencyTable.from_counts(stats.counts_among(bn_text.CONSONANTS))
-    instance = consonant_instance(consonant_table, model,
-                                  max_units=config.max_units,
-                                  slots_per_key=config.slots_per_key)
+    instance = optimize.consonant_instance(consonant_table, model,
+                                           max_units=config.max_units,
+                                           slots_per_key=config.slots_per_key)
     chosen = FrequencyTable.from_counts(dict(instance.units))
     bigrams = None
     if config.jam_weight > 0:
         bigrams = stats.pairs_among([u for u, _ in instance.units])
     try:
-        objective = Objective(chosen, model, config.jam_weight, bigrams)
+        objective = optimize.Objective(chosen, model, config.jam_weight, bigrams)
     except ValueError as exc:  # out-of-range or non-finite jam weight
         raise UsageError(str(exc)) from None
     report = (f"method={config.method} units={len(instance.units)} "
               f"slots={len(instance.key_slots)} jam_weight={config.jam_weight:g}\n")
     if config.method == "exhaustive":
-        solution, value = solve_exhaustive(instance, objective,
-                                           override_guard=config.override_guard)
+        solution, value = optimize.solve_exhaustive(instance, objective,
+                                                    override_guard=config.override_guard)
     elif config.method == "local":
-        start, start_value = solve_greedy(instance, objective)
+        start, start_value = optimize.solve_greedy(instance, objective)
         report += f"greedy start value={start_value!r}\n"
-        solution, value = improve_local(start, objective, max_iters=config.max_iters)
+        solution, value = optimize.improve_local(start, objective, max_iters=config.max_iters)
     else:
-        solution, value = solve_greedy(instance, objective)
-    _emit(config, serialize(solution))
-    return report + f"objective value={value!r}\n"
+        solution, value = optimize.solve_greedy(instance, objective)
+    return [(config.output, serialize(solution))], report + f"objective value={value!r}\n"
 
 
 def reproduce_paper(corpus_paths, model: ErgonomicModel) -> tuple[Layout, Layout, str]:
@@ -570,14 +561,12 @@ def reproduce_paper(corpus_paths, model: ErgonomicModel) -> tuple[Layout, Layout
     return proposed, baseline, "\n".join(lines) + "\n"
 
 
-def _cmd_reproduce_paper(config: RunConfig) -> str:
-    model = _model(config)
-    proposed, baseline, report_text = reproduce_paper(config.corpus, model)
+def _cmd_reproduce_paper(config: RunConfig) -> tuple[list, str]:
+    proposed, baseline, report_text = reproduce_paper(config.corpus, _model(config))
     out_dir = config.out_dir
-    write_text_atomic(out_dir / "proposed_layout.tsv", serialize(proposed))
-    write_text_atomic(out_dir / "baseline_layout.tsv", serialize(baseline))
-    write_text_atomic(out_dir / "report.tsv", report_text)
-    return ""
+    return [(out_dir / "proposed_layout.tsv", serialize(proposed)),
+            (out_dir / "baseline_layout.tsv", serialize(baseline)),
+            (out_dir / "report.tsv", report_text)], ""
 
 
 _COMMANDS = {
@@ -595,7 +584,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _resolve(args)
-        sys.stderr.write(_COMMANDS[config.command](config))
+        artifacts, report = _COMMANDS[config.command](config)
+        write_artifacts(artifacts)
+        sys.stderr.write(report)
         return 0
     except UsageError as exc:
         sys.stderr.write(f"{exc.code}\t{exc}\n")

@@ -128,6 +128,15 @@ class AssignmentInstance:
                 raise ValueError(f"slot costs on key {key} must be nondecreasing")
 
 
+def _check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Refuse a parameter that is not an ``int`` in ``low..high``; ``bool`` is not one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low or high is not None and value > high:
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
 def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
                        max_units: int | None = None,
                        keys: tuple[str, ...] | None = None,
@@ -138,16 +147,16 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
     instance has nothing to place. ``max_units`` below 1 raises
     ``ValueError`` for the same reason. ``slots_per_key`` outside
     ``1..len(ALL_UNITS)`` raises ``ValueError``: a key never needs more
-    slots than there are units to place on it. An empty ``keys`` raises
-    ``ValueError``: it leaves no slot.
+    slots than there are units to place on it. Either one that is not an
+    ``int`` (``bool`` included) raises ``ValueError``. An empty ``keys``
+    raises ``ValueError``: it leaves no slot.
     """
-    if max_units is not None and max_units < 1:
-        raise ValueError(f"max_units must be >= 1, got {max_units}")
+    if max_units is not None:
+        _check_int("max_units", max_units, 1)
     if keys is not None and not keys:
         raise ValueError("keys must name at least one key")
-    if slots_per_key is not None and not 1 <= slots_per_key <= len(ALL_UNITS):
-        raise ValueError(f"slots_per_key must be in 1..{len(ALL_UNITS)}, "
-                         f"got {slots_per_key}")
+    if slots_per_key is not None:
+        _check_int("slots_per_key", slots_per_key, 1, len(ALL_UNITS))
     ranked = rank_by_frequency(freq.restricted([Category.CONSONANT]))
     if not ranked:
         raise IncompleteAlphabetError(CONSONANTS)
@@ -434,8 +443,8 @@ def improve_local(start: Layout, objective: Objective,
     and key, the jam numerator of the unit's pairs with the units on that
     key. A candidate's value is the terms' ``value`` of its two sums, so it
     is the objective of the swapped vector. Slot costs must be finite
-    (``ValueError``), and ``max_iters`` must be ``>= 0`` (``ValueError``);
-    at 0 the start is scored and returned.
+    (``ValueError``), and ``max_iters`` must be an ``int`` (not a ``bool``)
+    ``>= 0`` (``ValueError``); at 0 the start is scored and returned.
 
     A swap can lower the value only if it lowers the cost sum or the jam
     sum. Swapping the units of slots a and b lowers the jam sum by at most
@@ -446,8 +455,7 @@ def improve_local(start: Layout, objective: Objective,
     has such a slot (at jam weight 0, the first round), and an applied swap
     refreshes the pairs of its two slots, O(n).
     """
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    _check_int("max_iters", max_iters, 0)
     terms, placed = _layout_terms(start, objective)
     exact, den = terms.table()
     value_of = terms.value

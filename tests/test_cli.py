@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -191,7 +192,7 @@ def test_build_layout_rejects_an_empty_name(tmp_path, capsys, to_file):
 def test_write_text_atomic_writes_the_utf8_bytes_untranslated(tmp_path):
     out = tmp_path / "out.tsv"
     text = "keypad-layout v1\r\nname\tনাম\r\n2\tU+0995\n\r"
-    cli.write_text_atomic(out, text)
+    cli.write_artifacts([(out, text)])
     assert out.read_bytes() == text.encode("utf-8")
     umask = os.umask(0)
     os.umask(umask)
@@ -206,7 +207,7 @@ def test_write_text_atomic_keeps_the_mode_of_the_file_it_replaces(tmp_path, mode
     out.chmod(mode)
     umask = os.umask(0o022)
     try:
-        cli.write_text_atomic(out, "নাম\n")
+        cli.write_artifacts([(out, "নাম\n")])
         assert os.umask(0o022) == 0o022  # left as it was
     finally:
         os.umask(umask)
@@ -217,7 +218,7 @@ def test_write_text_atomic_keeps_the_mode_of_the_file_it_replaces(tmp_path, mode
 
 def test_write_text_atomic_creates_missing_parent_directories(tmp_path):
     out = tmp_path / "a" / "b" / "c" / "out.tsv"
-    cli.write_text_atomic(out, "নাম\n")
+    cli.write_artifacts([(out, "নাম\n")])
     assert out.read_bytes() == "নাম\n".encode("utf-8")
     assert list(out.parent.iterdir()) == [out]
 
@@ -242,7 +243,7 @@ def test_failed_rename_leaves_no_temp_file_and_keeps_the_target(tmp_path, monkey
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="rename refused"):
-        cli.write_text_atomic(out, "new\n")
+        cli.write_artifacts([(out, "new\n")])
     monkeypatch.undo()
     assert list(tmp_path.iterdir()) == [out]
     assert out.read_bytes() == b"old\n"
@@ -259,7 +260,7 @@ def test_write_text_atomic_resumes_short_writes(tmp_path, monkeypatch):
         return sizes[-1]
 
     monkeypatch.setattr(os, "write", write_three)
-    cli.write_text_atomic(out, text)
+    cli.write_artifacts([(out, text)])
     monkeypatch.undo()
     data = text.encode("utf-8")
     assert out.read_bytes() == data
@@ -287,7 +288,7 @@ def test_write_text_atomic_through_a_dangling_symlink_creates_its_target(tmp_pat
     target = elsewhere / "new.tsv"
     link = tmp_path / "link.tsv"
     link.symlink_to(target)
-    cli.write_text_atomic(link, "নাম\n")
+    cli.write_artifacts([(link, "নাম\n")])
     assert link.is_symlink() and os.readlink(link) == str(target)
     assert target.read_bytes() == "নাম\n".encode("utf-8")
     assert list(elsewhere.iterdir()) == [target]  # the temp file went there, and is gone
@@ -693,13 +694,16 @@ def test_optimize_guard(tmp_path, capsys):
      "E_IO\t[Errno 20] Not a directory: '{afile}/proposed_layout.tsv'"),
     (["analyze", "--corpus", str(CORPUS_PATH), "-o", "{adir}"],
      "E_IO\t[Errno 21] Is a directory: '{adir}'"),
+    # the third artifact fails, so the first two are never put in place
+    (["reproduce-paper", "--corpus", str(CORPUS_PATH), "--out-dir", "{adir}"],
+     "E_IO\t[Errno 21] Is a directory: '{adir}/report.tsv'"),
 ], ids=["optimize-capacity", "optimize-io", "analyze-io", "transcribe-io", "reproduce-paper-io",
-        "analyze-dir-io"])
+        "analyze-dir-io", "reproduce-paper-report-dir-io"])
 def test_failed_run_prints_one_error_line(tmp_path, capsys, argv, code):
     afile = tmp_path / "afile"
     afile.write_text("a regular file\n", encoding="utf-8")
     adir = tmp_path / "adir"
-    (adir / "inner").mkdir(parents=True)
+    (adir / "report.tsv").mkdir(parents=True)
     paths = {"out": tmp_path / "out.tsv", "afile": afile, "adir": adir}
     errs = []
     for _ in range(2):
@@ -714,8 +718,74 @@ def test_failed_run_prints_one_error_line(tmp_path, capsys, argv, code):
     else:
         assert err[0].startswith(code + "\t")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
-    assert [p.name for p in adir.iterdir()] == ["inner"]
+    assert [p.name for p in adir.iterdir()] == ["report.tsv"]
     assert afile.read_text(encoding="utf-8") == "a regular file\n"
+
+
+@pytest.mark.parametrize("failure", ["report-dir", "disk-full"])
+def test_failed_run_keeps_the_previous_artifacts(tmp_path, monkeypatch, capsys, failure):
+    part = tmp_path / "part.txt"
+    part.write_text("".join(read_text(CORPUS_PATH).splitlines(keepends=True)[:700]),
+                    encoding="utf-8")
+    out = tmp_path / "paper"
+    assert main(["reproduce-paper", "--corpus", str(part), "--out-dir", str(out)]) == 0
+    if failure == "report-dir":
+        (out / "report.tsv").unlink()
+        (out / "report.tsv").mkdir()
+        (out / "report.tsv" / "kept.txt").write_bytes(b"kept\n")
+        line = f"E_IO\t[Errno 21] Is a directory: '{out}/report.tsv'"
+    else:
+        real_open = os.open
+
+        def disk_full(path, *args):  # the third artifact's temp file
+            if os.path.basename(path).startswith(".report.tsv."):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_open(path, *args)
+
+        monkeypatch.setattr(os, "open", disk_full)
+        line = f"E_IO\t[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    listing = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    # the full corpus would write other layouts and another report
+    assert main(["reproduce-paper", "--corpus", str(CORPUS_PATH), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert sorted(p.name for p in out.iterdir()) == listing
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert len(before) == {"report-dir": 2, "disk-full": 3}[failure]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--corpus", str(CORPUS_PATH)],
+    ["build-layout", "--corpus", str(CORPUS_PATH), "--name", "নাম"],
+    ["evaluate", "--layout", str(TOY_LAYOUT_PATH), "--corpus", str(CORPUS_PATH),
+     "--skip-untypable", "--format", "json"],
+    ["compare", "--layouts", str(TOY_LAYOUT_PATH), str(TOY_LAYOUT_PATH),
+     "--corpus", str(CORPUS_PATH), "--skip-untypable"],
+    ["optimize", "--corpus", str(CORPUS_PATH), "--max-units", "6"],
+    ["transcribe", "--layout", str(TOY_LAYOUT_PATH), "--in", str(CORPUS_PATH),
+     "--skip-untypable"],
+], ids=lambda argv: argv[0])
+def test_dash_output_writes_the_file_bytes_to_stdout(tmp_path, monkeypatch, capsysbinary, argv):
+    monkeypatch.chdir(tmp_path)
+    flag = "--out" if argv[0] == "transcribe" else "-o"
+    assert main([*argv, flag, "out.tsv"]) == 0
+    to_file = capsysbinary.readouterr()
+    assert main([*argv, flag, "-"]) == 0
+    to_stdout = capsysbinary.readouterr()
+    assert to_stdout.out == (tmp_path / "out.tsv").read_bytes() and to_file.out == b""
+    assert to_stdout.err == to_file.err
+    assert list(tmp_path.iterdir()) == [tmp_path / "out.tsv"]  # no file named '-'
+
+
+def test_out_dir_dash_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["reproduce-paper", "--corpus", str(CORPUS_PATH), "--out-dir", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("E_USAGE\t--out-dir must name a directory, "
+                            "not standard output ('-')\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("method", ["greedy", "local", "exhaustive"])

@@ -906,6 +906,13 @@ def test_local_rejects_a_negative_round_limit(model, max_iters):
         improve_local(Layout(slots={"5": (KA, KHA)}), objective, max_iters=max_iters)
 
 
+@pytest.mark.parametrize("max_iters", [True, False, 1.5, 2.0])
+def test_local_rejects_a_round_limit_that_is_not_an_int(model, max_iters):
+    objective = Objective(FrequencyTable.from_counts({KA: 1, KHA: 5}), model)
+    with pytest.raises(ValueError, match=rf"max_iters must be an int, got {max_iters!r}$"):
+        improve_local(Layout(slots={"5": (KA, KHA)}), objective, max_iters=max_iters)
+
+
 def test_local_scores_the_start_at_zero_rounds(model):
     start = Layout(slots={"5": (KA, KHA)}, name="start")
     objective = Objective(FrequencyTable.from_counts({KA: 1, KHA: 5}), model)
@@ -950,6 +957,15 @@ def test_consonant_instance_rejects_slots_per_key_out_of_range(model, corpus_tab
 def test_consonant_instance_rejects_max_units_below_one(model, corpus_table, max_units):
     with pytest.raises(ValueError, match="max_units must be >= 1"):
         consonant_instance(corpus_table, model, max_units=max_units)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_units", True), ("max_units", 2.5), ("max_units", 5.0),
+    ("slots_per_key", True), ("slots_per_key", 1.5), ("slots_per_key", 5.0),
+])
+def test_consonant_instance_rejects_sizes_that_are_not_ints(model, corpus_table, name, value):
+    with pytest.raises(ValueError, match=rf"{name} must be an int, got {value!r}$"):
+        consonant_instance(corpus_table, model, **{name: value})
 
 
 @pytest.mark.parametrize("slots_per_key", [None, 2])
