@@ -56,6 +56,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import isfinite
 from threading import Lock
 from typing import Callable, Iterable, Mapping, Sequence
 from weakref import WeakValueDictionary
@@ -234,34 +235,53 @@ def parse_unit_token(token: str) -> GraphemeUnit:
     return unit
 
 
-def _check_count(unit, count) -> None:
-    """Refuse a count that is not a non-negative ``int``; ``bool`` is not a count."""
-    if type(count) is not int or count < 0:
-        raise ValueError(f"count of {unit!r} must be a non-negative int, got {count!r}")
+def _check_int(name: str, value, low: int, high: int | None = None, of=None) -> None:
+    """Refuse a ``value`` that is not an ``int`` in ``low..high``; ``bool`` is not one.
+
+    The message calls the value ``name``, or ``name of {of!r}`` when ``of``
+    is given; ``of`` is formatted only when the check fails, so checking a
+    table of counts formats no unit.
+    """
+    if type(value) is int and value >= low and (high is None or value <= high):
+        return
+    if of is not None:
+        name = f"{name} of {of!r}"
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    bound = f">= {low}" if value < low else f"<= {high}"
+    raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def _check_float(name: str, value: float, positive: bool = False) -> None:
+    """Refuse a ``value`` that is not finite or is below 0, or at 0 if ``positive``."""
+    if not (isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
 
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Per-unit occurrence counts and their total.
+    """Per-unit occurrence counts; ``total`` is their sum.
 
-    Each count is a non-negative ``int`` and ``total`` is their sum; a
-    corpus's untypable scalars and size are ``CorpusStats.skipped`` and
-    ``CorpusStats.source_bytes``. Treat instances as immutable.
+    Each unit is one of :data:`ALL_UNITS` and each count a non-negative
+    ``int``; a corpus's untypable scalars and size are
+    ``CorpusStats.skipped`` and ``CorpusStats.source_bytes``. Treat
+    instances as immutable.
     """
 
     counts: Mapping[GraphemeUnit, int]
-    total: int
 
     def __post_init__(self):
         for unit, count in self.counts.items():
-            _check_count(unit, count)
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total must equal the sum of counts")
+            _code(unit)
+            _check_int("count", count, 0, of=unit)
+
+    @cached_property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     @classmethod
     def from_counts(cls, counts: Mapping[GraphemeUnit, int]) -> "FrequencyTable":
-        counts = dict(counts)
-        return cls(counts, sum(counts.values()))
+        return cls(dict(counts))
 
     def frequency(self, unit: GraphemeUnit) -> float:
         """Normalized frequency count/total, 0.0 for an empty table."""
@@ -469,8 +489,8 @@ class CorpusStats:
 
     @cached_property
     def table(self) -> FrequencyTable:
-        """Every unit's count, in :data:`ALL_UNITS` order, and their total ``len(typable)``."""
-        return FrequencyTable(self.counts_among(ALL_UNITS), len(self.typable))
+        """Every unit's count, in :data:`ALL_UNITS` order."""
+        return FrequencyTable(self.counts_among(ALL_UNITS))
 
     def counts_among(self, units: Iterable[GraphemeUnit]) -> dict[GraphemeUnit, int]:
         """The counts of ``units`` in ``typable``, in :data:`ALL_UNITS` order.

@@ -22,11 +22,11 @@ import os
 import stat
 import sys
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import isfinite
 from pathlib import Path
 
 from . import bn_text
-from .bn_text import CorpusStats, FrequencyTable
+from .bn_text import CorpusStats, FrequencyTable, _check_float, _check_int
 from .ergonomics import (
     KEYPAD_KEYS,
     ErgonomicModel,
@@ -252,16 +252,19 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         raise UsageError("--name must not be empty")
     if "ergonomics" in options:
         options["ergonomics"] = paths([options["ergonomics"]])[0]
-    # a key never needs more slots than there are units to place on it
-    limits = {"max_units": (1, inf), "slots_per_key": (1, len(bn_text.ALL_UNITS)),
-              "max_iters": (0, inf)}
-    for name, (low, high) in limits.items():
-        value = options.get(name)
-        flag = f"--{name.replace('_', '-')}"
-        if value is not None and value < low:
-            raise UsageError(f"{flag} must be >= {low}, got {value}")
-        if value is not None and value > high:
-            raise UsageError(f"{flag} must be <= {high}, got {value}")
+    # every command checks every number, ints under their flag's name and floats
+    # under the library's; a key never needs more slots than there are units
+    limits = {"max_units": (1, None), "slots_per_key": (1, len(bn_text.ALL_UNITS)),
+              "max_iters": (0, None)}
+    try:
+        for name, (low, high) in limits.items():
+            if name in options:
+                _check_int(f"--{name.replace('_', '-')}", options[name], low, high)
+        for name in ("extension_penalty", "angle_weight", "jam_weight"):
+            if name in options:
+                _check_float(name, options[name], positive=name == "angle_weight")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     return RunConfig(command=args.command, corpus=corpus, layouts=layouts, text_in=text_in,
                      output=Path(output) if output not in (None, "-") else None,
@@ -348,14 +351,11 @@ def write_artifacts(artifacts) -> None:
 
 
 def _model(config: RunConfig) -> ErgonomicModel:
-    try:
-        if config.ergonomics is not None:
-            model = load_model(config.ergonomics, config.extension_penalty,
-                               config.angle_weight)
-        else:
-            model = default_model(config.extension_penalty, config.angle_weight)
-    except ValueError as exc:  # e.g. a non-finite or negative cost parameter
-        raise UsageError(str(exc)) from None
+    # _resolve has checked the cost parameters
+    if config.ergonomics is not None:
+        model = load_model(config.ergonomics, config.extension_penalty, config.angle_weight)
+    else:
+        model = default_model(config.extension_penalty, config.angle_weight)
     # Metrics and objectives sum count * taps * key cost. A key holds at most
     # every typable unit (--slots-per-key is capped there too), and a corpus
     # has at most sys.maxsize units, so a model that passes here overflows no
@@ -505,10 +505,7 @@ def _cmd_optimize(config: RunConfig) -> tuple[list, str]:
     bigrams = None
     if config.jam_weight > 0:
         bigrams = stats.pairs_among([u for u, _ in instance.units])
-    try:
-        objective = optimize.Objective(chosen, model, config.jam_weight, bigrams)
-    except ValueError as exc:  # out-of-range or non-finite jam weight
-        raise UsageError(str(exc)) from None
+    objective = optimize.Objective(chosen, model, config.jam_weight, bigrams)
     report = (f"method={config.method} units={len(instance.units)} "
               f"slots={len(instance.key_slots)} jam_weight={config.jam_weight:g}\n")
     if config.method == "exhaustive":

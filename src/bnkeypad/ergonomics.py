@@ -2,25 +2,25 @@
 
 Each key press bends the thumb's interphalangeal joint (IJ) to some angle
 and moves the metacarpophalangeal joint (MJ) either forward (flexion) or
-laterally (extension). Flexion keys are easier than extension keys, and
-within each group a wider IJ angle is easier. With the default
-parameters the scalar cost reproduces that ordering:
+laterally (extension). A key's entry stores the angle and the direction
+alone; extension is the lateral direction. Flexion keys are easier than
+extension keys, and within each group a wider IJ angle is easier. With
+the default parameters the scalar cost reproduces that ordering:
 
     cost = angle_weight * (180 - ij_angle) / 180 + extension_penalty * [extension]
 
 The nine digit keys carry measured values; the bottom row (*, 0, #) is
 extrapolated from the per-row angle trend and can be overridden from a
-model file.
+model file, whose ``movement`` column must agree with ``mj_direction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
 from typing import Iterable, Mapping
 
-from .bn_text import decode_document
+from .bn_text import _check_float, decode_document
 from .errors import MissingKeyError, ModelSyntaxError
 
 KEYPAD_KEYS: tuple[str, ...] = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "*", "0", "#")
@@ -38,75 +38,66 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class KeyErgonomics:
-    """Joint measurements for one key press."""
+    """Joint measurements for one key press; the key is the model's dict key."""
 
-    key: str
     ij_angle: float  # degrees, 0 < angle <= 180
     mj_direction: Direction
-    flexion: bool
-    extension: bool
 
     def __post_init__(self):
-        if self.key not in _KEY_INDEX:
-            raise ValueError(f"unknown key {self.key!r}")
         if not 0 < self.ij_angle <= 180:
             raise ValueError(f"ij_angle must be in (0, 180], got {self.ij_angle}")
-        if self.flexion == self.extension:
-            raise ValueError("exactly one of flexion/extension must hold")
-        if (self.mj_direction is Direction.LATERAL) != self.extension:
-            raise ValueError("lateral MJ movement and extension must coincide")
+
+    @property
+    def extension(self) -> bool:
+        """Whether the press extends the thumb: its MJ moves laterally."""
+        return self.mj_direction is Direction.LATERAL
+
+
+def _check_key(key: str) -> None:
+    if key not in _KEY_INDEX:
+        raise ValueError(f"unknown key {key!r}")
 
 
 @dataclass(frozen=True)
 class ErgonomicModel:
-    """Per-key ergonomics plus the two cost parameters."""
+    """Per-key ergonomics, keyed by the 12 keys alone, plus the two cost parameters."""
 
     entries: Mapping[str, KeyErgonomics]
     extension_penalty: float = 1.0
     angle_weight: float = 1.0
 
     def __post_init__(self):
+        for key in self.entries:
+            _check_key(key)
         missing = [k for k in KEYPAD_KEYS if k not in self.entries]
         if missing:
             raise ValueError(f"model must cover all 12 keys; missing {missing}")
-        if not (isfinite(self.extension_penalty) and self.extension_penalty >= 0):
-            raise ValueError(f"extension_penalty must be finite and >= 0, "
-                             f"got {self.extension_penalty}")
-        if not (isfinite(self.angle_weight) and self.angle_weight > 0):
-            raise ValueError(f"angle_weight must be finite and > 0, got {self.angle_weight}")
+        _check_float("extension_penalty", self.extension_penalty)
+        _check_float("angle_weight", self.angle_weight, positive=True)
 
 
 # Measured IJ angles and MJ directions for the digit keys; the bottom row
-# extrapolates each column's angle trend downward.
-_MEASUREMENTS: dict[str, tuple[float, Direction]] = {
-    "1": (120.0, Direction.FORWARD),
-    "2": (110.0, Direction.FORWARD),
-    "3": (80.0, Direction.LATERAL),
-    "4": (100.0, Direction.FORWARD),
-    "5": (95.0, Direction.FORWARD),
-    "6": (70.0, Direction.LATERAL),
-    "7": (80.0, Direction.FORWARD),
-    "8": (70.0, Direction.LATERAL),
-    "9": (65.0, Direction.LATERAL),
-    "*": (58.0, Direction.LATERAL),
-    "0": (62.0, Direction.FORWARD),
-    "#": (55.0, Direction.LATERAL),
+# extrapolates each column's angle trend downward. The entries are frozen,
+# so every default model shares them; each gets its own dict.
+_MEASUREMENTS: dict[str, KeyErgonomics] = {
+    "1": KeyErgonomics(120.0, Direction.FORWARD),
+    "2": KeyErgonomics(110.0, Direction.FORWARD),
+    "3": KeyErgonomics(80.0, Direction.LATERAL),
+    "4": KeyErgonomics(100.0, Direction.FORWARD),
+    "5": KeyErgonomics(95.0, Direction.FORWARD),
+    "6": KeyErgonomics(70.0, Direction.LATERAL),
+    "7": KeyErgonomics(80.0, Direction.FORWARD),
+    "8": KeyErgonomics(70.0, Direction.LATERAL),
+    "9": KeyErgonomics(65.0, Direction.LATERAL),
+    "*": KeyErgonomics(58.0, Direction.LATERAL),
+    "0": KeyErgonomics(62.0, Direction.FORWARD),
+    "#": KeyErgonomics(55.0, Direction.LATERAL),
 }
-
-
-def _entry(key: str, angle: float, direction: Direction) -> KeyErgonomics:
-    lateral = direction is Direction.LATERAL
-    return KeyErgonomics(key, angle, direction, flexion=not lateral, extension=lateral)
-
-
-# the entries are frozen, so every default model shares them; each gets its
-# own dict
-_DEFAULT_ENTRIES = {k: _entry(k, a, d) for k, (a, d) in _MEASUREMENTS.items()}
 
 
 def default_model(extension_penalty: float = 1.0, angle_weight: float = 1.0) -> ErgonomicModel:
     """The built-in measurement table with the given cost parameters."""
-    return ErgonomicModel(dict(_DEFAULT_ENTRIES), extension_penalty, angle_weight)
+    return ErgonomicModel(dict(_MEASUREMENTS), extension_penalty, angle_weight)
 
 
 def rank_keys(model: ErgonomicModel, keys: Iterable[str]) -> list[str]:
@@ -189,12 +180,13 @@ def parse_model_tsv(text: str, extension_penalty: float = 1.0,
             raise ModelSyntaxError(i, str(exc)) from None
         if movement_txt not in ("flexion", "extension"):
             raise ModelSyntaxError(i, f"movement must be flexion or extension, got {movement_txt!r}")
-        flexion = movement_txt == "flexion"
         try:
-            entries[key] = KeyErgonomics(key, angle, direction,
-                                         flexion=flexion, extension=not flexion)
+            _check_key(key)
+            entries[key] = entry = KeyErgonomics(angle, direction)
         except ValueError as exc:
             raise ModelSyntaxError(i, str(exc)) from None
+        if entry.extension != (movement_txt == "extension"):
+            raise ModelSyntaxError(i, "lateral MJ movement and extension must coincide")
     missing = [k for k in KEYPAD_KEYS if k not in entries]
     if missing:
         raise MissingKeyError(f"model file is missing key(s): {', '.join(missing)}")

@@ -44,7 +44,8 @@ from .bn_text import (
     Category,
     FrequencyTable,
     GraphemeUnit,
-    _check_count,
+    _check_float,
+    _check_int,
     rank_by_frequency,
 )
 from .ergonomics import (
@@ -77,14 +78,13 @@ class Objective:
     bigram_counts: Mapping[tuple[GraphemeUnit, GraphemeUnit], int] | None = None
 
     def __post_init__(self):
-        if not (isfinite(self.jam_weight) and self.jam_weight >= 0):
-            raise ValueError(f"jam_weight must be finite and >= 0, got {self.jam_weight}")
+        _check_float("jam_weight", self.jam_weight)
         if self.jam_weight > 0 and self.bigram_counts is None:
             raise ValueError("jam_weight > 0 requires bigram_counts")
         if self.bigram_counts is not None:
             units = set(self.freq.counts)
             for (a, b), count in self.bigram_counts.items():
-                _check_count((a, b), count)
+                _check_int("count", count, 0, of=(a, b))
                 if a not in units or b not in units:
                     raise ValueError(
                         f"bigram ({a.display}, {b.display}) references a unit "
@@ -102,7 +102,10 @@ class KeySlot(NamedTuple):
 
 @dataclass(frozen=True)
 class AssignmentInstance:
-    """A set of units with ``int`` counts, and the keypad slot positions open to them."""
+    """A set of units with ``int`` counts, and the keypad slot positions open to them.
+
+    Construction raises ``CapacityError`` when there are more units than slots.
+    """
 
     units: tuple[tuple[GraphemeUnit, int], ...]
     key_slots: tuple[KeySlot, ...]
@@ -111,13 +114,12 @@ class AssignmentInstance:
         if len(set(u for u, _ in self.units)) != len(self.units):
             raise ValueError("instance units must be unique")
         for unit, count in self.units:
-            _check_count(unit, count)
+            _check_int("count", count, 0, of=unit)
         by_key: dict[str, list[KeySlot]] = {}
         for slot in self.key_slots:
             if slot.key not in KEYPAD_KEYS:
                 raise ValueError(f"slot on unknown key {slot.key!r}")
-            if not (isfinite(slot.cost) and slot.cost > 0):
-                raise ValueError("slot costs must be finite and strictly positive")
+            _check_float("slot cost", slot.cost, positive=True)
             by_key.setdefault(slot.key, []).append(slot)
         for key, slots in by_key.items():
             indices = sorted(s.slot_index for s in slots)
@@ -126,15 +128,8 @@ class AssignmentInstance:
             costs = [s.cost for s in sorted(slots, key=lambda s: s.slot_index)]
             if any(a > b for a, b in zip(costs, costs[1:])):
                 raise ValueError(f"slot costs on key {key} must be nondecreasing")
-
-
-def _check_int(name: str, value, low: int, high: int | None = None) -> None:
-    """Refuse a parameter that is not an ``int`` in ``low..high``; ``bool`` is not one."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < low or high is not None and value > high:
-        bounds = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be {bounds}, got {value}")
+        if len(self.units) > len(self.key_slots):
+            raise CapacityError(f"{len(self.units)} units but only {len(self.key_slots)} slots")
 
 
 def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
@@ -294,8 +289,6 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
     """
     n_units = len(instance.units)
     n_slots = len(instance.key_slots)
-    if n_units > n_slots:
-        raise CapacityError(f"{n_units} units but only {n_slots} slots")
     if not override_guard and (n_units > GUARD_MAX_UNITS or n_slots > GUARD_MAX_SLOTS):
         raise InstanceTooLargeError(
             f"instance has {n_units} units and {n_slots} slots; the exhaustive "
@@ -412,9 +405,6 @@ def solve_greedy(instance: AssignmentInstance, objective: Objective) -> tuple[La
     Frequency ties break by ascending codepoint; cost ties by keypad key
     order, then slot index. Optimal whenever ``jam_weight`` is zero.
     """
-    if len(instance.units) > len(instance.key_slots):
-        raise CapacityError(
-            f"{len(instance.units)} units but only {len(instance.key_slots)} slots")
     score = _Terms(objective, instance.units, instance.key_slots).score
     unit_order = sorted(range(len(instance.units)),
                         key=lambda i: (-instance.units[i][1],

@@ -189,14 +189,24 @@ def test_read_corpus_bad_utf8_reports_offset(tmp_path):
 
 
 def test_table_invariant_checked():
+    # the total is the sum of the counts, not a stored copy to keep in step
     ka = unit_for("ক")
-    with pytest.raises(ValueError):
+    assert [f.name for f in dataclasses.fields(FrequencyTable)] == ["counts"]
+    assert FrequencyTable({ka: 2, unit_for("খ"): 3}).total == 5
+    with pytest.raises(TypeError):
         FrequencyTable({ka: 2}, total=5)
+
+
+def test_table_refuses_a_unit_outside_the_inventory():
+    # format_frequency_tsv would write a row for it
+    foreign = GraphemeUnit((0x41,), Category.SYMBOL, "A")
+    with pytest.raises(ValueError, match=r"^GraphemeUnit\('A'\) is not a typable unit$"):
+        FrequencyTable.from_counts({unit_for("ক"): 1, foreign: 3})
 
 
 @pytest.mark.parametrize("count", [1.5, float("inf"), float("nan"), True], ids=repr)
 def test_table_refuses_a_count_that_is_not_an_int(count):
-    # NaN would trip the total check, but the error must name the unit
+    # the error must name the unit
     ka = unit_for("ক")
     with pytest.raises(ValueError, match=re.escape(repr(ka))):
         FrequencyTable.from_counts({ka: count})

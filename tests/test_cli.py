@@ -447,6 +447,30 @@ def test_model_that_is_not_utf8_is_a_syntax_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# (line number, the row put there) -> the whole error line; line 2 holds key 1,
+# line 14 is one past the last of the 12 key rows
+@pytest.mark.parametrize("line_no, row, message", [
+    (2, "q\t120\tforward\tflexion", "unknown key 'q'"),
+    (3, "2\t0\tforward\tflexion", "ij_angle must be in (0, 180], got 0.0"),
+    (3, "2\t181\tforward\tflexion", "ij_angle must be in (0, 180], got 181.0"),
+    (4, "3\t80\tlateral\tflexion", "lateral MJ movement and extension must coincide"),
+    (3, "2\t110\tforward\textension", "lateral MJ movement and extension must coincide"),
+    (14, "1\t120\tforward\tflexion", "duplicate key '1'"),
+    (2, "q\t0\tforward\tflexion", "unknown key 'q'"),
+], ids=["unknown-key", "angle-0", "angle-181", "lateral-flexion", "forward-extension",
+        "duplicate-key", "unknown-key-and-bad-angle"])
+def test_model_file_errors_name_the_line(tmp_path, capsys, line_no, row, message):
+    lines = format_model_tsv(default_model()).splitlines()
+    lines[line_no - 1:line_no] = [row]
+    model = tmp_path / "model.tsv"
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "report.tsv"
+    assert main(["evaluate", "--layout", str(TOY_LAYOUT_PATH), "--corpus", str(CORPUS_PATH),
+                 "--ergonomics", str(model), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"E_MODEL_SYNTAX\tline {line_no}: {message}\n"
+    assert not out.exists()
+
+
 def test_crlf_layout_and_model_files_parse_the_same(tmp_path):
     layout_text = TOY_LAYOUT_PATH.read_text(encoding="utf-8")
     model_text = format_model_tsv(default_model())
@@ -843,6 +867,64 @@ def test_config_limits_are_checked_like_flags(tmp_path, capsys, config):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("E_USAGE\t")
     assert not out.exists()
+
+
+def _command_args(out: Path) -> dict:
+    """Valid inputs for every command, writing to ``out``."""
+    corpus = ["--corpus", str(CORPUS_PATH)]
+    return {"analyze": [*corpus, "-o", str(out)],
+            "build-layout": [*corpus, "-o", str(out)],
+            "evaluate": ["--layout", str(TOY_LAYOUT_PATH), *corpus, "-o", str(out)],
+            "compare": ["--layouts", str(TOY_LAYOUT_PATH), *corpus, "-o", str(out)],
+            "transcribe": ["--layout", str(TOY_LAYOUT_PATH), "--in", str(CORPUS_PATH),
+                           "--out", str(out)],
+            "optimize": [*corpus, "-o", str(out)],
+            "reproduce-paper": [*corpus, "--out-dir", str(out)]}
+
+
+# every number --config takes, with JSON values it must refuse: NaN, the
+# infinities, a negative, 0 where 0 is refused, and a switch's true
+BAD_NUMBERS = [(name, value) for name, zero in [
+    ("extension_penalty", False), ("angle_weight", True), ("jam_weight", False),
+    ("max_units", True), ("slots_per_key", True), ("max_iters", False),
+] for value in ["NaN", "Infinity", "-Infinity", "-1", "true"] + ["0"] * zero]
+
+
+@pytest.mark.parametrize("name, value", BAD_NUMBERS)
+def test_a_bad_config_number_is_the_same_usage_line_on_every_command(tmp_path, capsys,
+                                                                     name, value):
+    config = tmp_path / "c.json"
+    config.write_text(f'{{"{name}": {value}}}', encoding="utf-8")
+    commands = _command_args(tmp_path / "out")
+    assert set(commands) == set(cli._COMMANDS)
+    lines = set()
+    for command, args in commands.items():
+        assert main([command, *args, "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines(keepends=True)
+        assert len(err) == 1 and err[0].startswith("E_USAGE\t")
+        lines.add(err[0])
+    assert len(lines) == 1
+    assert list(tmp_path.iterdir()) == [config]
+
+
+# the lines optimize and evaluate print for these values, now on every command
+@pytest.mark.parametrize("command, config, line", [
+    ("analyze", '{"jam_weight": NaN}', "jam_weight must be finite and >= 0, got nan"),
+    ("transcribe", '{"angle_weight": 0, "jam_weight": Infinity}',
+     "angle_weight must be finite and > 0, got 0.0"),
+    ("build-layout", '{"extension_penalty": -1, "slots_per_key": 73}',
+     "--slots-per-key must be <= 72, got 73"),
+    ("optimize", '{"extension_penalty": -Infinity}',
+     "extension_penalty must be finite and >= 0, got -inf"),
+])
+def test_config_numbers_are_checked_on_commands_that_do_not_read_them(tmp_path, capsys,
+                                                                      command, config, line):
+    path = tmp_path / "c.json"
+    path.write_text(config, encoding="utf-8")
+    assert main([command, *_command_args(tmp_path / "out")[command], "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"E_USAGE\t{line}\n"
 
 
 def test_config_integer_too_long_to_convert_is_a_usage_error(tmp_path, capsys):

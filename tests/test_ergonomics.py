@@ -1,5 +1,6 @@
 """Thumb-movement model: ranking, costs, model files."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -44,7 +45,6 @@ def test_default_model_measured_rows():
         entry = model.entries[key]
         assert entry.ij_angle == angle
         assert entry.mj_direction is direction
-        assert entry.flexion is (direction is Direction.FORWARD)
         assert entry.extension is (direction is Direction.LATERAL)
 
 
@@ -60,7 +60,7 @@ def test_default_model_extrapolated_bottom_row():
     assert model.entries["*"].ij_angle == 58.0
     assert model.entries["*"].extension
     assert model.entries["0"].ij_angle == 62.0
-    assert model.entries["0"].flexion
+    assert not model.entries["0"].extension
     assert model.entries["#"].ij_angle == 55.0
     assert model.entries["#"].extension
 
@@ -131,14 +131,16 @@ def test_angle_weight_scales_angle_term():
 
 
 def test_entry_invariants_enforced():
-    with pytest.raises(ValueError):
-        KeyErgonomics("1", 120.0, Direction.FORWARD, flexion=True, extension=True)
-    with pytest.raises(ValueError):
-        KeyErgonomics("1", 120.0, Direction.LATERAL, flexion=True, extension=False)
-    with pytest.raises(ValueError):
-        KeyErgonomics("1", 0.0, Direction.FORWARD, flexion=True, extension=False)
-    with pytest.raises(ValueError):
-        KeyErgonomics("q", 90.0, Direction.FORWARD, flexion=True, extension=False)
+    # an entry stores the angle and the direction; extension is the lateral direction
+    assert [f.name for f in dataclasses.fields(KeyErgonomics)] == ["ij_angle", "mj_direction"]
+    assert KeyErgonomics(120.0, Direction.LATERAL).extension
+    assert not KeyErgonomics(120.0, Direction.FORWARD).extension
+    for angle in (0.0, -1.0, 180.5, float("nan")):
+        with pytest.raises(ValueError, match=r"ij_angle must be in \(0, 180\]"):
+            KeyErgonomics(angle, Direction.FORWARD)
+    entries = dict(default_model().entries, q=KeyErgonomics(90.0, Direction.FORWARD))
+    with pytest.raises(ValueError, match="^unknown key 'q'$"):
+        ErgonomicModel(entries)
 
 
 def test_model_must_cover_all_keys(model):

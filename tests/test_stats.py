@@ -390,7 +390,7 @@ def reference_from_text(text):
     bigrams = {(ALL_UNITS[a], ALL_UNITS[b]): n
                for (a, b), n in Counter(zip(typable, typable[1:])).items()}
     # a lone surrogate is one skipped scalar of three bytes
-    return (FrequencyTable(counts, len(typable)), typable, bigrams,
+    return (FrequencyTable(counts), typable, bigrams,
             len(text.encode("utf-8", "surrogatepass")), len(text) - len(typable))
 
 
@@ -686,7 +686,7 @@ def eager_table(data):
         rest = list(map(part.count, others))
         counts.append(len(part) - sum(rest))
         counts += rest
-    return FrequencyTable({u: c for u, c in zip(ALL_UNITS, counts) if c}, len(data))
+    return FrequencyTable({u: c for u, c in zip(ALL_UNITS, counts) if c})
 
 
 @settings(max_examples=300, deadline=None)
