@@ -46,7 +46,14 @@ from .layout import (
     parse,
     serialize,
 )
-from .transcribe import EvaluationReport, KeystrokeTrace, decode, evaluate, transcribe
+from .transcribe import (
+    EvaluationReport,
+    KeystrokeTrace,
+    decode,
+    evaluate,
+    evaluate_many,
+    transcribe,
+)
 
 __version__ = "0.1.0"
 
@@ -70,7 +77,7 @@ __all__ = [
     "KeypadError",
     "DEFAULT_ROLES", "Layout", "PlacementPolicy", "Role", "Strategy", "build_layout",
     "parse", "serialize",
-    "EvaluationReport", "KeystrokeTrace", "decode", "evaluate", "transcribe",
+    "EvaluationReport", "KeystrokeTrace", "decode", "evaluate", "evaluate_many", "transcribe",
     *sorted(_OPTIMIZE_NAMES),
 ]
 

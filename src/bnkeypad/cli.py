@@ -45,7 +45,7 @@ from .layout import (
     load_layout,
     serialize,
 )
-from .transcribe import EvaluationReport, _trace, evaluate
+from .transcribe import EvaluationReport, _trace, evaluate_many
 
 # The keys --config accepts, each with the check its value must pass: the
 # flag's type applied to the value's text, the flag's choices, or the JSON
@@ -89,6 +89,8 @@ class RunConfig:
     skip_untypable: bool = False
     override_guard: bool = False
     layout_name: str | None = None
+    # built by _resolve from ergonomics, extension_penalty and angle_weight
+    model: ErgonomicModel | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -266,10 +268,13 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    return RunConfig(command=args.command, corpus=corpus, layouts=layouts, text_in=text_in,
-                     output=Path(output) if output not in (None, "-") else None,
-                     out_dir=Path(out_dir) if out_dir else None,
-                     layout_name=given.get("layout_name"), **options)
+    fields = dict(command=args.command, corpus=corpus, layouts=layouts, text_in=text_in,
+                  output=Path(output) if output not in (None, "-") else None,
+                  out_dir=Path(out_dir) if out_dir else None,
+                  layout_name=given.get("layout_name"), **options)
+    # every command builds and checks the cost model, and the commands that
+    # use it take this one
+    return RunConfig(**fields, model=_model(RunConfig(**fields)))
 
 
 def write_artifacts(artifacts) -> None:
@@ -412,13 +417,15 @@ def _require_placed(units: int, skipped_units: int, layout_name: str,
                                f"of {source}: layout {layout_name} places none of them")
 
 
-def _evaluate_corpus(stats: CorpusStats, layout: Layout, name: str, model: ErgonomicModel,
-                     config: RunConfig) -> EvaluationReport:
-    """``evaluate``, refusing a corpus that leaves it no unit to evaluate."""
+def _evaluate_corpus(stats: CorpusStats, named: list[tuple[str, Layout]],
+                     config: RunConfig) -> list[EvaluationReport]:
+    """``evaluate_many`` of ``(name, layout)`` pairs, refusing a corpus that leaves one no unit."""
     _require_units(stats, "evaluate")
-    report = evaluate(stats, layout, model, skip_untypable=config.skip_untypable)
-    _require_placed(report.unit_count, report.skipped_units, name)
-    return report
+    reports = evaluate_many(stats, [layout for _, layout in named], config.model,
+                            skip_untypable=config.skip_untypable)
+    for (name, _), report in zip(named, reports):
+        _require_placed(report.unit_count, report.skipped_units, name)
+    return reports
 
 
 def _cmd_analyze(config: RunConfig) -> tuple[list, str]:
@@ -430,10 +437,9 @@ def _cmd_analyze(config: RunConfig) -> tuple[list, str]:
 
 def _cmd_build_layout(config: RunConfig) -> tuple[list, str]:
     table = CorpusStats.read(config.corpus).table
-    model = _model(config)
     policy = PlacementPolicy(strategy=Strategy(config.strategy))
     try:
-        layout = build_layout(table, model, policy, name=config.layout_name)
+        layout = build_layout(table, config.model, policy, name=config.layout_name)
     except ValueError as exc:  # a --name the layout file cannot hold
         raise UsageError(str(exc)) from None
     return [(config.output, serialize(layout))], ""
@@ -442,9 +448,8 @@ def _cmd_build_layout(config: RunConfig) -> tuple[list, str]:
 def _cmd_evaluate(config: RunConfig) -> tuple[list, str]:
     path = config.layouts[0]
     layout = load_layout(path)
-    model = _model(config)
     stats = CorpusStats.read(config.corpus)
-    report = _evaluate_corpus(stats, layout, layout.name or path.stem, model, config)
+    [report] = _evaluate_corpus(stats, [(layout.name or path.stem, layout)], config)
     if config.report_format == "json":
         text = json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n"
     else:
@@ -453,13 +458,12 @@ def _cmd_evaluate(config: RunConfig) -> tuple[list, str]:
 
 
 def _cmd_compare(config: RunConfig) -> tuple[list, str]:
-    model = _model(config)
     stats = CorpusStats.read(config.corpus)
-    rows = []
-    for path in config.layouts:
+    named = []
+    for path in config.layouts:  # every file is loaded before any is evaluated
         layout = load_layout(path)
-        name = layout.name or path.stem
-        rows.append((name, _evaluate_corpus(stats, layout, name, model, config)))
+        named.append((layout.name or path.stem, layout))
+    rows = list(zip([name for name, _ in named], _evaluate_corpus(stats, named, config)))
     if config.report_format == "json":
         payload = [dict(layout=name, **_report_dict(report)) for name, report in rows]
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -495,7 +499,7 @@ def _cmd_optimize(config: RunConfig) -> tuple[list, str]:
     from . import optimize  # imported here, so that the other commands never load it
 
     stats = CorpusStats.read(config.corpus)
-    model = _model(config)
+    model = config.model
     # the instance reads the consonants alone, so only they are counted
     consonant_table = FrequencyTable.from_counts(stats.counts_among(bn_text.CONSONANTS))
     instance = optimize.consonant_instance(consonant_table, model,
@@ -533,8 +537,8 @@ def reproduce_paper(corpus_paths, model: ErgonomicModel) -> tuple[Layout, Layout
                             name="serpentine")
     baseline = build_layout(stats.table, model, PlacementPolicy(Strategy.SEQUENTIAL),
                             name="sequential")
-    reports = [(layout, evaluate(stats, layout, model))
-               for layout in (proposed, baseline)]
+    layouts = (proposed, baseline)
+    reports = list(zip(layouts, evaluate_many(stats, layouts, model)))
     ranking = rank_keys(model, [str(d) for d in range(1, 10)])
     jam_proposed = reports[0][1].jam_rate
     jam_baseline = reports[1][1].jam_rate
@@ -559,7 +563,7 @@ def reproduce_paper(corpus_paths, model: ErgonomicModel) -> tuple[Layout, Layout
 
 
 def _cmd_reproduce_paper(config: RunConfig) -> tuple[list, str]:
-    proposed, baseline, report_text = reproduce_paper(config.corpus, _model(config))
+    proposed, baseline, report_text = reproduce_paper(config.corpus, config.model)
     out_dir = config.out_dir
     return [(out_dir / "proposed_layout.tsv", serialize(proposed)),
             (out_dir / "baseline_layout.tsv", serialize(baseline)),

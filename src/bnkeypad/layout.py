@@ -106,7 +106,7 @@ class Layout:
         object.__setattr__(self, "roles", roles)
 
         # each code's (key, taps), None where lacking, and its key's index in
-        # KEYPAD_KEYS (0 where lacking), which evaluate translates codes through
+        # KEYPAD_KEYS (0 where lacking), which evaluation packs into a nibble
         spots: list[tuple[str, int] | None] = [None] * 256
         key_indices = bytearray(256)
         for index, key in enumerate(KEYPAD_KEYS):

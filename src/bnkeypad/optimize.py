@@ -33,7 +33,7 @@ the swaps that lower neither sum, and builds one ``Layout`` at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, fsum, inf, isfinite
+from math import ceil, fsum, inf, isfinite, nextafter
 from operator import mul
 from sys import float_info
 from typing import Mapping, NamedTuple
@@ -281,11 +281,13 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
     vector (units in instance order, slots in instance order).
 
     The search is a branch-and-bound in lexicographic order that returns
-    the layout and value of scoring all nPk vectors. At jam weight 0.5 on
-    a shared 2-vCPU host, the fixture's 6 top consonants on keys 2-6 x 2
-    slots take about 1.5 ms (0.37 s to score all 151,200 vectors), and its
-    10 top consonants on keys 2-7 x 2 slots about 15 ms (about 20 minutes
-    for all 239.5 M); medians of interleaved in-process calls.
+    the layout and value of scoring all nPk vectors. Its first incumbent
+    value is just above the greedy vector's, so it prunes from the root.
+    At jam weight 0.5 on a shared 2-vCPU host, the fixture's 6 top
+    consonants on keys 2-6 x 2 slots take about 0.25 ms (0.37 s to score
+    all 151,200 vectors), and its 10 top consonants on keys 2-7 x 2 slots
+    about 3 ms (about 20 minutes for all 239.5 M); medians of 30
+    in-process calls, half the time of a search without the greedy seed.
     """
     n_units = len(instance.units)
     n_slots = len(instance.key_slots)
@@ -295,7 +297,10 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
             f"guard allows {GUARD_MAX_UNITS} units and {GUARD_MAX_SLOTS} slots"
         )
     terms = _Terms(objective, instance.units, instance.key_slots)
-    layout, compacted = _assignment_layout(instance, _branch_and_bound(terms), "exhaustive")
+    # the greedy vector is one of the assignments, so the minimum is at most its value
+    bound = nextafter(terms.score(_greedy_assignment(instance)), inf)
+    layout, compacted = _assignment_layout(instance, _branch_and_bound(terms, bound),
+                                           "exhaustive")
     return layout, terms.score(compacted)
 
 
@@ -311,16 +316,19 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
 _REARRANGEMENT_SLACK = 2.0 ** -40
 
 
-def _branch_and_bound(terms: _Terms) -> list[int]:
+def _branch_and_bound(terms: _Terms, bound: float) -> list[int]:
     """Lexicographically smallest assignment vector of minimum value.
 
-    Depth-first over units 0, 1, ... with slots tried in increasing index,
-    so assignments come in the order of ``permutations(range(n_slots),
-    n_units)``. Each node carries the integer cost and jam sums of its
-    placed units, and a leaf's value is ``terms.value`` of them, so only the
-    objective ranks assignments, and an incumbent is replaced by a strictly
-    smaller value alone. A subtree is skipped when a lower bound on the
-    value of each of its assignments cannot beat the incumbent:
+    ``bound`` must be above the minimum. It is the first incumbent value,
+    which only a leaf of smaller value replaces, so each leaf of minimum
+    value still can. Depth-first over units 0, 1, ... with slots tried in
+    increasing index, so assignments come in the order of
+    ``permutations(range(n_slots), n_units)``. Each node carries the
+    integer cost and jam sums of its placed units, and a leaf's value is
+    ``terms.value`` of them, so only the objective ranks assignments, and
+    an incumbent is replaced by a strictly smaller value alone. A subtree
+    is skipped when a lower bound on the value of each of its assignments
+    cannot beat the incumbent:
 
     - exact bound: ``terms.value`` of the placed units' cost plus each
       remaining unit on the cheapest free slot, and of the jam of the placed
@@ -362,7 +370,7 @@ def _branch_and_bound(terms: _Terms) -> list[int]:
     assign = [0] * n_units
     key_of = [0] * n_units  # key of the slot of each placed unit
     used = [False] * n_slots
-    best_value = inf
+    best_value = bound
     best_assign = None
 
     def visit(k, cost, jam):
@@ -406,6 +414,12 @@ def solve_greedy(instance: AssignmentInstance, objective: Objective) -> tuple[La
     order, then slot index. Optimal whenever ``jam_weight`` is zero.
     """
     score = _Terms(objective, instance.units, instance.key_slots).score
+    layout, compacted = _assignment_layout(instance, _greedy_assignment(instance), "greedy")
+    return layout, score(compacted)
+
+
+def _greedy_assignment(instance: AssignmentInstance) -> list[int]:
+    """The vector of :func:`solve_greedy`, before its layout is built."""
     unit_order = sorted(range(len(instance.units)),
                         key=lambda i: (-instance.units[i][1],
                                        instance.units[i][0].codepoints))
@@ -416,8 +430,7 @@ def solve_greedy(instance: AssignmentInstance, objective: Objective) -> tuple[La
     assign = [0] * len(instance.units)
     for i, j in zip(unit_order, slot_order):
         assign[i] = j
-    layout, compacted = _assignment_layout(instance, assign, "greedy")
-    return layout, score(compacted)
+    return assign
 
 
 def improve_local(start: Layout, objective: Objective,

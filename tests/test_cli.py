@@ -156,6 +156,49 @@ def test_compare_equals_two_evaluates(tmp_path, capsys):
         assert jam == f"{expected.jam_rate:.9f}"
 
 
+def test_compare_keeps_the_order_and_repeats_of_its_layouts(tmp_path, capsys):
+    serp = tmp_path / "serp.tsv"
+    main(["build-layout", "--corpus", str(CORPUS_PATH), "-o", str(serp)])
+    rows = {}
+    for layouts in ([serp], [serp, TOY_LAYOUT_PATH, serp], [TOY_LAYOUT_PATH, serp, serp]):
+        assert main(["compare", "--layouts", *map(str, layouts), "--corpus", str(CORPUS_PATH),
+                     "--skip-untypable"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == len(layouts)
+        for path, line in zip(layouts, lines):
+            assert rows.setdefault(path, line) == line
+    assert rows[serp] != rows[TOY_LAYOUT_PATH]
+
+
+# compare loads every layout file before it evaluates any, so a later
+# file's error comes before an earlier layout's untypable unit and before an
+# empty corpus; with one fault, each line is the one it always was
+@pytest.mark.parametrize("layouts, corpus, line", [
+    (["toy", "bad"], "fixture", "E_LAYOUT_SYNTAX\tline 1: expected header 'keypad-layout v1'"),
+    (["serp", "bad"], "empty", "E_LAYOUT_SYNTAX\tline 1: expected header 'keypad-layout v1'"),
+    (["toy"], "fixture",
+     "E_UNTYPABLE\tunit BENGALI LETTER AA at text position 0 is not in the layout"),
+    (["serp", "toy"], "fixture",
+     "E_UNTYPABLE\tunit BENGALI LETTER AA at text position 0 is not in the layout"),
+    (["bad", "toy"], "fixture", "E_LAYOUT_SYNTAX\tline 1: expected header 'keypad-layout v1'"),
+    (["serp", "serp"], "empty",
+     "E_EMPTY_CORPUS\tthe corpus has no typable unit to evaluate (0 scalars skipped)"),
+], ids=["bad-after-untypable", "bad-after-good-on-empty", "untypable", "untypable-second",
+        "bad-first", "empty"])
+def test_compare_reports_a_layout_file_error_before_evaluating(tmp_path, capsys, layouts,
+                                                               corpus, line):
+    paths = {"toy": TOY_LAYOUT_PATH, "bad": tmp_path / "bad.tsv", "serp": tmp_path / "serp.tsv",
+             "fixture": CORPUS_PATH, "empty": tmp_path / "empty.txt"}
+    paths["bad"].write_text("not a layout\n", encoding="utf-8")
+    paths["empty"].write_text("", encoding="utf-8")
+    assert main(["build-layout", "--corpus", str(CORPUS_PATH), "-o", str(paths["serp"])]) == 0
+    out = tmp_path / "compare.tsv"
+    assert main(["compare", "--layouts", *(str(paths[name]) for name in layouts),
+                 "--corpus", str(paths[corpus]), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == line + "\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("separator", NAME_BREAKERS)
 def test_build_layout_rejects_a_name_the_file_cannot_hold(tmp_path, capsys, separator):
     out = tmp_path / "named.tsv"
@@ -702,6 +745,10 @@ def test_optimize_guard(tmp_path, capsys):
     assert not out.exists()
 
 
+OVERFLOW_LINE = ("E_USAGE\tcost parameters too large: key 1 costs inf, so a corpus "
+                 "typed at 72 taps a unit could cost more than the largest float")
+
+
 # A command writes its report lines only after its artifact, so a run that
 # fails while solving or writing prints the error line alone
 @pytest.mark.parametrize("argv, code", [
@@ -721,27 +768,37 @@ def test_optimize_guard(tmp_path, capsys):
     # the third artifact fails, so the first two are never put in place
     (["reproduce-paper", "--corpus", str(CORPUS_PATH), "--out-dir", "{adir}"],
      "E_IO\t[Errno 21] Is a directory: '{adir}/report.tsv'"),
+    # the overflow rule holds on commands that build no model
+    (["analyze", "--corpus", str(CORPUS_PATH), "--config", "{big}", "-o", "{out}"],
+     OVERFLOW_LINE),
+    (["transcribe", "--layout", str(TOY_LAYOUT_PATH), "--in", str(CORPUS_PATH),
+      "--skip-untypable", "--config", "{big}", "--out", "{out}"],
+     OVERFLOW_LINE),
 ], ids=["optimize-capacity", "optimize-io", "analyze-io", "transcribe-io", "reproduce-paper-io",
-        "analyze-dir-io", "reproduce-paper-report-dir-io"])
+        "analyze-dir-io", "reproduce-paper-report-dir-io", "analyze-overflow",
+        "transcribe-overflow"])
 def test_failed_run_prints_one_error_line(tmp_path, capsys, argv, code):
     afile = tmp_path / "afile"
     afile.write_text("a regular file\n", encoding="utf-8")
     adir = tmp_path / "adir"
     (adir / "report.tsv").mkdir(parents=True)
-    paths = {"out": tmp_path / "out.tsv", "afile": afile, "adir": adir}
+    big = tmp_path / "big.json"
+    big.write_text('{"angle_weight": 1e308}', encoding="utf-8")
+    paths = {"out": tmp_path / "out.tsv", "afile": afile, "adir": adir, "big": big}
+    status = 2 if code.startswith("E_USAGE") else 1
     errs = []
     for _ in range(2):
-        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert main([arg.format(**paths) for arg in argv]) == status
         errs.append(capsys.readouterr().err)
     # the line names no temp file, so it reads the same on every run
     assert errs[0] == errs[1]
     err = errs[0].splitlines()
     assert len(err) == 1 and re.match(r"E_[A-Z_]+\t", err[0])
-    if code.startswith("E_IO"):
+    if "\t" in code:
         assert err[0] == code.format(**paths)
     else:
         assert err[0].startswith(code + "\t")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile", "big.json"]
     assert [p.name for p in adir.iterdir()] == ["report.tsv"]
     assert afile.read_text(encoding="utf-8") == "a regular file\n"
 
@@ -1073,6 +1130,22 @@ def test_model_whose_costs_can_overflow_is_a_usage_error(tmp_path, capsys, comma
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("E_USAGE\tcost parameters too large: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "transcribe"])
+def test_commands_that_use_no_model_still_check_the_model_file(tmp_path, capsys, command):
+    model = tmp_path / "model.tsv"
+    model.write_text("not a model\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ergonomics": str(model)}), encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    args = {"analyze": ["--corpus", str(CORPUS_PATH), "-o", str(out)],
+            "transcribe": ["--layout", str(TOY_LAYOUT_PATH), "--in", str(CORPUS_PATH),
+                           "--skip-untypable", "--out", str(out)]}[command]
+    assert main([command, *args, "--config", str(config)]) == 1
+    assert capsys.readouterr().err == ("E_MODEL_SYNTAX\tline 1: expected header "
+                                       "'key\\tij_angle_deg\\tmj_direction\\tmovement'\n")
+    assert not out.exists()
 
 
 def test_large_cost_parameters_with_finite_sums_still_run(capsys):

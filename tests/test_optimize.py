@@ -527,6 +527,22 @@ def test_exhaustive_counts_a_self_pair_in_every_value(model):
     assert (layout.slots["2"], layout.slots["3"], value) == ((KA,), (KHA,), 1.0)
 
 
+def test_exhaustive_prefers_a_smaller_vector_that_ties_the_greedy_one(model):
+    # greedy puts KA, first by codepoint among equal counts, on the cheaper
+    # slot 0, so its vector is [1, 0]; [0, 1] has the same value and is
+    # lexicographically smaller, and a search seeded with the greedy value
+    # must still return it
+    instance, freq = make_instance([(KHA, 1), (KA, 1)],
+                                   [KeySlot("3", 1, 0.5), KeySlot("2", 1, 1.0)])
+    objective = Objective(freq, model)
+    greedy, greedy_value = solve_greedy(instance, objective)
+    layout, value = solve_exhaustive(instance, objective)
+    assert (layout, value) == reference_solve_exhaustive(instance, objective)
+    assert value == greedy_value == oracle_minimum(instance, objective)
+    assert greedy.position(KA) == ("3", 1)
+    assert layout.position(KHA) == ("3", 1) and layout.position(KA) == ("2", 1)
+
+
 # Instances at the guard's limit. Each has up to 239.5 M assignments, and
 # the bounds let exhaustive search finish in a fraction of a second; a
 # bound that stops pruning makes these tests run for minutes.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import adversarial_texts, random_full_layout, random_text
 
 from bnkeypad.bn_text import (
+    ALL_UNITS,
     CONJUNCT_JOINER,
     SPACE_UNIT,
     Category,
@@ -21,7 +22,7 @@ from bnkeypad.bn_text import (
 from bnkeypad.ergonomics import KEYPAD_KEYS, key_cost
 from bnkeypad.errors import CorruptTraceError, UntypableUnitError
 from bnkeypad.layout import DEFAULT_ROLES, Layout, PlacementPolicy, Strategy, build_layout
-from bnkeypad.transcribe import KeystrokeTrace, decode, evaluate, transcribe
+from bnkeypad.transcribe import KeystrokeTrace, decode, evaluate, evaluate_many, transcribe
 
 KA, KHA, GA, GHA, CA = (unit_for(c) for c in "কখগঘচ")
 
@@ -343,3 +344,80 @@ def test_fixture_slice_metrics_frozen(corpus_units, corpus_table, model):
     serp = GOLDEN_1000["serpentine"]
     seq = GOLDEN_1000["sequential"]
     assert serp["jam_rate"] < seq["jam_rate"]
+
+
+# ---------------------------------------------------------------------------
+# evaluate_many: two layouts per pass over the corpus
+# ---------------------------------------------------------------------------
+
+def with_keys_swapped(layout, a, b):
+    """The layout with the slots of keys a and b exchanged, and no roles."""
+    slots = dict(layout.slots)
+    slots[a], slots[b] = layout.slots[b], layout.slots[a]
+    return Layout(slots=slots, name=layout.name)
+
+
+def oracle_report(units, layout, model):
+    """``oracle_metrics`` of the units the layout places, with the unit and skip counts."""
+    placed = [u for u in units if layout.position(u) is not None]
+    if not placed:
+        return dict(kspc=1.0, expected_cost=0.0, jam_rate=0.0, press_count=0,
+                    per_key_load=dict.fromkeys(KEYPAD_KEYS, 0.0), unit_count=0,
+                    skipped_units=len(units))
+    return dict(oracle_metrics(placed, layout, model), unit_count=len(placed),
+                skipped_units=len(units) - len(placed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.randoms(use_true_random=False), st.booleans())
+def test_evaluate_many_equals_the_oracle_and_evaluate(model, n_layouts, rng, skip_untypable):
+    layouts = []
+    for _ in range(n_layouts):
+        if layouts and rng.random() < 0.25:  # the same layout twice
+            layouts.append(rng.choice(layouts))
+            continue
+        layout = random_full_layout(rng)
+        if rng.random() < 0.5:  # units on key 1 (index 0) and key # (index 11)
+            layout = with_keys_swapped(layout, "1", rng.choice("#2"))
+        if rng.random() < 0.3:  # a layout that lacks units
+            layout = thinned(layout, rng)
+        layouts.append(layout)
+    # a few units, so that keys repeat and jam
+    pool = rng.sample(ALL_UNITS, rng.randint(1, 8))
+    units = [rng.choice(pool) for _ in range(rng.randint(0, 150))]
+    stats = CorpusStats.from_units(units)
+
+    untypable = [layout for layout in layouts
+                 if any(layout.position(u) is None for u in units)]
+    if untypable and not skip_untypable:
+        first = next(pos for pos, u in enumerate(units) if untypable[0].position(u) is None)
+        with pytest.raises(UntypableUnitError) as exc_info:
+            evaluate_many(stats, layouts, model)
+        assert (exc_info.value.unit, exc_info.value.position) == (units[first], first)
+        return
+    reports = evaluate_many(stats, layouts, model, skip_untypable)
+    assert len(reports) == len(layouts)
+    for layout, report in zip(layouts, reports):
+        assert report == evaluate(stats, layout, model, skip_untypable)
+        expected = oracle_report(units, layout, model)
+        assert report.expected_cost == pytest.approx(expected.pop("expected_cost"), rel=1e-12)
+        assert {name: getattr(report, name) for name in expected} == expected
+        assert report.skipped_scalars == 0
+
+
+def test_evaluate_many_on_the_fixture(corpus_path, corpus_units, corpus_table, model):
+    stats = CorpusStats.read([corpus_path])
+    serpentine, sequential = (build_layout(corpus_table, model, PlacementPolicy(strategy))
+                              for strategy in (Strategy.SERPENTINE, Strategy.SEQUENTIAL))
+    known = [serpentine, sequential, toy_layout()]
+    fields = ("kspc", "jam_rate", "press_count", "unit_count", "skipped_units")
+    expected = []
+    for layout in known:
+        oracle = oracle_report(corpus_units, layout, model)
+        expected.append({name: oracle[name] for name in fields})
+    for picks in ([0], [0, 1], [0, 2, 1], [1, 1], [2, 2, 0, 2]):
+        layouts = [known[i] for i in picks]
+        reports = evaluate_many(stats, layouts, model, skip_untypable=True)
+        assert reports == [evaluate(stats, layout, model, True) for layout in layouts]
+        for i, report in zip(picks, reports):
+            assert {name: getattr(report, name) for name in fields} == expected[i]
