@@ -58,7 +58,7 @@ from enum import Enum
 from functools import cached_property
 from math import isfinite
 from threading import Lock
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from weakref import WeakValueDictionary
 
 from .errors import CorpusDecodeError
@@ -379,9 +379,33 @@ def decode_document(raw: bytes, syntax_error: Callable[[int, str], Exception]) -
                                     f"({exc.reason})") from None
 
 
-def rank_by_frequency(table: FrequencyTable) -> list[GraphemeUnit]:
-    """Units of the table sorted by count descending, codepoint ascending."""
-    return sorted(table.counts, key=lambda u: (-table.counts[u], u.codepoints))
+def document_rows(text: str, header: str,
+                  syntax_error: Callable[[int, str], Exception]) -> Iterator[tuple[int, str]]:
+    """The numbered rows after the header line of a layout or model document.
+
+    A leading byte order mark is dropped. The first line, stripped, must
+    be ``header``, else ``syntax_error(1, message)`` is raised. Lines are
+    numbered from 1 as ``str.splitlines`` counts them. Blank lines are
+    skipped, and so are comments: lines that start with ``#``, unless a
+    TAB follows it, which is the hash key's own row.
+    """
+    lines = text.removeprefix("\ufeff").splitlines()
+    if not lines or lines[0].strip() != header:
+        raise syntax_error(1, f"expected header {header!r}")
+    for line_no, line in enumerate(lines[1:], start=2):
+        if line.strip() and not (line.startswith("#") and not line.startswith("#\t")):
+            yield line_no, line
+
+
+def rank_by_frequency(table: FrequencyTable,
+                      units: Iterable[GraphemeUnit] | None = None) -> list[GraphemeUnit]:
+    """``units``, by default the table's, by count descending, codepoint ascending.
+
+    A unit missing from the table counts 0.
+    """
+    counts = table.counts
+    return sorted(counts if units is None else units,
+                  key=lambda u: (-counts.get(u, 0), u.codepoints))
 
 
 def count_unit_bigrams(units: Sequence[GraphemeUnit]) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:

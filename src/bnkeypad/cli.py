@@ -389,19 +389,6 @@ def _format_report_tsv(report: EvaluationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_dict(report: EvaluationReport) -> dict:
-    return {
-        "kspc": report.kspc,
-        "expected_cost": report.expected_cost,
-        "jam_rate": report.jam_rate,
-        "unit_count": report.unit_count,
-        "press_count": report.press_count,
-        "per_key_load": {key: report.per_key_load[key] for key in KEYPAD_KEYS},
-        "skipped_scalars": report.skipped_scalars,
-        "skipped_units": report.skipped_units,
-    }
-
-
 def _require_units(stats: CorpusStats, task: str, source: str = "the corpus") -> None:
     """Refuse input with no typable unit for ``task``."""
     if not stats.typable:
@@ -450,8 +437,8 @@ def _cmd_evaluate(config: RunConfig) -> tuple[list, str]:
     layout = load_layout(path)
     stats = CorpusStats.read(config.corpus)
     [report] = _evaluate_corpus(stats, [(layout.name or path.stem, layout)], config)
-    if config.report_format == "json":
-        text = json.dumps(_report_dict(report), sort_keys=True, indent=2) + "\n"
+    if config.report_format == "json":  # the report's fields, in sorted order
+        text = json.dumps(vars(report), sort_keys=True, indent=2) + "\n"
     else:
         text = _format_report_tsv(report)
     return [(config.output, text)], ""
@@ -465,7 +452,7 @@ def _cmd_compare(config: RunConfig) -> tuple[list, str]:
         named.append((layout.name or path.stem, layout))
     rows = list(zip([name for name, _ in named], _evaluate_corpus(stats, named, config)))
     if config.report_format == "json":
-        payload = [dict(layout=name, **_report_dict(report)) for name, report in rows]
+        payload = [dict(layout=name, **vars(report)) for name, report in rows]
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = ["layout\tkspc\texpected_cost\tjam_rate"]

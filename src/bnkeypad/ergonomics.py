@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .bn_text import _check_float, decode_document
+from .bn_text import _check_float, decode_document, document_rows
 from .errors import MissingKeyError, ModelSyntaxError
 
 KEYPAD_KEYS: tuple[str, ...] = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "*", "0", "#")
@@ -156,17 +156,13 @@ def format_model_tsv(model: ErgonomicModel) -> str:
 
 def parse_model_tsv(text: str, extension_penalty: float = 1.0,
                     angle_weight: float = 1.0) -> ErgonomicModel:
-    """Parse a model TSV; all 12 keys must be present."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != _TSV_HEADER:
-        raise ModelSyntaxError(1, f"expected header {_TSV_HEADER!r}")
+    """Parse a model TSV; all 12 keys must be present.
+
+    The header, comments and blank lines are read by
+    :func:`~bnkeypad.bn_text.document_rows`.
+    """
     entries: dict[str, KeyErgonomics] = {}
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        # '#' immediately followed by TAB is the hash key's own row
-        if line.startswith("#") and not line.startswith("#\t"):
-            continue
+    for i, line in document_rows(text, _TSV_HEADER, ModelSyntaxError):
         parts = line.split("\t")
         if len(parts) != 4:
             raise ModelSyntaxError(i, "expected 4 TAB-separated fields")

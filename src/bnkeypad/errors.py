@@ -45,14 +45,18 @@ class IncompleteAlphabetError(KeypadError):
         )
 
 
-class LayoutSyntaxError(KeypadError):
-    """Layout document cannot be parsed."""
-
-    code = "E_LAYOUT_SYNTAX"
+class DocumentSyntaxError(KeypadError):
+    """A layout or model document cannot be parsed; the message names the line."""
 
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
+
+
+class LayoutSyntaxError(DocumentSyntaxError):
+    """Layout document cannot be parsed."""
+
+    code = "E_LAYOUT_SYNTAX"
 
 
 class LayoutInvariantError(KeypadError):
@@ -61,14 +65,10 @@ class LayoutInvariantError(KeypadError):
     code = "E_LAYOUT_INVARIANT"
 
 
-class ModelSyntaxError(KeypadError):
+class ModelSyntaxError(DocumentSyntaxError):
     """Ergonomic model file cannot be parsed."""
 
     code = "E_MODEL_SYNTAX"
-
-    def __init__(self, line_no: int, message: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
 
 
 class MissingKeyError(KeypadError):

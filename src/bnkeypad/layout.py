@@ -31,7 +31,9 @@ from .bn_text import (
     FrequencyTable,
     GraphemeUnit,
     decode_document,
+    document_rows,
     parse_unit_token,
+    rank_by_frequency,
     unit_token,
 )
 from .ergonomics import DEFAULT_CONSONANT_KEYS, KEYPAD_KEYS, ErgonomicModel, rank_keys
@@ -190,11 +192,7 @@ def build_layout(freq: FrequencyTable, model: ErgonomicModel,
         raise IncompleteAlphabetError(missing)
 
     consonant_keys = rank_keys(model, DEFAULT_CONSONANT_KEYS)
-
-    def by_count(unit: GraphemeUnit):
-        return (-freq.counts.get(unit, 0), unit.codepoints)
-
-    consonants = sorted(CONSONANTS, key=by_count)
+    consonants = rank_by_frequency(freq, CONSONANTS)
     if policy.strategy is Strategy.SERPENTINE:
         dealt = deal_serpentine(consonants, consonant_keys)
     elif policy.strategy is Strategy.SEQUENTIAL:
@@ -211,7 +209,7 @@ def build_layout(freq: FrequencyTable, model: ErgonomicModel,
             raise LayoutInvariantError("custom slots overlap reserved role keys")
 
     slots: dict[str, tuple[GraphemeUnit, ...]] = {
-        roles[Role.SYMBOL]: tuple(sorted(VOWEL_SIGNS + SYMBOLS, key=by_count)),
+        roles[Role.SYMBOL]: tuple(rank_by_frequency(freq, VOWEL_SIGNS + SYMBOLS)),
         roles[Role.VOWEL]: INDEPENDENT_VOWELS,  # already in dictionary order
         roles[Role.SPACE]: (SPACE_UNIT,),
         roles[Role.LINK]: (CONJUNCT_JOINER,),
@@ -241,20 +239,13 @@ def serialize(layout: Layout) -> str:
 def parse(document: str) -> Layout:
     """Parse a layout document; inverse of :func:`serialize`.
 
-    Lines starting with ``#`` are comments unless the ``#`` is immediately
-    followed by a TAB, which is the hash key's own row.
+    The header, comments and blank lines are read by
+    :func:`~bnkeypad.bn_text.document_rows`.
     """
-    lines = document.splitlines()
-    if not lines or lines[0].strip() != HEADER:
-        raise LayoutSyntaxError(1, f"expected header {HEADER!r}")
     name = ""
     roles: dict[Role, str] = {}
     slots: dict[str, tuple[GraphemeUnit, ...]] = {}
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("#") and not line.startswith("#\t"):
-            continue
+    for i, line in document_rows(document, HEADER, LayoutSyntaxError):
         head, sep, rest = line.partition("\t")
         if not sep:
             raise LayoutSyntaxError(i, "expected a TAB-separated row")

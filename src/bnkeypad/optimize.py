@@ -51,6 +51,7 @@ from .bn_text import (
 from .ergonomics import (
     DEFAULT_CONSONANT_KEYS,
     KEYPAD_KEYS,
+    _KEY_INDEX,
     ErgonomicModel,
     key_cost,
     over_common_denominator,
@@ -283,11 +284,7 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
     The search is a branch-and-bound in lexicographic order that returns
     the layout and value of scoring all nPk vectors. Its first incumbent
     value is just above the greedy vector's, so it prunes from the root.
-    At jam weight 0.5 on a shared 2-vCPU host, the fixture's 6 top
-    consonants on keys 2-6 x 2 slots take about 0.25 ms (0.37 s to score
-    all 151,200 vectors), and its 10 top consonants on keys 2-7 x 2 slots
-    about 3 ms (about 20 minutes for all 239.5 M); medians of 30
-    in-process calls, half the time of a search without the greedy seed.
+    The README gives its running times.
     """
     n_units = len(instance.units)
     n_slots = len(instance.key_slots)
@@ -298,7 +295,7 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
         )
     terms = _Terms(objective, instance.units, instance.key_slots)
     # the greedy vector is one of the assignments, so the minimum is at most its value
-    bound = nextafter(terms.score(_greedy_assignment(instance)), inf)
+    bound = nextafter(terms.score(_greedy_assignment(instance, objective)), inf)
     layout, compacted = _assignment_layout(instance, _branch_and_bound(terms, bound),
                                            "exhaustive")
     return layout, terms.score(compacted)
@@ -410,26 +407,30 @@ def _branch_and_bound(terms: _Terms, bound: float) -> list[int]:
 def solve_greedy(instance: AssignmentInstance, objective: Objective) -> tuple[Layout, float]:
     """Most frequent unit onto the cheapest slot, pairwise down both lists.
 
-    Frequency ties break by ascending codepoint; cost ties by keypad key
-    order, then slot index. Optimal whenever ``jam_weight`` is zero.
+    Units go in :func:`~bnkeypad.bn_text.rank_by_frequency` order; cost
+    ties break by keypad key order, as in ``rank_keys``, then slot index.
+    Optimal whenever ``jam_weight`` is zero.
     """
     score = _Terms(objective, instance.units, instance.key_slots).score
-    layout, compacted = _assignment_layout(instance, _greedy_assignment(instance), "greedy")
+    layout, compacted = _assignment_layout(instance, _greedy_assignment(instance, objective),
+                                           "greedy")
     return layout, score(compacted)
 
 
-def _greedy_assignment(instance: AssignmentInstance) -> list[int]:
-    """The vector of :func:`solve_greedy`, before its layout is built."""
-    unit_order = sorted(range(len(instance.units)),
-                        key=lambda i: (-instance.units[i][1],
-                                       instance.units[i][0].codepoints))
+def _greedy_assignment(instance: AssignmentInstance, objective: Objective) -> list[int]:
+    """The vector of :func:`solve_greedy`, before its layout is built.
+
+    The objective's table must hold the instance's units and counts, as
+    ``_Terms`` checks.
+    """
+    index = {unit: i for i, (unit, _) in enumerate(instance.units)}
     slot_order = sorted(range(len(instance.key_slots)),
                         key=lambda j: (instance.key_slots[j].cost,
-                                       KEYPAD_KEYS.index(instance.key_slots[j].key),
+                                       _KEY_INDEX[instance.key_slots[j].key],
                                        instance.key_slots[j].slot_index))
     assign = [0] * len(instance.units)
-    for i, j in zip(unit_order, slot_order):
-        assign[i] = j
+    for unit, j in zip(rank_by_frequency(objective.freq), slot_order):
+        assign[index[unit]] = j
     return assign
 
 

@@ -254,6 +254,14 @@ def test_rank_is_permutation_of_filtered_keys():
         assert c1 > c2 or (c1 == c2 and cp1 < cp2)
 
 
+def test_rank_of_given_units_puts_missing_units_last_in_codepoint_order():
+    ka, kha, ga, gha = (unit_for(c) for c in "কখগঘ")
+    table = FrequencyTable.from_counts({gha: 2, kha: 0, SPACE_UNIT: 5})
+    # a missing unit ranks as a count of 0; a table unit not asked for is left out
+    assert rank_by_frequency(table, [ga, kha, gha, ka]) == [gha, ka, kha, ga]
+    assert rank_by_frequency(table, ()) == []
+
+
 # ---------------------------------------------------------------------------
 # tokens, bigrams, export
 # ---------------------------------------------------------------------------

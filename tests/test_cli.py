@@ -21,9 +21,9 @@ from bnkeypad import bn_text, cli
 from bnkeypad.bn_text import CorpusStats
 from bnkeypad.cli import main
 from bnkeypad.ergonomics import default_model, format_model_tsv, load_model, parse_model_tsv
-from bnkeypad.errors import CorpusDecodeError
+from bnkeypad.errors import CorpusDecodeError, LayoutSyntaxError, ModelSyntaxError
 from bnkeypad.layout import Role, load_layout, parse
-from bnkeypad.transcribe import evaluate
+from bnkeypad.transcribe import EvaluationReport, evaluate
 
 MINI = ("কখক কা। "
         "অনেক দিন?")
@@ -525,6 +525,68 @@ def test_crlf_layout_and_model_files_parse_the_same(tmp_path):
     assert load_model(crlf_model) == parse_model_tsv(model_text)
 
 
+# Each document format: its loader, its error, its header, a row it refuses
+# and a hash key row it refuses
+DOCUMENT_FORMATS = {
+    "layout": (load_layout, LayoutSyntaxError, b"keypad-layout v1", b"q\tU+0995", b"#\tU+zz"),
+    "model": (load_model, ModelSyntaxError, b"key\tij_angle_deg\tmj_direction\tmovement",
+              b"q\t100\tforward\tflexion", b"#\tx\tlateral\textension"),
+}
+
+
+# (the document from its header, bad row and bad hash key row; the line of the error)
+@pytest.mark.parametrize("document, line_no", [
+    (lambda header, bad, hash_row: b"", 1),
+    (lambda header, bad, hash_row: bad + b"\n", 1),
+    (lambda header, bad, hash_row: header + b" v0\n" + bad + b"\n", 1),
+    (lambda header, bad, hash_row: header + b"\r\n\r\n" + bad + b"\r\n", 3),
+    (lambda header, bad, hash_row: header + b"\n\n \t\n" + bad + b"\n", 4),
+    (lambda header, bad, hash_row: header + b"\n# a comment\n#\n" + bad + b"\n", 4),
+    (lambda header, bad, hash_row: header + b"\n" + hash_row + b"\n" + bad + b"\n", 2),
+    (lambda header, bad, hash_row: header + "\n#\u2028".encode() + bad + b"\n", 3),
+    (lambda header, bad, hash_row: header + b"\n# \xe0\xa6\n" + bad + b"\n", 2),
+    (lambda header, bad, hash_row: header + "\n#\u2028".encode() + b"\xff\n", 3),
+    (lambda header, bad, hash_row: b"\xef\xbb\xbf" + header + b"\n" + bad + b"\n", 2),
+], ids=["empty", "no-header", "wrong-header", "crlf", "blank-lines", "comment",
+        "hash-key-row", "unicode-line-break", "invalid-utf8", "invalid-utf8-after-break",
+        "byte-order-mark"])
+@pytest.mark.parametrize("fmt", DOCUMENT_FORMATS)
+def test_layout_and_model_files_share_one_document_syntax(tmp_path, fmt, document, line_no):
+    load, error, header, bad, hash_row = DOCUMENT_FORMATS[fmt]
+    path = tmp_path / "document.tsv"
+    path.write_bytes(document(header, bad, hash_row))
+    with pytest.raises(error) as e:
+        load(path)
+    assert e.value.line_no == line_no
+    assert str(e.value).startswith(f"line {line_no}: ")
+
+
+@pytest.mark.parametrize("bom_file", ["layout", "model"])
+def test_a_byte_order_mark_before_a_layout_or_model_file_is_ignored(tmp_path, capsys, bom_file):
+    files = {"layout": tmp_path / "layout.tsv", "model": tmp_path / "model.tsv"}
+    assert main(["build-layout", "--corpus", str(CORPUS_PATH), "-o", str(files["layout"])]) == 0
+    files["model"].write_text(format_model_tsv(default_model()), encoding="utf-8")
+    evaluate_args = ["evaluate", "--layout", str(files["layout"]), "--corpus", str(CORPUS_PATH),
+                     "--ergonomics", str(files["model"])]
+    assert main(evaluate_args) == 0
+    expected = capsys.readouterr()
+    files[bom_file].write_bytes(b"\xef\xbb\xbf" + files[bom_file].read_bytes())
+    assert main(evaluate_args) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_json_reports_are_the_evaluation_report_record(tmp_path, capsys):
+    fields = {field.name for field in dataclasses.fields(EvaluationReport)}
+    layout = tmp_path / "layout.tsv"
+    assert main(["build-layout", "--corpus", str(CORPUS_PATH), "-o", str(layout)]) == 0
+    corpus = ["--corpus", str(CORPUS_PATH), "--format", "json", "--skip-untypable"]
+    assert main(["evaluate", "--layout", str(layout), *corpus]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == fields
+    assert main(["compare", "--layouts", str(layout), str(TOY_LAYOUT_PATH), *corpus]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [set(row) for row in rows] == [fields | {"layout"}] * 2
+
+
 def test_determinism_byte_identical_outputs(tmp_path):
     out1 = tmp_path / "freq1.tsv"
     out2 = tmp_path / "freq2.tsv"
@@ -572,9 +634,16 @@ def test_commands_that_do_not_optimize_never_load_the_optimizer(tmp_path):
         import sys
         import bnkeypad.cli
         corpus = ["--corpus", {str(CORPUS_PATH)!r}]
-        assert bnkeypad.cli.main(["analyze", *corpus, "-o", {str(tmp_path / "f.tsv")!r}]) == 0
-        assert bnkeypad.cli.main(["reproduce-paper", *corpus,
-                                  "--out-dir", {str(tmp_path / "paper")!r}]) == 0
+        layout = {str(tmp_path / "layout.tsv")!r}
+        for args in (["analyze", *corpus, "-o", {str(tmp_path / "f.tsv")!r}],
+                     ["build-layout", *corpus, "-o", layout],
+                     ["evaluate", "--layout", layout, *corpus, "-o", {str(tmp_path / "e.tsv")!r}],
+                     ["compare", "--layouts", layout, layout, *corpus,
+                      "-o", {str(tmp_path / "c.tsv")!r}],
+                     ["transcribe", "--layout", layout, "--in", {str(CORPUS_PATH)!r},
+                      "--out", {str(tmp_path / "t.tsv")!r}],
+                     ["reproduce-paper", *corpus, "--out-dir", {str(tmp_path / "paper")!r}]):
+            assert bnkeypad.cli.main(args) == 0, args
         assert "bnkeypad.optimize" not in sys.modules
         from bnkeypad import solve_exhaustive
         import bnkeypad.optimize

@@ -18,8 +18,10 @@ from bnkeypad.bn_text import (
     Category,
     FrequencyTable,
     GraphemeUnit,
+    rank_by_frequency,
     unit_for,
 )
+from bnkeypad.ergonomics import DEFAULT_CONSONANT_KEYS, default_model, rank_keys
 from bnkeypad.errors import (
     IncompleteAlphabetError,
     LayoutInvariantError,
@@ -333,3 +335,25 @@ def test_hash_key_row_is_not_a_comment():
     layout = Layout(slots={"#": (ka,)}, name="hash")
     again = parse(serialize(layout))
     assert again.slots["#"] == (ka,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=len(CONSONANTS), max_size=len(CONSONANTS)),
+       st.lists(st.none() | st.integers(0, 3), min_size=len(VOWEL_SIGNS + SYMBOLS),
+                max_size=len(VOWEL_SIGNS + SYMBOLS)))
+def test_build_layout_follows_the_frequency_order(consonant_counts, symbol_counts):
+    # four count values tie many units; None leaves a symbol out of the table
+    symbol_units = VOWEL_SIGNS + SYMBOLS
+    counts = dict(zip(CONSONANTS, consonant_counts))
+    counts.update((u, c) for u, c in zip(symbol_units, symbol_counts) if c is not None)
+    table = FrequencyTable(counts)
+    model = default_model()
+    keys = rank_keys(model, DEFAULT_CONSONANT_KEYS)
+    ranked = rank_by_frequency(table, CONSONANTS)
+    sequential = build_layout(table, model, PlacementPolicy(Strategy.SEQUENTIAL))
+    assert [u for key in keys for u in sequential.slots[key]] == ranked
+    serpentine = build_layout(table, model)
+    assert {key: serpentine.slots[key] for key in keys} == deal_serpentine(ranked, keys)
+    symbol_key = DEFAULT_ROLES[Role.SYMBOL]
+    assert (serpentine.slots[symbol_key] == sequential.slots[symbol_key]
+            == tuple(rank_by_frequency(table, symbol_units)))

@@ -19,6 +19,7 @@ from bnkeypad.bn_text import (
     CorpusStats,
     FrequencyTable,
     count_unit_bigrams,
+    rank_by_frequency,
     unit_for,
 )
 from bnkeypad.ergonomics import (
@@ -399,6 +400,26 @@ def test_greedy_tie_breaks(model):
     assert layout.position(units[0]) == ("4", 1)
     assert layout.position(units[1]) == ("6", 1)
     assert layout.position(units[2]) == ("4", 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 12))
+def test_greedy_places_units_in_the_frequency_order(rng, n):
+    # the instance lists its units in a random order, four count values tie
+    # many of them, and keys of cost 1 and 2 tie slots across keys
+    units = rng.sample(list(CONSONANTS), n)
+    counts = {u: rng.randint(0, 3) for u in units}
+    keys = rng.sample(KEYPAD_KEYS, rng.randint(1, 4))
+    per_key = -(-n // len(keys)) + rng.randint(0, 1)
+    costs = rng.choices([1.0, 2.0], k=len(keys))
+    key_slots = [KeySlot(key, s, s * cost) for key, cost in zip(keys, costs)
+                 for s in range(1, per_key + 1)]
+    instance = AssignmentInstance(tuple((u, counts[u]) for u in units), tuple(key_slots))
+    table = FrequencyTable.from_counts(counts)
+    layout, _ = solve_greedy(instance, Objective(table, default_model()))
+    cheapest = sorted(key_slots, key=lambda s: (s.cost, KEYPAD_KEYS.index(s.key), s.slot_index))
+    assert ([layout.position(u) for u in rank_by_frequency(table)]
+            == [(s.key, s.slot_index) for s in cheapest[:n]])
 
 
 def test_single_unit_lands_on_cheapest_slot(model):
