@@ -53,7 +53,6 @@ from __future__ import annotations
 import sys
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import isfinite
@@ -62,6 +61,58 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from weakref import WeakValueDictionary
 
 from .errors import CorpusDecodeError
+
+
+class _Record:
+    """Base of the immutable value types: what a frozen dataclass gives, without
+    importing ``dataclasses``, which loads ``inspect`` and slows every command's start-up.
+
+    A subclass's annotated names are its fields, ``_fields``, and a value given one
+    in the class body is its default. The constructor takes them as a dataclass's
+    does, compiled once per class, and ends by calling ``__post_init__`` if there is
+    one. Equality within a class, hashing and ``repr`` go by the field values; any
+    assignment or deletion raises ``AttributeError``. A method in the class body wins.
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = names = tuple(cls.__annotations__)
+        if "__init__" in vars(cls):
+            return
+        defaults = {f"_{name}": vars(cls)[name] for name in names if name in vars(cls)}
+        params = ", ".join(f"{name}=_{name}" if f"_{name}" in defaults else name
+                           for name in names)
+        # object.__setattr__ keeps the values inline, where reading one is fastest;
+        # writing to self.__dict__ would make every later read go through a dict
+        lines = [f"def __init__(self, {params}):"]
+        lines += [f"    set_field(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        namespace = dict(defaults, set_field=object.__setattr__)
+        exec("\n".join(lines), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Category(Enum):
@@ -80,8 +131,7 @@ _UNITS: WeakValueDictionary = WeakValueDictionary()
 _UNITS_LOCK = Lock()
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class GraphemeUnit:
+class GraphemeUnit(_Record):
     """One typable unit: an ordered codepoint sequence plus its class.
 
     Units are interned: building a unit from the fields of an existing one
@@ -94,6 +144,10 @@ class GraphemeUnit:
     category: Category
     display: str
 
+    __init__ = object.__init__  # __new__ sets the fields
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
     def __new__(cls, codepoints, category, display):
         fields = (tuple(codepoints), category, display)
         # two threads that build one unit at once must get one object
@@ -103,7 +157,7 @@ class GraphemeUnit:
                 if not fields[0]:
                     raise ValueError("GraphemeUnit needs at least one codepoint")
                 unit = _UNITS[fields] = super().__new__(cls)
-                for name, value in zip(("codepoints", "category", "display"), fields):
+                for name, value in zip(cls._fields, fields):
                     object.__setattr__(unit, name, value)
         return unit
 
@@ -252,14 +306,20 @@ def _check_int(name: str, value, low: int, high: int | None = None, of=None) -> 
     raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is an ``int`` or a ``float``; ``bool`` is not one."""
+    return isinstance(value, (int, float)) and type(value) is not bool
+
+
 def _check_float(name: str, value: float, positive: bool = False) -> None:
-    """Refuse a ``value`` that is not finite or is below 0, or at 0 if ``positive``."""
-    if not (isfinite(value) and (value > 0 if positive else value >= 0)):
-        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    """Refuse a ``value`` that is not a finite :func:`_is_real` number, or is below 0, or
+    at 0 if ``positive``."""
+    if not (_is_real(value) and isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, "
+                         f"got {value!r}")
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(_Record):
     """Per-unit occurrence counts; ``total`` is their sum.
 
     Each unit is one of :data:`ALL_UNITS` and each count a non-negative
@@ -441,8 +501,7 @@ def _peeled_counts(data: bytes, codes: Iterable[int]) -> dict[int, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(_Record):
     """The typable sequence of a corpus, from which every typing metric follows.
 
     ``typable`` is the typable sequence of the whole corpus, one code

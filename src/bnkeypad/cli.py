@@ -21,12 +21,11 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 
 from . import bn_text
-from .bn_text import CorpusStats, FrequencyTable, _check_float, _check_int
+from .bn_text import CorpusStats, FrequencyTable, _Record, _check_float, _check_int
 from .ergonomics import (
     KEYPAD_KEYS,
     ErgonomicModel,
@@ -66,8 +65,7 @@ _OPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Record):
     """One validated invocation; input paths are checked at build time."""
 
     command: str

@@ -16,11 +16,10 @@ model file, whose ``movement`` column must agree with ``mj_direction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .bn_text import _check_float, decode_document, document_rows
+from .bn_text import _Record, _check_float, _is_real, decode_document, document_rows
 from .errors import MissingKeyError, ModelSyntaxError
 
 KEYPAD_KEYS: tuple[str, ...] = ("1", "2", "3", "4", "5", "6", "7", "8", "9", "*", "0", "#")
@@ -36,16 +35,15 @@ class Direction(Enum):
     LATERAL = "lateral"
 
 
-@dataclass(frozen=True)
-class KeyErgonomics:
+class KeyErgonomics(_Record):
     """Joint measurements for one key press; the key is the model's dict key."""
 
     ij_angle: float  # degrees, 0 < angle <= 180
     mj_direction: Direction
 
     def __post_init__(self):
-        if not 0 < self.ij_angle <= 180:
-            raise ValueError(f"ij_angle must be in (0, 180], got {self.ij_angle}")
+        if not (_is_real(self.ij_angle) and 0 < self.ij_angle <= 180):
+            raise ValueError(f"ij_angle must be in (0, 180], got {self.ij_angle!r}")
 
     @property
     def extension(self) -> bool:
@@ -58,8 +56,7 @@ def _check_key(key: str) -> None:
         raise ValueError(f"unknown key {key!r}")
 
 
-@dataclass(frozen=True)
-class ErgonomicModel:
+class ErgonomicModel(_Record):
     """Per-key ergonomics, keyed by the 12 keys alone, plus the two cost parameters."""
 
     entries: Mapping[str, KeyErgonomics]

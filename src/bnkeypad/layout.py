@@ -14,7 +14,6 @@ the next -- is the jamming baseline to compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from math import ceil
 from typing import Mapping
@@ -30,6 +29,7 @@ from .bn_text import (
     _FOREIGN_CODE,
     FrequencyTable,
     GraphemeUnit,
+    _Record,
     decode_document,
     document_rows,
     parse_unit_token,
@@ -61,8 +61,7 @@ class Strategy(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class PlacementPolicy:
+class PlacementPolicy(_Record):
     """How consonants are dealt onto the consonant keys.
 
     ``custom_slots`` supplies an explicit per-key consonant placement and
@@ -73,8 +72,7 @@ class PlacementPolicy:
     custom_slots: Mapping[str, tuple[GraphemeUnit, ...]] | None = None
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(_Record):
     """Immutable key -> slot-list mapping with reserved-key roles.
 
     Construction validates the invariants: every unit is in the typable
@@ -84,7 +82,7 @@ class Layout:
     """
 
     slots: Mapping[str, tuple[GraphemeUnit, ...]]
-    roles: Mapping[Role, str] = field(default_factory=dict)
+    roles: Mapping[Role, str] = ()  # no roles; __post_init__ gives each layout its own dict
     name: str = ""
 
     def __post_init__(self):

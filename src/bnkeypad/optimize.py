@@ -32,7 +32,6 @@ the swaps that lower neither sum, and builds one ``Layout`` at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, fsum, inf, isfinite, nextafter
 from operator import mul
 from sys import float_info
@@ -44,6 +43,7 @@ from .bn_text import (
     Category,
     FrequencyTable,
     GraphemeUnit,
+    _Record,
     _check_float,
     _check_int,
     rank_by_frequency,
@@ -69,8 +69,7 @@ GUARD_MAX_UNITS = 10
 GUARD_MAX_SLOTS = 12
 
 
-@dataclass(frozen=True)
-class Objective:
+class Objective(_Record):
     """Cost model for a placement: frequency table, ergonomics, jam term."""
 
     freq: FrequencyTable
@@ -101,8 +100,7 @@ class KeySlot(NamedTuple):
     cost: float
 
 
-@dataclass(frozen=True)
-class AssignmentInstance:
+class AssignmentInstance(_Record):
     """A set of units with ``int`` counts, and the keypad slot positions open to them.
 
     Construction raises ``CapacityError`` when there are more units than slots.

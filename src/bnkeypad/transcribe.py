@@ -26,17 +26,15 @@ code; the CLI traces the text's codes without building units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bn_text import _CODE_BY_UNIT, _FOREIGN_CODE, ALL_UNITS, CorpusStats, GraphemeUnit
+from .bn_text import _CODE_BY_UNIT, _FOREIGN_CODE, ALL_UNITS, CorpusStats, GraphemeUnit, _Record
 from .ergonomics import KEYPAD_KEYS, ErgonomicModel, key_cost, over_common_denominator
 from .errors import CorruptTraceError, UntypableUnitError
 from .layout import Layout
 
 
-@dataclass(frozen=True)
-class KeystrokeTrace:
+class KeystrokeTrace(_Record):
     """Press sequence with unit alignments.
 
     ``boundaries`` aligns each typed unit (by its position in the input
@@ -52,8 +50,7 @@ class KeystrokeTrace:
     skipped_positions: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(_Record):
     """Typing metrics for one (text, layout, model) combination.
 
     ``skipped_scalars`` counts the corpus scalars outside the typable

@@ -1,7 +1,6 @@
 """Classification, counting, reading, ranking."""
 
 import copy
-import dataclasses
 import pickle
 import random
 import re
@@ -191,7 +190,7 @@ def test_read_corpus_bad_utf8_reports_offset(tmp_path):
 def test_table_invariant_checked():
     # the total is the sum of the counts, not a stored copy to keep in step
     ka = unit_for("ক")
-    assert [f.name for f in dataclasses.fields(FrequencyTable)] == ["counts"]
+    assert FrequencyTable._fields == ("counts",)
     assert FrequencyTable({ka: 2, unit_for("খ"): 3}).total == 5
     with pytest.raises(TypeError):
         FrequencyTable({ka: 2}, total=5)
@@ -423,9 +422,9 @@ def test_a_unit_survives_copy_deepcopy_and_pickle(unit):
 
 def test_a_hand_built_unit_is_frozen():
     twin = hand_built(CONSONANTS[0])
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot assign to field 'display'$"):
         twin.display = "x"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match="^cannot delete field 'category'$"):
         del twin.category
     assert CONSONANTS[0].display == "BENGALI LETTER KA"
 

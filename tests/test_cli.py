@@ -1,7 +1,6 @@
 """CLI behavior: exit codes, artifacts, determinism, config precedence."""
 
 import argparse
-import dataclasses
 import errno
 import hashlib
 import io
@@ -576,7 +575,7 @@ def test_a_byte_order_mark_before_a_layout_or_model_file_is_ignored(tmp_path, ca
 
 
 def test_json_reports_are_the_evaluation_report_record(tmp_path, capsys):
-    fields = {field.name for field in dataclasses.fields(EvaluationReport)}
+    fields = set(EvaluationReport._fields)
     layout = tmp_path / "layout.tsv"
     assert main(["build-layout", "--corpus", str(CORPUS_PATH), "-o", str(layout)]) == 0
     corpus = ["--corpus", str(CORPUS_PATH), "--format", "json", "--skip-untypable"]
@@ -649,6 +648,34 @@ def test_commands_that_do_not_optimize_never_load_the_optimizer(tmp_path):
         import bnkeypad.optimize
         assert solve_exhaustive is bnkeypad.optimize.solve_exhaustive
         assert bnkeypad.Objective is bnkeypad.optimize.Objective
+    """)
+    subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    # they cost every command's start-up about 14 ms, and the records need neither
+    code = textwrap.dedent(f"""
+        import sys
+        import bnkeypad.cli
+        corpus = ["--corpus", {str(CORPUS_PATH)!r}]
+        layout = {str(tmp_path / "layout.tsv")!r}
+        out = {str(tmp_path)!r} + "/"
+        for args in (["analyze", *corpus, "-o", out + "f.tsv"],
+                     ["build-layout", *corpus, "-o", layout],
+                     ["evaluate", "--layout", layout, *corpus, "-o", out + "e.tsv"],
+                     ["compare", "--layouts", layout, layout, *corpus, "-o", out + "c.tsv"],
+                     ["transcribe", "--layout", layout, "--in", {str(CORPUS_PATH)!r},
+                      "--out", out + "t.tsv"],
+                     ["reproduce-paper", *corpus, "--out-dir", out + "paper"],
+                     ["optimize", *corpus, "-o", out + "g.tsv"],
+                     ["optimize", *corpus, "--method", "local", "--jam-weight", "0.5",
+                      "-o", out + "l.tsv"],
+                     ["optimize", *corpus, "--method", "exhaustive", "--max-units", "6",
+                      "-o", out + "x.tsv"]):
+            assert bnkeypad.cli.main(args) == 0, args
+        import bnkeypad.optimize
+        loaded = {{"dataclasses", "inspect"}} & set(sys.modules)
+        assert not loaded, loaded
     """)
     subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
 
@@ -1127,7 +1154,7 @@ def _subcommand_flags():
 
 def test_option_table_matches_run_config_and_flags():
     options = set(cli._OPTIONS)
-    assert options <= {f.name for f in dataclasses.fields(cli.RunConfig)}
+    assert options <= set(cli.RunConfig._fields)
     actions = _subcommand_flags()
     # everything else a flag sets is an input, output or --name path, or --config
     paths = {"corpus", "layout", "layouts", "text_in", "output", "out_dir", "layout_name",
@@ -1141,9 +1168,10 @@ def test_option_table_matches_run_config_and_flags():
             assert action.type is check
         elif check is bool:
             assert action.default is None and action.nargs == 0
-    for field in dataclasses.fields(cli.RunConfig):
-        if field.name in options and field.default is not None:
-            assert cli._config_value("c.json", field.name, field.default) == field.default
+    for name in options:
+        default = getattr(cli.RunConfig, name)
+        if default is not None:
+            assert cli._config_value("c.json", name, default) == default
 
 
 def test_optimize_local_search_on_fixture_is_pinned(tmp_path, capsys):

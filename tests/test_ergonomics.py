@@ -1,6 +1,5 @@
 """Thumb-movement model: ranking, costs, model files."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -132,7 +131,7 @@ def test_angle_weight_scales_angle_term():
 
 def test_entry_invariants_enforced():
     # an entry stores the angle and the direction; extension is the lateral direction
-    assert [f.name for f in dataclasses.fields(KeyErgonomics)] == ["ij_angle", "mj_direction"]
+    assert KeyErgonomics._fields == ("ij_angle", "mj_direction")
     assert KeyErgonomics(120.0, Direction.LATERAL).extension
     assert not KeyErgonomics(120.0, Direction.FORWARD).extension
     for angle in (0.0, -1.0, 180.5, float("nan")):

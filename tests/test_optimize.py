@@ -3,7 +3,6 @@
 import itertools
 import random
 import re
-from dataclasses import replace
 from math import fsum, perm
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
@@ -924,7 +923,7 @@ def test_local_finds_a_swap_that_raises_the_cost_to_lower_the_jam(model):
                           0.1, {(NGA, CHA): 3, (NGA, JA): 4})
     assert improving_swaps(start, objective) == [(CHA, NGA)]
     swapped = Layout(slots={"3": (NGA,), "6": (CHA, JA)})
-    cost_only = replace(objective, jam_weight=0.0)
+    cost_only = Objective(objective.freq, objective.model, 0.0, objective.bigram_counts)
     assert objective_value(swapped, cost_only) > objective_value(start, cost_only)
     assert objective_value(swapped, objective) < objective_value(start, objective)
     assert_local_equals_rescoring(start, objective)
@@ -942,6 +941,26 @@ def test_local_rejects_a_round_limit_that_is_not_an_int(model, max_iters):
     objective = Objective(FrequencyTable.from_counts({KA: 1, KHA: 5}), model)
     with pytest.raises(ValueError, match=rf"max_iters must be an int, got {max_iters!r}$"):
         improve_local(Layout(slots={"5": (KA, KHA)}), objective, max_iters=max_iters)
+
+
+# each constructor of a float parameter, and the message a value it refuses gets
+FLOAT_PARAMETERS = {
+    "extension_penalty": (lambda v: default_model(v, 1.0), "finite and >= 0"),
+    "angle_weight": (lambda v: default_model(1.0, v), "finite and > 0"),
+    "jam_weight": (lambda v: Objective(FrequencyTable.from_counts({KA: 1}), default_model(), v, {}),
+                   "finite and >= 0"),
+    "ij_angle": (lambda v: KeyErgonomics(v, Direction.FORWARD), "in (0, 180]"),
+    "slot cost": (lambda v: AssignmentInstance(((KA, 1),), (KeySlot("2", 1, v),)),
+                  "finite and > 0"),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None], ids=repr)
+@pytest.mark.parametrize("name", FLOAT_PARAMETERS)
+def test_float_parameters_refuse_bools_and_non_numbers(name, value):
+    build, rule = FLOAT_PARAMETERS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {value!r}')}$"):
+        build(value)
 
 
 def test_local_scores_the_start_at_zero_rounds(model):

@@ -7,7 +7,6 @@ import json
 import pstats
 import random
 from collections import Counter
-from dataclasses import fields, replace
 from math import fsum
 
 import pytest
@@ -139,7 +138,9 @@ def test_fixture_reports_equal_trace(corpus_units, corpus_table):
         want = trace_evaluate(corpus_units, layout, MODEL)
         got = evaluate(stats, layout, MODEL)
         assert got.skipped_scalars == stats.skipped > 0
-        assert got == replace(want, skipped_scalars=got.skipped_scalars)
+        assert got == EvaluationReport(want.kspc, want.expected_cost, want.jam_rate,
+                                       want.per_key_load, want.unit_count, want.press_count,
+                                       got.skipped_scalars, want.skipped_units)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +648,7 @@ def test_each_count_call_peels_the_codes_it_names(counted_codes):
 
 
 def test_corpus_stats_holds_its_fields_and_cached_views_alone():
-    assert [f.name for f in fields(CorpusStats)] == ["typable", "source_bytes", "skipped"]
+    assert CorpusStats._fields == ("typable", "source_bytes", "skipped")
     stats = CorpusStats.from_units([KHA, KA, GA, KA, SPACE])
     stats.counts_among([KA, GA])
     stats.table
