@@ -501,9 +501,9 @@ def _cmd_optimize(config: RunConfig) -> tuple[list, str]:
         solution, value = optimize.solve_exhaustive(instance, objective,
                                                     override_guard=config.override_guard)
     elif config.method == "local":
-        start, start_value = optimize.solve_greedy(instance, objective)
+        solution, start_value, value = optimize._local_from_greedy(instance, objective,
+                                                                   config.max_iters)
         report += f"greedy start value={start_value!r}\n"
-        solution, value = optimize.improve_local(start, objective, max_iters=config.max_iters)
     else:
         solution, value = optimize.solve_greedy(instance, objective)
     return [(config.output, serialize(solution))], report + f"objective value={value!r}\n"

@@ -32,8 +32,10 @@ the swaps that lower neither sum, and builds one ``Layout`` at the end.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import groupby
 from math import ceil, fsum, inf, isfinite, nextafter
-from operator import mul
+from operator import itemgetter, mul
 from sys import float_info
 from typing import Mapping, NamedTuple
 
@@ -143,12 +145,15 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
     ``1..len(ALL_UNITS)`` raises ``ValueError``: a key never needs more
     slots than there are units to place on it. Either one that is not an
     ``int`` (``bool`` included) raises ``ValueError``. An empty ``keys``
-    raises ``ValueError``: it leaves no slot.
+    raises ``ValueError``: it leaves no slot. So does a key named twice,
+    whose slots would repeat.
     """
     if max_units is not None:
         _check_int("max_units", max_units, 1)
     if keys is not None and not keys:
         raise ValueError("keys must name at least one key")
+    if keys is not None and (repeated := [k for i, k in enumerate(keys) if k in keys[:i]]):
+        raise ValueError(f"keys must not repeat: {repeated[0]!r}")
     if slots_per_key is not None:
         _check_int("slots_per_key", slots_per_key, 1, len(ALL_UNITS))
     ranked = rank_by_frequency(freq.restricted([Category.CONSONANT]))
@@ -160,8 +165,9 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
         keys = tuple(rank_keys(model, DEFAULT_CONSONANT_KEYS))
     if slots_per_key is None:
         slots_per_key = ceil(len(ranked) / len(keys))
-    key_slots = tuple(KeySlot(key, s, s * key_cost(model, key))
-                      for key in keys for s in range(1, slots_per_key + 1))
+    key_slots = tuple(KeySlot(key, s, s * cost)
+                      for key in keys for cost in (key_cost(model, key),)
+                      for s in range(1, slots_per_key + 1))
     units = tuple((u, freq.counts[u]) for u in ranked)
     return AssignmentInstance(units, key_slots)
 
@@ -238,7 +244,9 @@ def _layout_terms(layout: Layout, objective: Objective):
         if layout.position(unit) is None:
             raise IncompleteLayoutError(f"unit {unit.display} is not placed in the layout")
     model = objective.model
-    placed = [(unit, KeySlot(key, taps, taps * key_cost(model, key))) for key in KEYPAD_KEYS
+    placed = [(unit, KeySlot(key, taps, taps * cost)) for key in KEYPAD_KEYS
+              if not counts.keys().isdisjoint(layout.slots[key])
+              for cost in (key_cost(model, key),)
               for taps, unit in enumerate(layout.slots[key], start=1) if unit in counts]
     terms = _Terms(objective, [(u, counts[u]) for u, _ in placed], [s for _, s in placed])
     return terms, placed
@@ -250,24 +258,32 @@ def objective_value(layout: Layout, objective: Objective) -> float:
     return terms.score(range(len(placed)))
 
 
+def _compacted(instance: AssignmentInstance, assign) -> list[tuple[int, int]]:
+    """(unit i, slot j) per unit of an assignment vector, in scan order.
+
+    Scan order is keypad key, then slot index. Unused lower slots are
+    compacted away: the units on a key keep their order and take its slots
+    1, 2, ...; at an optimum this never changes the value because slot
+    costs are nondecreasing per key.
+    """
+    slots = instance.key_slots
+    slot_of = {(s.key, s.slot_index): j for j, s in enumerate(slots)}
+    spots = sorted((_KEY_INDEX[slots[j].key], slots[j].slot_index, i)
+                   for i, j in enumerate(assign))
+    return [(i, slot_of[KEYPAD_KEYS[k], taps]) for k, on_key in groupby(spots, itemgetter(0))
+            for taps, (_, _, i) in enumerate(on_key, start=1)]
+
+
 def _assignment_layout(instance: AssignmentInstance, assign, name: str):
     """Layout of an assignment vector, and the vector with the layout's slots.
 
-    Unused lower slots are compacted away; at an optimum this never
-    changes the value because slot costs are nondecreasing per key.
+    The units are compacted as :func:`_compacted` places them.
     """
-    chosen: dict[str, list[tuple[int, int]]] = {}
-    for i, j in enumerate(assign):
-        slot = instance.key_slots[j]
-        chosen.setdefault(slot.key, []).append((slot.slot_index, i))
-    slot_of = {(s.key, s.slot_index): j for j, s in enumerate(instance.key_slots)}
-    slots = {}
+    slots: dict[str, list[GraphemeUnit]] = {}
     compacted = [0] * len(assign)
-    for key, placed in chosen.items():
-        placed.sort()
-        slots[key] = tuple(instance.units[i][0] for _, i in placed)
-        for taps, (_, i) in enumerate(placed, start=1):
-            compacted[i] = slot_of[(key, taps)]
+    for i, j in _compacted(instance, assign):
+        slots.setdefault(instance.key_slots[j].key, []).append(instance.units[i][0])
+        compacted[i] = j
     return Layout(slots=slots, roles={}, name=name), compacted
 
 
@@ -439,14 +455,48 @@ def improve_local(start: Layout, objective: Objective,
     Only units in the objective's frequency table move; reserved-key
     content stays put. Deterministic: the largest strict improvement is
     applied each round, ties resolved by the first swap in scan order.
+    Slot costs must be finite (``ValueError``), and ``max_iters`` must be
+    an ``int`` (not a ``bool``) ``>= 0`` (``ValueError``); at 0 the start
+    is scored and returned. :func:`_descend` gives the search.
+    """
+    _check_int("max_iters", max_iters, 0)
+    terms, placed = _layout_terms(start, objective)
+    held, _, value = _descend(terms, max_iters)
+    slots = {key: list(placed) for key, placed in start.slots.items()}
+    for (_, slot), i in zip(placed, held):
+        slots[slot.key][slot.slot_index - 1] = placed[i][0]
+    return Layout(slots={k: tuple(v) for k, v in slots.items()},
+                  roles=start.roles, name=start.name), value
+
+
+def _local_from_greedy(instance: AssignmentInstance, objective: Objective,
+                       max_iters: int) -> tuple[Layout, float, float]:
+    """The layout and value of ``improve_local`` from ``solve_greedy``, and its start value.
+
+    One search state is built, from the greedy vector. Slot costs must be
+    ``slot_index * key_cost`` as in :func:`consonant_instance`, the table
+    must hold the instance's units, and ``max_iters`` an ``int >= 0``.
+    """
+    placed = _compacted(instance, _greedy_assignment(instance, objective))
+    units = [instance.units[i] for i, _ in placed]
+    slots = [instance.key_slots[j] for _, j in placed]
+    held, start_value, value = _descend(_Terms(objective, units, slots), max_iters)
+    by_key: dict[str, list[GraphemeUnit]] = {}
+    for slot, i in zip(slots, held):
+        by_key.setdefault(slot.key, []).append(units[i][0])
+    return Layout(slots=by_key, roles={}, name="greedy"), start_value, value
+
+
+def _descend(terms: _Terms, max_iters: int) -> tuple[list[int], float, float]:
+    """Local search from unit i on slot i of ``terms``, for ``max_iters`` rounds at most.
+
+    Returns the unit on each slot at the end, the start value and the value.
 
     Each swap is scored in O(1) from a running state: the cost sum and the
     jam sum as the integer numerators of the objective's terms and, per unit
     and key, the jam numerator of the unit's pairs with the units on that
     key. A candidate's value is the terms' ``value`` of its two sums, so it
-    is the objective of the swapped vector. Slot costs must be finite
-    (``ValueError``), and ``max_iters`` must be an ``int`` (not a ``bool``)
-    ``>= 0`` (``ValueError``); at 0 the start is scored and returned.
+    is the objective of the swapped vector.
 
     A swap can lower the value only if it lowers the cost sum or the jam
     sum. Swapping the units of slots a and b lowers the jam sum by at most
@@ -457,11 +507,9 @@ def improve_local(start: Layout, objective: Objective,
     has such a slot (at jam weight 0, the first round), and an applied swap
     refreshes the pairs of its two slots, O(n).
     """
-    _check_int("max_iters", max_iters, 0)
-    terms, placed = _layout_terms(start, objective)
     exact, den = terms.table()
     value_of = terms.value
-    n = len(placed)
+    n = len(terms.p)
     key_of = terms.keys  # key of slot a
     # pair[u][v]: jam numerator of the pairs (u, v) and (v, u), u != v;
     # near[u][k]: sum of pair[u][v] over the units v on key k
@@ -480,7 +528,7 @@ def improve_local(start: Layout, objective: Objective,
     rows = exact[:]  # rows[a]: the cost row of the unit on slot a
     stay = [rows[a][a] for a in range(n)]  # its cost numerator there
     cost = sum(stay)
-    value = value_of(cost, den, jam)
+    value = start_value = value_of(cost, den, jam)
     # lower[a]: the slots b > a whose swap with slot a lowers the cost sum
     lower = None
     for _ in range(max_iters):
@@ -499,7 +547,7 @@ def improve_local(start: Layout, objective: Objective,
             if jams[a]:
                 partners = range(a + 1, n)
             else:
-                partners = [b for b in jamming if b > a]
+                partners = jamming[bisect_right(jamming, a):]
                 if lower[a]:
                     partners = sorted(lower[a].union(partners))
             for b in partners:
@@ -541,8 +589,4 @@ def improve_local(start: Layout, objective: Objective,
                         else:
                             lower[low].discard(high)
         value, cost, jam = best_value, best_cost, best_jam
-    slots = {key: list(placed) for key, placed in start.slots.items()}
-    for (_, slot), i in zip(placed, held):
-        slots[slot.key][slot.slot_index - 1] = placed[i][0]
-    return Layout(slots={k: tuple(v) for k, v in slots.items()},
-                  roles=start.roles, name=start.name), value
+    return held, start_value, value

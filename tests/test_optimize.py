@@ -3,7 +3,7 @@
 import itertools
 import random
 import re
-from math import fsum, perm
+from math import ceil, fsum, perm
 from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
@@ -22,6 +22,7 @@ from bnkeypad.bn_text import (
     unit_for,
 )
 from bnkeypad.ergonomics import (
+    DEFAULT_CONSONANT_KEYS,
     KEYPAD_KEYS,
     Direction,
     ErgonomicModel,
@@ -35,12 +36,13 @@ from bnkeypad.errors import (
     IncompleteLayoutError,
     InstanceTooLargeError,
 )
-from bnkeypad.layout import Layout
+from bnkeypad.layout import Layout, serialize
 from bnkeypad.optimize import (
     AssignmentInstance,
     KeySlot,
     Objective,
     _assignment_layout,
+    _local_from_greedy,
     consonant_instance,
     improve_local,
     objective_value,
@@ -468,6 +470,15 @@ def reference_solve_exhaustive(instance, objective):
     return layout, score(compacted)
 
 
+def test_assignment_layout_compacts_unused_lower_slots():
+    # slot 1 of key 2 stays free, so KHA and KA move down to slots 1 and 2
+    instance, _ = make_instance([(KA, 1), (KHA, 1)],
+                                [KeySlot("2", s, s * 0.5) for s in (1, 2, 3)])
+    layout, compacted = _assignment_layout(instance, [2, 1], "x")
+    assert layout.slots["2"] == (KHA, KA)
+    assert compacted == [1, 0]
+
+
 def random_exhaustive_case(rng, jam_weight):
     """An instance of up to 7 units / 10 slots, rich in ties.
 
@@ -875,6 +886,39 @@ def test_local_equals_rescoring_reference_with_unpaired_units_and_tied_counts(
             == reference_improve_local_rescoring(start, objective, max_iters=max_iters))
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_local_from_greedy_equals_local_search_from_the_greedy_layout(data):
+    # the CLI's local search starts from the greedy vector, not from the
+    # greedy layout read back, with the same layout, start value and value;
+    # counts up to 2 tie swaps, so a search out of scan order picks others,
+    # and the rescoring search checks the descent that both paths share
+    n_units = data.draw(st.integers(1, 12))
+    n_keys = data.draw(st.integers(ceil(n_units / 4), 7))
+    keys = data.draw(st.permutations(DEFAULT_CONSONANT_KEYS))[:n_keys]
+    slots_per_key = data.draw(st.integers(ceil(n_units / n_keys), 4))
+    units = data.draw(st.permutations(CONSONANTS))[:n_units]
+    most = data.draw(st.sampled_from([2, 50]))
+    counts = data.draw(st.lists(st.integers(0, most), min_size=n_units, max_size=n_units))
+    model = default_model(extension_penalty=data.draw(st.sampled_from([0.0, 1.0])))
+    instance = consonant_instance(FrequencyTable.from_counts(dict(zip(units, counts))), model,
+                                  keys=tuple(keys), slots_per_key=slots_per_key)
+    jam_weight = data.draw(st.sampled_from([0.0, 0.5, 3.0]))
+    n_pairs = data.draw(st.integers(0, 3 * n_units))
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(units), st.sampled_from(units),
+                                         st.integers(0, 5)), min_size=n_pairs, max_size=n_pairs))
+    objective = Objective(FrequencyTable.from_counts(dict(instance.units)), model, jam_weight,
+                          {(a, b): c for a, b, c in pairs})
+    greedy, greedy_value = solve_greedy(instance, objective)
+    for max_iters in (0, 1, 100):
+        layout, start_value, value = _local_from_greedy(instance, objective, max_iters)
+        ref_layout, ref_value = improve_local(greedy, objective, max_iters)
+        assert serialize(layout) == serialize(ref_layout)
+        assert (start_value, value) == (greedy_value, ref_value)
+        assert (ref_layout, ref_value) == reference_improve_local_rescoring(greedy, objective,
+                                                                           max_iters)
+
+
 def improving_swaps(start, objective):
     """The pairs of objective units whose swap lowers the value of ``start``."""
     movable = set(objective.freq.counts)
@@ -1023,6 +1067,12 @@ def test_consonant_instance_rejects_sizes_that_are_not_ints(model, corpus_table,
 def test_consonant_instance_rejects_empty_keys(model, corpus_table, slots_per_key):
     with pytest.raises(ValueError, match="keys must name at least one key"):
         consonant_instance(corpus_table, model, keys=(), slots_per_key=slots_per_key)
+
+
+@pytest.mark.parametrize("keys", [("2", "2"), ("2", "3", "2")])
+def test_consonant_instance_rejects_a_repeated_key(model, corpus_table, keys):
+    with pytest.raises(ValueError, match="keys must not repeat: '2'$"):
+        consonant_instance(corpus_table, model, keys=keys)
 
 
 def test_consonant_instance_takes_slots_per_key_up_to_the_unit_inventory(model, corpus_table):
