@@ -62,7 +62,7 @@ __version__ = "0.1.0"
 # never loads it.
 _OPTIMIZE_NAMES = frozenset({
     "AssignmentInstance", "KeySlot", "Objective", "consonant_instance", "improve_local",
-    "objective_value", "solve_exhaustive", "solve_greedy",
+    "objective_value", "problem_from_stats", "solve_exhaustive", "solve_greedy",
 })
 
 

@@ -25,7 +25,7 @@ from math import isfinite
 from pathlib import Path
 
 from . import bn_text
-from .bn_text import CorpusStats, FrequencyTable, _Record, _check_float, _check_int
+from .bn_text import CorpusStats, _Record, _check_float, _check_int
 from .ergonomics import (
     KEYPAD_KEYS,
     ErgonomicModel,
@@ -483,29 +483,18 @@ def _cmd_transcribe(config: RunConfig) -> tuple[list, str]:
 def _cmd_optimize(config: RunConfig) -> tuple[list, str]:
     from . import optimize  # imported here, so that the other commands never load it
 
-    stats = CorpusStats.read(config.corpus)
-    model = config.model
-    # the instance reads the consonants alone, so only they are counted
-    consonant_table = FrequencyTable.from_counts(stats.counts_among(bn_text.CONSONANTS))
-    instance = optimize.consonant_instance(consonant_table, model,
-                                           max_units=config.max_units,
-                                           slots_per_key=config.slots_per_key)
-    chosen = FrequencyTable.from_counts(dict(instance.units))
-    bigrams = None
-    if config.jam_weight > 0:
-        bigrams = stats.pairs_among([u for u, _ in instance.units])
-    objective = optimize.Objective(chosen, model, config.jam_weight, bigrams)
-    report = (f"method={config.method} units={len(instance.units)} "
-              f"slots={len(instance.key_slots)} jam_weight={config.jam_weight:g}\n")
+    problem = optimize.problem_from_stats(CorpusStats.read(config.corpus), config.model,
+                                          config.jam_weight, max_units=config.max_units,
+                                          slots_per_key=config.slots_per_key)
+    report = (f"method={config.method} units={len(problem.units)} "
+              f"slots={len(problem.key_slots)} jam_weight={config.jam_weight:g}\n")
     if config.method == "exhaustive":
-        solution, value = optimize.solve_exhaustive(instance, objective,
-                                                    override_guard=config.override_guard)
-    elif config.method == "local":
-        solution, start_value, value = optimize._local_from_greedy(instance, objective,
-                                                                   config.max_iters)
-        report += f"greedy start value={start_value!r}\n"
+        solution, value = optimize.solve_exhaustive(problem, override_guard=config.override_guard)
     else:
-        solution, value = optimize.solve_greedy(instance, objective)
+        solution, value = optimize.solve_greedy(problem)
+    if config.method == "local":
+        report += f"greedy start value={value!r}\n"
+        solution, value = optimize.improve_local(solution, problem, config.max_iters)
     return [(config.output, serialize(solution))], report + f"objective value={value!r}\n"
 
 

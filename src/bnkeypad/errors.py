@@ -112,7 +112,7 @@ class InstanceTooLargeError(KeypadError):
     code = "E_TOO_LARGE"
 
 
-class IncompleteLayoutError(KeypadError):
-    """Objective refers to a unit the layout does not place."""
+class IncompleteLayoutError(KeypadError, ValueError):
+    """A layout leaves out a unit of the problem, or puts it outside the problem's slots."""
 
     code = "E_INCOMPLETE_LAYOUT"

@@ -1,10 +1,11 @@
 """Layout construction as expected-cost minimization.
 
-The objective combines two terms: the frequency-weighted tap cost of
-every placed unit, and (optionally) the probability that two adjacent
+``AssignmentInstance`` holds the whole problem: units, slots, pairs and
+jam weight. A placement's value combines the frequency-weighted cost of
+every unit's slot and (optionally) the probability that two adjacent
 units land on the same key, weighted by ``jam_weight``:
 
-    value = sum_u p(u) * taps(u) * key_cost(key(u))
+    value = sum_u p(u) * cost(slot(u))
           + jam_weight * sum_(a,b) p(a,b) * [key(a) == key(b)]
 
 With ``jam_weight = 0`` the greedy assignment (most frequent unit on the
@@ -17,24 +18,25 @@ cannot beat the best score so far (``_branch_and_bound`` gives the two
 bounds), so it returns the minimum that full enumeration returns.
 
 The three solvers and ``objective_value`` share one evaluator, built once
-from the objective and a list of slots (a cost and a key each). It holds
-every product of a unit probability and a slot cost, and every pair
-weight, as an integer over a power-of-two denominator, so the cost and jam
-sums of an assignment are exact integers and its value rounds each of them
-once. Mathematically equal values therefore compare equal whatever the
-summation order. Ties break toward the lexicographically smallest
-assignment vector in exhaustive search and toward the first swap in scan
-order in local search. Exhaustive search carries the integer sums down
-its tree and bounds subtrees with them; local search keeps the sums of
-the current vector, scores each swap from their change in O(1), skips
-the swaps that lower neither sum, and builds one ``Layout`` at the end.
+from the record, which prices a layout through its table of (key, taps)
+slots. It holds every product of a unit probability and a slot cost, and
+every pair weight, as an integer over a power-of-two denominator, so the
+cost and jam sums of an assignment are exact integers and its value rounds
+each of them once: equal values compare equal whatever the summation
+order. Ties break toward the lexicographically smallest assignment vector
+in exhaustive search and toward the first swap in scan order in local
+search. Exhaustive search carries the integer sums down its tree and
+bounds subtrees with them; local search keeps the sums of the current
+vector, scores each swap from their change in O(1), skips the swaps that
+lower neither sum, and builds one ``Layout`` at the end.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 from itertools import groupby
-from math import ceil, fsum, inf, isfinite, nextafter
+from math import ceil, fsum, inf, nextafter
 from operator import itemgetter, mul
 from sys import float_info
 from typing import Mapping, NamedTuple
@@ -43,6 +45,7 @@ from .bn_text import (
     ALL_UNITS,
     CONSONANTS,
     Category,
+    CorpusStats,
     FrequencyTable,
     GraphemeUnit,
     _Record,
@@ -72,7 +75,7 @@ GUARD_MAX_SLOTS = 12
 
 
 class Objective(_Record):
-    """Cost model for a placement: frequency table, ergonomics, jam term."""
+    """Frequency table, ergonomics and jam term: an adapter that makes the record."""
 
     freq: FrequencyTable
     model: ErgonomicModel
@@ -83,15 +86,15 @@ class Objective(_Record):
         _check_float("jam_weight", self.jam_weight)
         if self.jam_weight > 0 and self.bigram_counts is None:
             raise ValueError("jam_weight > 0 requires bigram_counts")
-        if self.bigram_counts is not None:
-            units = set(self.freq.counts)
-            for (a, b), count in self.bigram_counts.items():
-                _check_int("count", count, 0, of=(a, b))
-                if a not in units or b not in units:
-                    raise ValueError(
-                        f"bigram ({a.display}, {b.display}) references a unit "
-                        "outside the objective's frequency table"
-                    )
+        for pair, count in (self.bigram_counts or {}).items():
+            _check_int("count", count, 0, of=pair)
+
+    def _record(self, units, key_slots) -> AssignmentInstance:
+        """The record of ``units``, which must hold this table's counts, on ``key_slots``."""
+        if dict(units) != self.freq.counts:
+            raise ValueError("instance frequencies must match the objective's frequency table")
+        return AssignmentInstance(tuple(units), tuple(key_slots),
+                                  tuple((self.bigram_counts or {}).items()), self.jam_weight)
 
 
 class KeySlot(NamedTuple):
@@ -103,16 +106,18 @@ class KeySlot(NamedTuple):
 
 
 class AssignmentInstance(_Record):
-    """A set of units with ``int`` counts, and the keypad slot positions open to them.
-
-    Construction raises ``CapacityError`` when there are more units than slots.
-    """
+    """The problem: units with ``int`` counts, the keypad slots open to them, the
+    ((a, b), count) pairs among the units and the jam weight. Construction
+    raises ``CapacityError`` when there are more units than slots."""
 
     units: tuple[tuple[GraphemeUnit, int], ...]
     key_slots: tuple[KeySlot, ...]
+    pairs: tuple[tuple[tuple[GraphemeUnit, GraphemeUnit], int], ...] = ()
+    jam_weight: float = 0.0
 
     def __post_init__(self):
-        if len(set(u for u, _ in self.units)) != len(self.units):
+        units = {u for u, _ in self.units}
+        if len(units) != len(self.units):
             raise ValueError("instance units must be unique")
         for unit, count in self.units:
             _check_int("count", count, 0, of=unit)
@@ -123,21 +128,44 @@ class AssignmentInstance(_Record):
             _check_float("slot cost", slot.cost, positive=True)
             by_key.setdefault(slot.key, []).append(slot)
         for key, slots in by_key.items():
-            indices = sorted(s.slot_index for s in slots)
-            if indices != list(range(1, len(indices) + 1)):
-                raise ValueError(f"slot indices on key {key} must form 1..{len(indices)}")
-            costs = [s.cost for s in sorted(slots, key=lambda s: s.slot_index)]
-            if any(a > b for a, b in zip(costs, costs[1:])):
+            slots.sort(key=itemgetter(1))
+            if [s.slot_index for s in slots] != list(range(1, len(slots) + 1)):
+                raise ValueError(f"slot indices on key {key} must form 1..{len(slots)}")
+            if any(a.cost > b.cost for a, b in zip(slots, slots[1:])):
                 raise ValueError(f"slot costs on key {key} must be nondecreasing")
         if len(self.units) > len(self.key_slots):
             raise CapacityError(f"{len(self.units)} units but only {len(self.key_slots)} slots")
+        _check_float("jam_weight", self.jam_weight)
+        for (a, b), count in self.pairs:
+            _check_int("count", count, 0, of=(a, b))
+            if a not in units or b not in units:
+                raise ValueError(f"pair ({a.display}, {b.display}) references a unit "
+                                 "outside the instance")
+
+    @cached_property
+    def _jam(self) -> tuple[list[tuple[int, int, int]], int]:
+        """(unit a, unit b, w) per pair by unit index, and ``den``: ``w / den`` is p(a, b)."""
+        if not (self.jam_weight > 0 and (total := sum(c for _, c in self.pairs))):
+            return [], 1
+        index = {u: i for i, (u, _) in enumerate(self.units)}
+        (weights,), den = over_common_denominator([[c / total for _, c in self.pairs]])
+        return [(index[a], index[b], w) for ((a, b), _), w in zip(self.pairs, weights)], den
+
+    @cached_property
+    def _slot_of(self) -> dict[tuple[str, int], int]:
+        """The price table: slot (key, taps) -> its index in ``key_slots``."""
+        return {(s.key, s.slot_index): j for j, s in enumerate(self.key_slots)}
 
 
-def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
-                       max_units: int | None = None,
+def _key_slots(model: ErgonomicModel, key: str, n: int) -> list[KeySlot]:
+    """Slots 1..n of a key; slot s costs ``s * key_cost``, one press cost per tap."""
+    return [KeySlot(key, s, s * cost) for cost in (key_cost(model, key),) for s in range(1, n + 1)]
+
+
+def consonant_instance(freq: FrequencyTable, model: ErgonomicModel, max_units: int | None = None,
                        keys: tuple[str, ...] | None = None,
                        slots_per_key: int | None = None) -> AssignmentInstance:
-    """Instance over the top consonants of a table and the consonant keys.
+    """Instance over the top consonants of a table and the consonant keys, with no pairs.
 
     A table with no consonant raises ``IncompleteAlphabetError``: an empty
     instance has nothing to place. ``max_units`` below 1 raises
@@ -148,6 +176,18 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
     raises ``ValueError``: it leaves no slot. So does a key named twice,
     whose slots would repeat.
     """
+    return _consonants(freq, model, max_units, keys, slots_per_key)
+
+
+def problem_from_stats(stats: CorpusStats, model: ErgonomicModel, jam_weight: float = 0.0,
+                       max_units=None, keys=None, slots_per_key=None) -> AssignmentInstance:
+    """:func:`consonant_instance` of a corpus's consonant counts, with ``jam_weight``
+    and, if it is not 0, the pairs among the chosen consonants."""
+    return _consonants(FrequencyTable(stats.counts_among(CONSONANTS)), model, max_units, keys,
+                       slots_per_key, jam_weight, stats)
+
+
+def _consonants(freq, model, max_units, keys, slots_per_key, jam_weight=0.0, stats=None):
     if max_units is not None:
         _check_int("max_units", max_units, 1)
     if keys is not None and not keys:
@@ -165,11 +205,10 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel,
         keys = tuple(rank_keys(model, DEFAULT_CONSONANT_KEYS))
     if slots_per_key is None:
         slots_per_key = ceil(len(ranked) / len(keys))
-    key_slots = tuple(KeySlot(key, s, s * cost)
-                      for key in keys for cost in (key_cost(model, key),)
-                      for s in range(1, slots_per_key + 1))
-    units = tuple((u, freq.counts[u]) for u in ranked)
-    return AssignmentInstance(units, key_slots)
+    key_slots = tuple(s for key in keys for s in _key_slots(model, key, slots_per_key))
+    pairs = stats.pairs_among(ranked) if jam_weight else {}
+    return AssignmentInstance(tuple((u, freq.counts[u]) for u in ranked), key_slots,
+                              tuple(pairs.items()), jam_weight)
 
 
 def restrict_bigrams(bigram_counts: Mapping[tuple[GraphemeUnit, GraphemeUnit], int],
@@ -181,40 +220,33 @@ def restrict_bigrams(bigram_counts: Mapping[tuple[GraphemeUnit, GraphemeUnit], i
 
 
 class _Terms:
-    """The objective over index arrays, as integer numerators.
+    """An instance's objective over index arrays, as integer numerators.
 
-    ``units`` lists (unit, count) in assignment order and must match the
-    objective's frequency table; ``slots`` are ``KeySlot``s, of which only
-    the cost and the key count, and the costs must be finite. A vector
-    ``assign`` puts unit i on slot ``assign[i]``. Its cost sum is C / den,
-    where C sums the numerators of the float products ``p[i] * costs[j]``
-    over a power-of-two den, and its jam sum is J / ``jden``, where J sums
-    the numerators ``w`` of the pairs (a, b, w) whose units share a key.
-    Both are exact, so ``value`` rounds the objective once per term.
-    ``keys[j]`` numbers the key of slot j from 0, in order of first
-    appearance, and ``n_keys`` counts the keys.
+    ``units`` and ``slots`` list instance indices, by default all in
+    instance order; ``assign`` puts unit ``units[i]`` on slot
+    ``slots[assign[i]]``. Its cost sum is C / den, where C sums the
+    numerators of the float products ``p[i] * costs[j]`` over a power-of-two
+    den, and its jam sum is J / ``jden``, where J sums the numerators ``w``
+    of the pairs (a, b, w) whose units share a key. Both are exact, so
+    ``value`` rounds the objective once per term. ``keys[j]`` numbers the
+    key of slot j from 0, in order of first appearance, and ``n_keys``
+    counts the keys.
     """
 
-    def __init__(self, objective: Objective, units, slots):
-        counts = objective.freq.counts
-        if len(units) != len(counts) or any(counts.get(u) != c for u, c in units):
-            raise ValueError("instance frequencies must match the objective's frequency table")
+    def __init__(self, instance: AssignmentInstance, units=None, slots=None):
+        if units is None:
+            units, slots = range(len(instance.units)), range(len(instance.key_slots))
+        total = sum(c for _, c in instance.units)
+        self.p = [instance.units[i][1] / total if total else 0.0 for i in units]
+        slots = [instance.key_slots[j] for j in slots]
         self.costs = [s.cost for s in slots]
-        if not all(map(isfinite, self.costs)):
-            raise ValueError("slot costs must be finite")
-        total = objective.freq.total
-        self.p = [c / total if total else 0.0 for _, c in units]
         key_ids: dict[str, int] = {}
         self.keys = [key_ids.setdefault(s.key, len(key_ids)) for s in slots]
         self.n_keys = len(key_ids)
-        self.jam_weight = jam_weight = objective.jam_weight
-        self.pairs, self.jden = [], 1
-        bigrams = objective.bigram_counts
-        if jam_weight > 0 and bigrams and (btotal := sum(bigrams.values())):
-            index = {u: i for i, (u, _) in enumerate(units)}
-            (weights,), self.jden = over_common_denominator(
-                [[c / btotal for c in bigrams.values()]])
-            self.pairs = [(index[a], index[b], w) for (a, b), w in zip(bigrams, weights)]
+        self.jam_weight = instance.jam_weight
+        pairs, self.jden = instance._jam
+        at = {i: k for k, i in enumerate(units)}
+        self.pairs = [(at[a], at[b], w) for a, b, w in pairs]
 
     def value(self, c: int, den: int, j: int) -> float:
         """The objective of cost sum ``c / den`` and jam sum ``j / jden``."""
@@ -233,61 +265,61 @@ class _Terms:
         return self.value(sum(nums), den, jam)
 
 
-def _layout_terms(layout: Layout, objective: Objective):
-    """Terms over the positions that a layout gives the objective's units.
+def _layout_terms(layout: Layout, problem: AssignmentInstance | Objective):
+    """Terms over the slots that a layout gives a problem's units, listed in scan
+    order (keypad key, then taps) with unit i on slot i, and (unit, (key, taps)) per unit.
 
-    Units are listed in scan order (keypad key, then tap count) and unit i
-    starts on slot i. Returns the terms and (unit, slot) per unit.
+    A unit that the layout leaves out, or puts outside the problem's slots,
+    raises ``IncompleteLayoutError``. An ``Objective`` becomes the record with a
+    :func:`_key_slots` slot per unit on each key that holds one of its units.
     """
-    counts = objective.freq.counts
-    for unit in counts:
-        if layout.position(unit) is None:
-            raise IncompleteLayoutError(f"unit {unit.display} is not placed in the layout")
-    model = objective.model
-    placed = [(unit, KeySlot(key, taps, taps * cost)) for key in KEYPAD_KEYS
-              if not counts.keys().isdisjoint(layout.slots[key])
-              for cost in (key_cost(model, key),)
-              for taps, unit in enumerate(layout.slots[key], start=1) if unit in counts]
-    terms = _Terms(objective, [(u, counts[u]) for u, _ in placed], [s for _, s in placed])
-    return terms, placed
+    units = list(problem.freq.counts if isinstance(problem, Objective) else dict(problem.units))
+    spots = list(map(layout.position, units))
+    if None in spots:
+        missing = units[spots.index(None)]
+        raise IncompleteLayoutError(f"unit {missing.display} is not placed in the layout")
+    if isinstance(problem, Objective):
+        keys = {key for key, _ in spots}
+        problem = problem._record(problem.freq.counts.items(), [
+            s for key in KEYPAD_KEYS if key in keys
+            for s in _key_slots(problem.model, key, len(layout.slots[key]))])
+    slot_of = problem._slot_of
+    for unit, (key, taps) in zip(units, spots):
+        if (key, taps) not in slot_of:
+            raise IncompleteLayoutError(f"unit {unit.display} is on key {key} at tap {taps}, "
+                                        "outside the instance's slots")
+    order = sorted(range(len(units)), key=lambda i: (_KEY_INDEX[spots[i][0]], spots[i][1]))
+    return (_Terms(problem, order, [slot_of[spots[i]] for i in order]),
+            [(units[i], spots[i]) for i in order])
 
 
-def objective_value(layout: Layout, objective: Objective) -> float:
-    """Objective of a layout; every unit of the table must be placed."""
-    terms, placed = _layout_terms(layout, objective)
+def objective_value(layout: Layout, problem: AssignmentInstance | Objective) -> float:
+    """Objective of a layout; every unit of the problem must be on one of its slots."""
+    terms, placed = _layout_terms(layout, problem)
     return terms.score(range(len(placed)))
-
-
-def _compacted(instance: AssignmentInstance, assign) -> list[tuple[int, int]]:
-    """(unit i, slot j) per unit of an assignment vector, in scan order.
-
-    Scan order is keypad key, then slot index. Unused lower slots are
-    compacted away: the units on a key keep their order and take its slots
-    1, 2, ...; at an optimum this never changes the value because slot
-    costs are nondecreasing per key.
-    """
-    slots = instance.key_slots
-    slot_of = {(s.key, s.slot_index): j for j, s in enumerate(slots)}
-    spots = sorted((_KEY_INDEX[slots[j].key], slots[j].slot_index, i)
-                   for i, j in enumerate(assign))
-    return [(i, slot_of[KEYPAD_KEYS[k], taps]) for k, on_key in groupby(spots, itemgetter(0))
-            for taps, (_, _, i) in enumerate(on_key, start=1)]
 
 
 def _assignment_layout(instance: AssignmentInstance, assign, name: str):
     """Layout of an assignment vector, and the vector with the layout's slots.
 
-    The units are compacted as :func:`_compacted` places them.
+    Unused lower slots are compacted away: the units on a key keep their
+    order and take its slots 1, 2, ...; at an optimum this never changes the
+    value because slot costs are nondecreasing per key.
     """
-    slots: dict[str, list[GraphemeUnit]] = {}
+    slots = instance.key_slots
+    spots = sorted((_KEY_INDEX[slots[j].key], slots[j].slot_index, i)
+                   for i, j in enumerate(assign))
+    by_key: dict[str, list[GraphemeUnit]] = {}
     compacted = [0] * len(assign)
-    for i, j in _compacted(instance, assign):
-        slots.setdefault(instance.key_slots[j].key, []).append(instance.units[i][0])
-        compacted[i] = j
-    return Layout(slots=slots, roles={}, name=name), compacted
+    for k, on_key in groupby(spots, itemgetter(0)):
+        held = by_key[KEYPAD_KEYS[k]] = []
+        for taps, (_, _, i) in enumerate(on_key, start=1):
+            held.append(instance.units[i][0])
+            compacted[i] = instance._slot_of[KEYPAD_KEYS[k], taps]
+    return Layout(slots=by_key, roles={}, name=name), compacted
 
 
-def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
+def solve_exhaustive(instance: AssignmentInstance, objective: Objective | None = None,
                      override_guard: bool = False) -> tuple[Layout, float]:
     """Global minimum over all injective unit-to-slot assignments.
 
@@ -300,16 +332,17 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective,
     value is just above the greedy vector's, so it prunes from the root.
     The README gives its running times.
     """
-    n_units = len(instance.units)
-    n_slots = len(instance.key_slots)
+    if objective is not None:
+        instance = objective._record(instance.units, instance.key_slots)
+    n_units, n_slots = len(instance.units), len(instance.key_slots)
     if not override_guard and (n_units > GUARD_MAX_UNITS or n_slots > GUARD_MAX_SLOTS):
         raise InstanceTooLargeError(
             f"instance has {n_units} units and {n_slots} slots; the exhaustive "
             f"guard allows {GUARD_MAX_UNITS} units and {GUARD_MAX_SLOTS} slots"
         )
-    terms = _Terms(objective, instance.units, instance.key_slots)
+    terms = _Terms(instance)
     # the greedy vector is one of the assignments, so the minimum is at most its value
-    bound = nextafter(terms.score(_greedy_assignment(instance, objective)), inf)
+    bound = nextafter(terms.score(_greedy_assignment(instance)), inf)
     layout, compacted = _assignment_layout(instance, _branch_and_bound(terms, bound),
                                            "exhaustive")
     return layout, terms.score(compacted)
@@ -418,85 +451,62 @@ def _branch_and_bound(terms: _Terms, bound: float) -> list[int]:
     return best_assign
 
 
-def solve_greedy(instance: AssignmentInstance, objective: Objective) -> tuple[Layout, float]:
+def solve_greedy(instance: AssignmentInstance,
+                 objective: Objective | None = None) -> tuple[Layout, float]:
     """Most frequent unit onto the cheapest slot, pairwise down both lists.
 
     Units go in :func:`~bnkeypad.bn_text.rank_by_frequency` order; cost
     ties break by keypad key order, as in ``rank_keys``, then slot index.
     Optimal whenever ``jam_weight`` is zero.
     """
-    score = _Terms(objective, instance.units, instance.key_slots).score
-    layout, compacted = _assignment_layout(instance, _greedy_assignment(instance, objective),
-                                           "greedy")
-    return layout, score(compacted)
+    if objective is not None:
+        instance = objective._record(instance.units, instance.key_slots)
+    layout, compacted = _assignment_layout(instance, _greedy_assignment(instance), "greedy")
+    return layout, _Terms(instance).score(compacted)
 
 
-def _greedy_assignment(instance: AssignmentInstance, objective: Objective) -> list[int]:
-    """The vector of :func:`solve_greedy`, before its layout is built.
-
-    The objective's table must hold the instance's units and counts, as
-    ``_Terms`` checks.
-    """
-    index = {unit: i for i, (unit, _) in enumerate(instance.units)}
-    slot_order = sorted(range(len(instance.key_slots)),
-                        key=lambda j: (instance.key_slots[j].cost,
-                                       _KEY_INDEX[instance.key_slots[j].key],
-                                       instance.key_slots[j].slot_index))
-    assign = [0] * len(instance.units)
-    for unit, j in zip(rank_by_frequency(objective.freq), slot_order):
+def _greedy_assignment(instance: AssignmentInstance) -> list[int]:
+    """The vector of :func:`solve_greedy`, before its layout is built."""
+    counts = dict(instance.units)
+    index = {unit: i for i, unit in enumerate(counts)}
+    slots = instance.key_slots
+    slot_order = sorted(range(len(slots)),
+                        key=lambda j: (slots[j].cost, _KEY_INDEX[slots[j].key],
+                                       slots[j].slot_index))
+    assign = [0] * len(counts)
+    for unit, j in zip(rank_by_frequency(FrequencyTable(counts)), slot_order):
         assign[index[unit]] = j
     return assign
 
 
-def improve_local(start: Layout, objective: Objective,
+def improve_local(start: Layout, problem: AssignmentInstance | Objective,
                   max_iters: int = 100) -> tuple[Layout, float]:
-    """Best-improvement hill climbing over pairwise swaps of objective units.
+    """Best-improvement hill climbing over pairwise swaps of the problem's units.
 
-    Only units in the objective's frequency table move; reserved-key
-    content stays put. Deterministic: the largest strict improvement is
-    applied each round, ties resolved by the first swap in scan order.
-    Slot costs must be finite (``ValueError``), and ``max_iters`` must be
-    an ``int`` (not a ``bool``) ``>= 0`` (``ValueError``); at 0 the start
-    is scored and returned. :func:`_descend` gives the search.
+    Only the problem's units move; other content stays put. Deterministic:
+    the largest strict improvement is applied each round, ties resolved by
+    the first swap in scan order. ``max_iters`` must be an ``int`` (not a
+    ``bool``) ``>= 0`` (``ValueError``); at 0 the start is scored and
+    returned. :func:`_descend` gives the search.
     """
     _check_int("max_iters", max_iters, 0)
-    terms, placed = _layout_terms(start, objective)
-    held, _, value = _descend(terms, max_iters)
-    slots = {key: list(placed) for key, placed in start.slots.items()}
-    for (_, slot), i in zip(placed, held):
-        slots[slot.key][slot.slot_index - 1] = placed[i][0]
-    return Layout(slots={k: tuple(v) for k, v in slots.items()},
-                  roles=start.roles, name=start.name), value
+    terms, placed = _layout_terms(start, problem)
+    held, value = _descend(terms, max_iters)
+    slots = {key: list(units) for key, units in start.slots.items()}
+    for (_, (key, taps)), k in zip(placed, held):
+        slots[key][taps - 1] = placed[k][0]
+    return Layout(slots=slots, roles=start.roles, name=start.name), value
 
 
-def _local_from_greedy(instance: AssignmentInstance, objective: Objective,
-                       max_iters: int) -> tuple[Layout, float, float]:
-    """The layout and value of ``improve_local`` from ``solve_greedy``, and its start value.
-
-    One search state is built, from the greedy vector. Slot costs must be
-    ``slot_index * key_cost`` as in :func:`consonant_instance`, the table
-    must hold the instance's units, and ``max_iters`` an ``int >= 0``.
-    """
-    placed = _compacted(instance, _greedy_assignment(instance, objective))
-    units = [instance.units[i] for i, _ in placed]
-    slots = [instance.key_slots[j] for _, j in placed]
-    held, start_value, value = _descend(_Terms(objective, units, slots), max_iters)
-    by_key: dict[str, list[GraphemeUnit]] = {}
-    for slot, i in zip(slots, held):
-        by_key.setdefault(slot.key, []).append(units[i][0])
-    return Layout(slots=by_key, roles={}, name="greedy"), start_value, value
-
-
-def _descend(terms: _Terms, max_iters: int) -> tuple[list[int], float, float]:
+def _descend(terms: _Terms, max_iters: int) -> tuple[list[int], float]:
     """Local search from unit i on slot i of ``terms``, for ``max_iters`` rounds at most.
 
-    Returns the unit on each slot at the end, the start value and the value.
-
-    Each swap is scored in O(1) from a running state: the cost sum and the
-    jam sum as the integer numerators of the objective's terms and, per unit
-    and key, the jam numerator of the unit's pairs with the units on that
-    key. A candidate's value is the terms' ``value`` of its two sums, so it
-    is the objective of the swapped vector.
+    Returns the unit on each slot at the end and its value. Each swap is
+    scored in O(1) from a running state: the cost sum and the jam sum as the
+    integer numerators of the objective's terms and, per unit and key, the
+    jam numerator of the unit's pairs with the units on that key. A
+    candidate's value is the terms' ``value`` of its two sums, so it is the
+    objective of the swapped vector.
 
     A swap can lower the value only if it lowers the cost sum or the jam
     sum. Swapping the units of slots a and b lowers the jam sum by at most
@@ -528,7 +538,7 @@ def _descend(terms: _Terms, max_iters: int) -> tuple[list[int], float, float]:
     rows = exact[:]  # rows[a]: the cost row of the unit on slot a
     stay = [rows[a][a] for a in range(n)]  # its cost numerator there
     cost = sum(stay)
-    value = start_value = value_of(cost, den, jam)
+    value = value_of(cost, den, jam)
     # lower[a]: the slots b > a whose swap with slot a lowers the cost sum
     lower = None
     for _ in range(max_iters):
@@ -589,4 +599,4 @@ def _descend(terms: _Terms, max_iters: int) -> tuple[list[int], float, float]:
                         else:
                             lower[low].discard(high)
         value, cost, jam = best_value, best_cost, best_jam
-    return held, start_value, value
+    return held, value

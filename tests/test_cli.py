@@ -644,9 +644,10 @@ def test_commands_that_do_not_optimize_never_load_the_optimizer(tmp_path):
                      ["reproduce-paper", *corpus, "--out-dir", {str(tmp_path / "paper")!r}]):
             assert bnkeypad.cli.main(args) == 0, args
         assert "bnkeypad.optimize" not in sys.modules
-        from bnkeypad import solve_exhaustive
+        from bnkeypad import problem_from_stats, solve_exhaustive
         import bnkeypad.optimize
         assert solve_exhaustive is bnkeypad.optimize.solve_exhaustive
+        assert problem_from_stats is bnkeypad.optimize.problem_from_stats
         assert bnkeypad.Objective is bnkeypad.optimize.Objective
     """)
     subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
@@ -689,6 +690,8 @@ def test_a_star_import_binds_every_public_name_and_a_plain_import_no_optimizer()
         exec("from bnkeypad import *", names)
         import bnkeypad.optimize
         assert names["solve_exhaustive"] is bnkeypad.optimize.solve_exhaustive
+        assert names["problem_from_stats"] is bnkeypad.optimize.problem_from_stats
+        assert "problem_from_stats" in bnkeypad.__all__
         assert names["CorpusStats"] is bnkeypad.CorpusStats
         public = {n for n, v in vars(bnkeypad).items()
                   if not n.startswith("_") and type(v) is not type(sys)}

@@ -38,14 +38,15 @@ from bnkeypad.errors import (
 )
 from bnkeypad.layout import Layout, serialize
 from bnkeypad.optimize import (
+    GUARD_MAX_SLOTS,
     AssignmentInstance,
     KeySlot,
     Objective,
     _assignment_layout,
-    _local_from_greedy,
     consonant_instance,
     improve_local,
     objective_value,
+    problem_from_stats,
     restrict_bigrams,
     solve_exhaustive,
     solve_greedy,
@@ -248,8 +249,10 @@ def test_objective_validation(model):
         Objective(freq, model, jam_weight=1.0)  # no bigrams
     with pytest.raises(ValueError):
         Objective(freq, model, jam_weight=-1.0)
-    with pytest.raises(ValueError):
-        Objective(freq, model, jam_weight=1.0, bigram_counts={(KA, KHA): 1})
+    # a pair outside the table is refused by the record the objective makes
+    outside = Objective(freq, model, jam_weight=1.0, bigram_counts={(KA, KHA): 1})
+    with pytest.raises(ValueError, match="outside the instance"):
+        objective_value(Layout(slots={"2": (KA, KHA)}), outside)
 
 
 @pytest.mark.parametrize("jam_weight", [float("nan"), float("inf")])
@@ -889,10 +892,11 @@ def test_local_equals_rescoring_reference_with_unpaired_units_and_tied_counts(
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_local_from_greedy_equals_local_search_from_the_greedy_layout(data):
-    # the CLI's local search starts from the greedy vector, not from the
-    # greedy layout read back, with the same layout, start value and value;
-    # counts up to 2 tie swaps, so a search out of scan order picks others,
-    # and the rescoring search checks the descent that both paths share
+    # the CLI's local search runs on the record from its greedy layout, priced
+    # by the record's slots, with the layout and values of the objective's
+    # path, which prices the layout's keys from the model; counts up to 2 tie
+    # swaps, so a search out of scan order picks others, and the rescoring
+    # search checks the descent that both paths share
     n_units = data.draw(st.integers(1, 12))
     n_keys = data.draw(st.integers(ceil(n_units / 4), 7))
     keys = data.draw(st.permutations(DEFAULT_CONSONANT_KEYS))[:n_keys]
@@ -909,12 +913,18 @@ def test_local_from_greedy_equals_local_search_from_the_greedy_layout(data):
                                          st.integers(0, 5)), min_size=n_pairs, max_size=n_pairs))
     objective = Objective(FrequencyTable.from_counts(dict(instance.units)), model, jam_weight,
                           {(a, b): c for a, b, c in pairs})
+    problem = AssignmentInstance(instance.units, instance.key_slots,
+                                 tuple(objective.bigram_counts.items()), jam_weight)
     greedy, greedy_value = solve_greedy(instance, objective)
+    start, start_value = solve_greedy(problem)
+    assert (start, start_value) == (greedy, greedy_value)
     for max_iters in (0, 1, 100):
-        layout, start_value, value = _local_from_greedy(instance, objective, max_iters)
+        layout, value = improve_local(start, problem, max_iters)
         ref_layout, ref_value = improve_local(greedy, objective, max_iters)
         assert serialize(layout) == serialize(ref_layout)
-        assert (start_value, value) == (greedy_value, ref_value)
+        assert value == ref_value
+        if max_iters == 0:
+            assert value == start_value
         assert (ref_layout, ref_value) == reference_improve_local_rescoring(greedy, objective,
                                                                            max_iters)
 
@@ -1020,7 +1030,7 @@ def test_local_scores_the_start_at_zero_rounds(model):
 def test_local_rejects_non_finite_slot_costs(evaluate_layout):
     model = default_model(angle_weight=1e308)  # finite, but key costs overflow
     objective = Objective(FrequencyTable.from_counts({KA: 1, KHA: 1}), model)
-    with pytest.raises(ValueError, match="slot costs must be finite"):
+    with pytest.raises(ValueError, match="slot cost must be finite and > 0, got inf"):
         evaluate_layout(Layout(slots={"5": (KA, KHA)}), objective)
 
 
@@ -1085,3 +1095,97 @@ def test_consonant_instance_takes_slots_per_key_up_to_the_unit_inventory(model, 
 def test_restrict_bigrams():
     bigrams = {(KA, KHA): 2, (KA, GA): 1, (GA, GA): 4}
     assert restrict_bigrams(bigrams, [KA, KHA]) == {(KA, KHA): 2}
+
+
+# ---------------------------------------------------------------------------
+# the one problem record and its price table
+# ---------------------------------------------------------------------------
+
+def test_a_record_prices_a_layout_from_its_own_slots():
+    # slot costs 1.0 and 2.0 on key 2, where the default model's taps cost
+    # 0.39 and 0.78: greedy, the objective and a local search of no rounds
+    # all price the layout from the record, so all three agree
+    problem = AssignmentInstance(((KA, 3), (KHA, 1)), (KeySlot("2", 1, 1.0), KeySlot("2", 2, 2.0)))
+    layout, value = solve_greedy(problem)
+    assert value == 0.75 * 1.0 + 0.25 * 2.0
+    assert objective_value(layout, problem) == value
+    assert improve_local(layout, problem, max_iters=0) == (layout, value)
+    # the objective's form prices the same layout's taps from the model
+    objective = Objective(FrequencyTable.from_counts({KA: 3, KHA: 1}), default_model())
+    assert objective_value(layout, objective) == 0.48611111111111116
+
+
+def test_a_record_refuses_a_layout_outside_its_slots(model):
+    problem = AssignmentInstance(((KA, 3), (KHA, 1)), tuple(_slots(model, "2", 2)))
+    for layout in (Layout(slots={"2": (KA,), "3": (KHA,)}),  # a key with no slot
+                   Layout(slots={"2": (GA, KA, KHA)})):  # a tap past the key's slots
+        for price in (objective_value, improve_local):
+            with pytest.raises(IncompleteLayoutError, match="outside the instance's slots"):
+                price(layout, problem)
+    with pytest.raises(ValueError, match="KHA is not placed"):
+        objective_value(Layout(slots={"2": (KA,)}), problem)
+
+
+def test_a_record_refuses_a_pair_outside_its_units_and_a_bad_jam_weight():
+    slots = (KeySlot("2", 1, 1.0), KeySlot("2", 2, 2.0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"pair ({KA.display}, {GA.display}) references a unit outside the instance")):
+        AssignmentInstance(((KA, 3), (KHA, 1)), slots, (((KA, GA), 1),), 1.0)
+    with pytest.raises(ValueError, match=re.escape(repr((KA, KHA)))):
+        AssignmentInstance(((KA, 3), (KHA, 1)), slots, (((KA, KHA), -1),), 1.0)
+    with pytest.raises(ValueError, match="jam_weight must be finite and >= 0"):
+        AssignmentInstance(((KA, 3),), slots, (), float("nan"))
+
+
+@pytest.mark.parametrize("jam_weight", [0.0, 0.5])
+def test_problem_from_stats_is_the_consonant_instance_with_its_pairs(
+        model, corpus_units, jam_weight):
+    stats = CorpusStats.from_units(corpus_units)
+    problem = problem_from_stats(stats, model, jam_weight, max_units=10, slots_per_key=3)
+    instance = consonant_instance(stats.table, model, max_units=10, slots_per_key=3)
+    chosen = [u for u, _ in instance.units]
+    pairs = restrict_bigrams(count_unit_bigrams(corpus_units), chosen) if jam_weight else {}
+    assert (problem.units, problem.key_slots, problem.jam_weight) == (
+        instance.units, instance.key_slots, jam_weight)
+    assert dict(problem.pairs) == pairs and (pairs or not jam_weight)
+
+
+def _slots(model, key, n):
+    return [KeySlot(key, s, s * key_cost(model, key)) for s in range(1, n + 1)]
+
+
+def _layout_instance(start, objective):
+    """The instance over the keys of ``start`` that hold the objective's units,
+    with a slot per unit there at ``slot_index * key_cost``."""
+    counts = objective.freq.counts
+    slots = [slot for key in KEYPAD_KEYS if not counts.keys().isdisjoint(start.slots[key])
+             for slot in _slots(objective.model, key, len(start.slots[key]))]
+    return AssignmentInstance(tuple(counts.items()), tuple(slots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([0.0, 0.5, 2.0]), st.booleans())
+def test_record_solvers_equal_the_instance_and_objective_composition(rng, jam_weight, crowded):
+    # slot costs are slot_index * key_cost, so pricing by the record's slots
+    # and by the model's taps agree, bit for bit, layout and value
+    if crowded:
+        start, objective = random_full_local_case(rng, jam_weight, rng.choice([0.5, 1.0]))
+        instance = _layout_instance(start, objective)
+    else:
+        instance, objective = random_instance(rng, default_model(), jam_weight)
+        start = None
+    problem = AssignmentInstance(instance.units, instance.key_slots,
+                                 tuple((objective.bigram_counts or {}).items()), jam_weight)
+    greedy, value = solve_greedy(problem)
+    old_greedy, old_value = solve_greedy(instance, objective)
+    assert (serialize(greedy), value) == (serialize(old_greedy), old_value)
+    assert objective_value(greedy, problem) == objective_value(greedy, objective) == value
+    for layout in filter(None, (greedy, start)):
+        for max_iters in (0, 1, 100):
+            local, local_value = improve_local(layout, problem, max_iters)
+            old_local, old_local_value = improve_local(layout, objective, max_iters)
+            assert (serialize(local), local_value) == (serialize(old_local), old_local_value)
+    if len(instance.units) <= 8 and len(instance.key_slots) <= GUARD_MAX_SLOTS:
+        best, best_value = solve_exhaustive(problem)
+        old_best, old_best_value = solve_exhaustive(instance, objective)
+        assert (serialize(best), best_value) == (serialize(old_best), old_best_value)

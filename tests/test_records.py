@@ -67,7 +67,10 @@ FIELDS = {
                          st.none() | st.dictionaries(st.tuples(FEW_UNITS, FEW_UNITS),
                                                      st.integers(0, 2), max_size=1)),
     AssignmentInstance: st.tuples(_tuples(st.tuples(FEW_UNITS, st.integers(0, 2)), 2),
-                                  st.sampled_from([(), SLOTS, SLOTS[::-1], SLOTS[1:]])),
+                                  st.sampled_from([(), SLOTS, SLOTS[::-1], SLOTS[1:]]),
+                                  _tuples(st.tuples(st.tuples(FEW_UNITS, FEW_UNITS),
+                                                    st.integers(-1, 2)), 2),
+                                  st.sampled_from([0.0, 0.5, -1.0, float("nan")])),
 }
 
 
