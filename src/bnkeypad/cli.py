@@ -490,11 +490,11 @@ def _cmd_optimize(config: RunConfig) -> tuple[list, str]:
               f"slots={len(problem.key_slots)} jam_weight={config.jam_weight:g}\n")
     if config.method == "exhaustive":
         solution, value = optimize.solve_exhaustive(problem, override_guard=config.override_guard)
+    elif config.method == "local":
+        solution, start_value, value = optimize._local_from_greedy(problem, config.max_iters)
+        report += f"greedy start value={start_value!r}\n"
     else:
         solution, value = optimize.solve_greedy(problem)
-    if config.method == "local":
-        report += f"greedy start value={value!r}\n"
-        solution, value = optimize.improve_local(solution, problem, config.max_iters)
     return [(config.output, serialize(solution))], report + f"objective value={value!r}\n"
 
 

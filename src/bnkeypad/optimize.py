@@ -9,26 +9,15 @@ units land on the same key, weighted by ``jam_weight``:
           + jam_weight * sum_(a,b) p(a,b) * [key(a) == key(b)]
 
 With ``jam_weight = 0`` the greedy assignment (most frequent unit on the
-cheapest slot) is provably optimal. Exhaustive search finds the global
-minimum of instances up to the guard's 10 units on 12 slots, which checks
-greedy and local search and probes the cost/jamming trade-off. It is a
-depth-first branch-and-bound that meets assignment vectors in
-lexicographic order and skips a subtree when a lower bound on its scores
-cannot beat the best score so far (``_branch_and_bound`` gives the two
-bounds), so it returns the minimum that full enumeration returns.
+cheapest slot) is provably optimal. Exhaustive search, a branch-and-bound,
+finds the global minimum of instances up to the guard's 10 units on 12
+slots, which checks greedy and local search and probes the cost/jamming
+trade-off. Local search is best-improvement hill climbing over swaps.
 
-The three solvers and ``objective_value`` share one evaluator, built once
-from the record, which prices a layout through its table of (key, taps)
-slots. It holds every product of a unit probability and a slot cost, and
-every pair weight, as an integer over a power-of-two denominator, so the
-cost and jam sums of an assignment are exact integers and its value rounds
-each of them once: equal values compare equal whatever the summation
-order. Ties break toward the lexicographically smallest assignment vector
-in exhaustive search and toward the first swap in scan order in local
-search. Exhaustive search carries the integer sums down its tree and
-bounds subtrees with them; local search keeps the sums of the current
-vector, scores each swap from their change in O(1), skips the swaps that
-lower neither sum, and builds one ``Layout`` at the end.
+The solvers and ``objective_value`` price a layout only through the
+record's table of (key, taps) slots, with one evaluator (``_Terms``) whose
+cost and jam sums are exact integers, so equal values compare equal
+whatever the summation order.
 """
 
 from __future__ import annotations
@@ -125,7 +114,7 @@ class AssignmentInstance(_Record):
         for slot in self.key_slots:
             if slot.key not in KEYPAD_KEYS:
                 raise ValueError(f"slot on unknown key {slot.key!r}")
-            _check_float("slot cost", slot.cost, positive=True)
+            _check_float("slot cost", slot.cost)
             by_key.setdefault(slot.key, []).append(slot)
         for key, slots in by_key.items():
             slots.sort(key=itemgetter(1))
@@ -167,23 +156,20 @@ def consonant_instance(freq: FrequencyTable, model: ErgonomicModel, max_units: i
                        slots_per_key: int | None = None) -> AssignmentInstance:
     """Instance over the top consonants of a table and the consonant keys, with no pairs.
 
-    A table with no consonant raises ``IncompleteAlphabetError``: an empty
-    instance has nothing to place. ``max_units`` below 1 raises
-    ``ValueError`` for the same reason. ``slots_per_key`` outside
-    ``1..len(ALL_UNITS)`` raises ``ValueError``: a key never needs more
-    slots than there are units to place on it. Either one that is not an
-    ``int`` (``bool`` included) raises ``ValueError``. An empty ``keys``
-    raises ``ValueError``: it leaves no slot. So does a key named twice,
-    whose slots would repeat.
+    A table with no consonant raises ``IncompleteAlphabetError``. These
+    raise ``ValueError``: ``max_units`` below 1, ``slots_per_key`` outside
+    ``1..len(ALL_UNITS)`` (a key never needs more slots than there are
+    units), either one not an ``int`` (``bool`` included), an empty
+    ``keys`` and a key named twice.
     """
     return _consonants(freq, model, max_units, keys, slots_per_key)
 
 
 def problem_from_stats(stats: CorpusStats, model: ErgonomicModel, jam_weight: float = 0.0,
-                       max_units=None, keys=None, slots_per_key=None) -> AssignmentInstance:
+                       max_units=None, slots_per_key=None) -> AssignmentInstance:
     """:func:`consonant_instance` of a corpus's consonant counts, with ``jam_weight``
     and, if it is not 0, the pairs among the chosen consonants."""
-    return _consonants(FrequencyTable(stats.counts_among(CONSONANTS)), model, max_units, keys,
+    return _consonants(FrequencyTable(stats.counts_among(CONSONANTS)), model, max_units, None,
                        slots_per_key, jam_weight, stats)
 
 
@@ -265,9 +251,8 @@ class _Terms:
         return self.value(sum(nums), den, jam)
 
 
-def _layout_terms(layout: Layout, problem: AssignmentInstance | Objective):
-    """Terms over the slots that a layout gives a problem's units, listed in scan
-    order (keypad key, then taps) with unit i on slot i, and (unit, (key, taps)) per unit.
+def _layout_assignment(layout: Layout, problem: AssignmentInstance | Objective):
+    """The record of a problem, and the vector of the slots a layout gives its units.
 
     A unit that the layout leaves out, or puts outside the problem's slots,
     raises ``IncompleteLayoutError``. An ``Objective`` becomes the record with a
@@ -288,15 +273,13 @@ def _layout_terms(layout: Layout, problem: AssignmentInstance | Objective):
         if (key, taps) not in slot_of:
             raise IncompleteLayoutError(f"unit {unit.display} is on key {key} at tap {taps}, "
                                         "outside the instance's slots")
-    order = sorted(range(len(units)), key=lambda i: (_KEY_INDEX[spots[i][0]], spots[i][1]))
-    return (_Terms(problem, order, [slot_of[spots[i]] for i in order]),
-            [(units[i], spots[i]) for i in order])
+    return problem, [slot_of[spot] for spot in spots]
 
 
 def objective_value(layout: Layout, problem: AssignmentInstance | Objective) -> float:
     """Objective of a layout; every unit of the problem must be on one of its slots."""
-    terms, placed = _layout_terms(layout, problem)
-    return terms.score(range(len(placed)))
+    problem, assign = _layout_assignment(layout, problem)
+    return _Terms(problem).score(assign)
 
 
 def _assignment_layout(instance: AssignmentInstance, assign, name: str):
@@ -306,7 +289,7 @@ def _assignment_layout(instance: AssignmentInstance, assign, name: str):
     order and take its slots 1, 2, ...; at an optimum this never changes the
     value because slot costs are nondecreasing per key.
     """
-    slots = instance.key_slots
+    slots, slot_of, units = instance.key_slots, instance._slot_of, instance.units
     spots = sorted((_KEY_INDEX[slots[j].key], slots[j].slot_index, i)
                    for i, j in enumerate(assign))
     by_key: dict[str, list[GraphemeUnit]] = {}
@@ -314,8 +297,8 @@ def _assignment_layout(instance: AssignmentInstance, assign, name: str):
     for k, on_key in groupby(spots, itemgetter(0)):
         held = by_key[KEYPAD_KEYS[k]] = []
         for taps, (_, _, i) in enumerate(on_key, start=1):
-            held.append(instance.units[i][0])
-            compacted[i] = instance._slot_of[KEYPAD_KEYS[k], taps]
+            held.append(units[i][0])
+            compacted[i] = slot_of[KEYPAD_KEYS[k], taps]
     return Layout(slots=by_key, roles={}, name=name), compacted
 
 
@@ -327,10 +310,8 @@ def solve_exhaustive(instance: AssignmentInstance, objective: Objective | None =
     is set. Ties break toward the lexicographically smallest assignment
     vector (units in instance order, slots in instance order).
 
-    The search is a branch-and-bound in lexicographic order that returns
-    the layout and value of scoring all nPk vectors. Its first incumbent
-    value is just above the greedy vector's, so it prunes from the root.
-    The README gives its running times.
+    It returns the layout and value of scoring all nPk vectors, and
+    :func:`_branch_and_bound` gives the search.
     """
     if objective is not None:
         instance = objective._record(instance.units, instance.key_slots)
@@ -490,23 +471,35 @@ def improve_local(start: Layout, problem: AssignmentInstance | Objective,
     returned. :func:`_descend` gives the search.
     """
     _check_int("max_iters", max_iters, 0)
-    terms, placed = _layout_terms(start, problem)
-    held, value = _descend(terms, max_iters)
+    problem, assign = _layout_assignment(start, problem)
+    final, _, value = _descend(problem, assign, max_iters)
     slots = {key: list(units) for key, units in start.slots.items()}
-    for (_, (key, taps)), k in zip(placed, held):
-        slots[key][taps - 1] = placed[k][0]
+    for (unit, _), j in zip(problem.units, final):
+        key, taps, _ = problem.key_slots[j]
+        slots[key][taps - 1] = unit
     return Layout(slots=slots, roles=start.roles, name=start.name), value
 
 
-def _descend(terms: _Terms, max_iters: int) -> tuple[list[int], float]:
-    """Local search from unit i on slot i of ``terms``, for ``max_iters`` rounds at most.
+def _local_from_greedy(problem: AssignmentInstance,
+                       max_iters: int) -> tuple[Layout, float, float]:
+    """Layout, greedy value and value of ``improve_local(solve_greedy(problem)[0],
+    problem, max_iters)``, searched from the greedy vector with no layout read back."""
+    final, start_value, value = _descend(problem, _greedy_assignment(problem), max_iters)
+    return _assignment_layout(problem, final, "greedy")[0], start_value, value
 
-    Returns the unit on each slot at the end and its value. Each swap is
-    scored in O(1) from a running state: the cost sum and the jam sum as the
-    integer numerators of the objective's terms and, per unit and key, the
-    jam numerator of the unit's pairs with the units on that key. A
-    candidate's value is the terms' ``value`` of its two sums, so it is the
-    objective of the swapped vector.
+
+def _descend(problem: AssignmentInstance, assign,
+             max_iters: int) -> tuple[list[int], float, float]:
+    """Local search from an assignment vector, for ``max_iters`` rounds at most.
+
+    Returns the vector at the end, the start value and the end value. The
+    search runs on the vector's slots in scan order (keypad key, then taps),
+    slot a starting with the a-th unit in that order. Each swap is scored in
+    O(1) from a running state: the cost sum and the jam sum as the integer
+    numerators of the objective's terms and, per unit and key, the jam
+    numerator of the unit's pairs with the units on that key. A candidate's
+    value is the terms' ``value`` of its two sums, so it is the objective of
+    the swapped vector.
 
     A swap can lower the value only if it lowers the cost sum or the jam
     sum. Swapping the units of slots a and b lowers the jam sum by at most
@@ -517,6 +510,10 @@ def _descend(terms: _Terms, max_iters: int) -> tuple[list[int], float]:
     has such a slot (at jam weight 0, the first round), and an applied swap
     refreshes the pairs of its two slots, O(n).
     """
+    slots = problem.key_slots
+    order = sorted(range(len(assign)),
+                   key=lambda i: (_KEY_INDEX[slots[assign[i]].key], slots[assign[i]].slot_index))
+    terms = _Terms(problem, order, [assign[i] for i in order])
     exact, den = terms.table()
     value_of = terms.value
     n = len(terms.p)
@@ -538,7 +535,7 @@ def _descend(terms: _Terms, max_iters: int) -> tuple[list[int], float]:
     rows = exact[:]  # rows[a]: the cost row of the unit on slot a
     stay = [rows[a][a] for a in range(n)]  # its cost numerator there
     cost = sum(stay)
-    value = value_of(cost, den, jam)
+    value = start_value = value_of(cost, den, jam)
     # lower[a]: the slots b > a whose swap with slot a lowers the cost sum
     lower = None
     for _ in range(max_iters):
@@ -599,4 +596,7 @@ def _descend(terms: _Terms, max_iters: int) -> tuple[list[int], float]:
                         else:
                             lower[low].discard(high)
         value, cost, jam = best_value, best_cost, best_jam
-    return held, value
+    final = assign[:]
+    for a, k in enumerate(held):
+        final[order[k]] = assign[order[a]]
+    return final, start_value, value

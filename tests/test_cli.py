@@ -835,6 +835,20 @@ def test_optimize_methods(tmp_path, capsys):
     assert "greedy start value=" in err
 
 
+@pytest.mark.parametrize("method", ["greedy", "local", "exhaustive"])
+def test_optimize_places_units_on_a_key_that_costs_nothing(tmp_path, capsys, method):
+    # key 2 at 180 degrees costs 0: its slots are priced at 0, not refused
+    lines = format_model_tsv(default_model()).splitlines()
+    lines[2] = "2\t180\tforward\tflexion"
+    model = tmp_path / "model.tsv"
+    model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "opt.tsv"
+    assert main(["optimize", "--corpus", str(CORPUS_PATH), "--max-units", "6",
+                 "--method", method, "--ergonomics", str(model), "-o", str(out)]) == 0
+    assert capsys.readouterr().err.endswith("\n")
+    assert load_layout(out).slots["2"]
+
+
 def test_optimize_guard(tmp_path, capsys):
     out = tmp_path / "opt.tsv"
     assert main(["optimize", "--corpus", str(CORPUS_PATH), "--max-units", "20",

@@ -43,6 +43,7 @@ from bnkeypad.optimize import (
     KeySlot,
     Objective,
     _assignment_layout,
+    _local_from_greedy,
     consonant_instance,
     improve_local,
     objective_value,
@@ -284,8 +285,6 @@ def test_instance_validation():
         AssignmentInstance(((KA, 1), (KA, 2)), (KeySlot("2", 1, 1.0),))
     with pytest.raises(ValueError):
         AssignmentInstance(((KA, 1),), (KeySlot("2", 2, 1.0),))  # no slot 1
-    with pytest.raises(ValueError):
-        AssignmentInstance(((KA, 1),), (KeySlot("2", 1, 0.0),))  # zero cost
     for cost in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             AssignmentInstance(((KA, 1),), (KeySlot("2", 1, cost),))
@@ -923,6 +922,7 @@ def test_local_from_greedy_equals_local_search_from_the_greedy_layout(data):
         ref_layout, ref_value = improve_local(greedy, objective, max_iters)
         assert serialize(layout) == serialize(ref_layout)
         assert value == ref_value
+        assert _local_from_greedy(problem, max_iters) == (layout, start_value, value)
         if max_iters == 0:
             assert value == start_value
         assert (ref_layout, ref_value) == reference_improve_local_rescoring(greedy, objective,
@@ -1005,7 +1005,7 @@ FLOAT_PARAMETERS = {
                    "finite and >= 0"),
     "ij_angle": (lambda v: KeyErgonomics(v, Direction.FORWARD), "in (0, 180]"),
     "slot cost": (lambda v: AssignmentInstance(((KA, 1),), (KeySlot("2", 1, v),)),
-                  "finite and > 0"),
+                  "finite and >= 0"),
 }
 
 
@@ -1030,7 +1030,7 @@ def test_local_scores_the_start_at_zero_rounds(model):
 def test_local_rejects_non_finite_slot_costs(evaluate_layout):
     model = default_model(angle_weight=1e308)  # finite, but key costs overflow
     objective = Objective(FrequencyTable.from_counts({KA: 1, KHA: 1}), model)
-    with pytest.raises(ValueError, match="slot cost must be finite and > 0, got inf"):
+    with pytest.raises(ValueError, match="slot cost must be finite and >= 0, got inf"):
         evaluate_layout(Layout(slots={"5": (KA, KHA)}), objective)
 
 
@@ -1150,6 +1150,20 @@ def test_problem_from_stats_is_the_consonant_instance_with_its_pairs(
     assert dict(problem.pairs) == pairs and (pairs or not jam_weight)
 
 
+def test_a_key_that_costs_nothing_prices_its_slots_at_zero():
+    # a forward key at 180 degrees costs 0, and so does every tap on it
+    model = ErgonomicModel({**default_model().entries,
+                            "2": KeyErgonomics(180.0, Direction.FORWARD)})
+    table = FrequencyTable.from_counts({KA: 3, KHA: 1})
+    assert objective_value(Layout(slots={"2": (KA, KHA)}), Objective(table, model)) == 0.0
+    problem = consonant_instance(table, model, keys=("2", "3"), slots_per_key=2)
+    layout, value = solve_greedy(problem)
+    assert (layout.slots["2"], value) == ((KA, KHA), 0.0)
+    assert improve_local(layout, problem) == (layout, 0.0)
+    best, best_value = solve_exhaustive(problem)
+    assert (best.slots, best_value) == (layout.slots, 0.0)
+
+
 def _slots(model, key, n):
     return [KeySlot(key, s, s * key_cost(model, key)) for s in range(1, n + 1)]
 
@@ -1185,7 +1199,15 @@ def test_record_solvers_equal_the_instance_and_objective_composition(rng, jam_we
             local, local_value = improve_local(layout, problem, max_iters)
             old_local, old_local_value = improve_local(layout, objective, max_iters)
             assert (serialize(local), local_value) == (serialize(old_local), old_local_value)
+            # the rescoring search shares no code with the record's search
+            assert (local, local_value) == reference_improve_local_rescoring(layout, objective,
+                                                                             max_iters)
+            if layout is greedy:
+                assert _local_from_greedy(problem, max_iters) == (local, value, local_value)
     if len(instance.units) <= 8 and len(instance.key_slots) <= GUARD_MAX_SLOTS:
         best, best_value = solve_exhaustive(problem)
         old_best, old_best_value = solve_exhaustive(instance, objective)
         assert (serialize(best), best_value) == (serialize(old_best), old_best_value)
+        # and full enumeration, scored without the record, finds the same minimum
+        if perm(len(instance.key_slots), len(instance.units)) <= 40_320:
+            assert (best, best_value) == reference_solve_exhaustive(instance, objective)
