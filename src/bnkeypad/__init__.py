@@ -17,13 +17,10 @@ from .bn_text import (
     CorpusStats,
     FrequencyTable,
     GraphemeUnit,
-    classify_char,
     count_frequencies,
     count_unit_bigrams,
-    merge_stats,
     rank_by_frequency,
     scan_units,
-    unit_for,
 )
 from .ergonomics import (
     DEFAULT_CONSONANT_KEYS,
@@ -70,8 +67,7 @@ _OPTIMIZE_NAMES = frozenset({
 __all__ = [
     "ALL_UNITS", "CONJUNCT_JOINER", "CONSONANTS", "INDEPENDENT_VOWELS", "SPACE_UNIT",
     "SYMBOLS", "VOWEL_SIGNS", "Category", "CorpusStats", "FrequencyTable", "GraphemeUnit",
-    "classify_char", "count_frequencies", "count_unit_bigrams", "merge_stats",
-    "rank_by_frequency", "scan_units", "unit_for",
+    "count_frequencies", "count_unit_bigrams", "rank_by_frequency", "scan_units",
     "DEFAULT_CONSONANT_KEYS", "KEYPAD_KEYS", "Direction", "ErgonomicModel", "KeyErgonomics",
     "default_model", "key_cost", "rank_keys",
     "KeypadError",

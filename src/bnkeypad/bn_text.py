@@ -236,27 +236,7 @@ ALL_UNITS: tuple[GraphemeUnit, ...] = (
     + (CONJUNCT_JOINER, SPACE_UNIT)
 )
 
-_UNIT_BY_CP: dict[int, GraphemeUnit] = {u.codepoints[0]: u for u in ALL_UNITS}
 _UNIT_BY_CPS: dict[tuple[int, ...], GraphemeUnit] = {u.codepoints: u for u in ALL_UNITS}
-
-
-def classify_char(ch: str) -> Category | None:
-    """Classify a single scalar; ``None`` means not typable.
-
-    Total and deterministic: every scalar maps to exactly one category
-    or to ``None``.
-    """
-    if len(ch) != 1:
-        raise ValueError(f"expected a single character, got {ch!r}")
-    unit = _UNIT_BY_CP.get(ord(ch))
-    return unit.category if unit is not None else None
-
-
-def unit_for(ch: str) -> GraphemeUnit | None:
-    """Canonical unit for a scalar, or ``None`` if not typable."""
-    if len(ch) != 1:
-        raise ValueError(f"expected a single character, got {ch!r}")
-    return _UNIT_BY_CP.get(ord(ch))
 
 
 def unit_token(unit: GraphemeUnit) -> str:
@@ -512,12 +492,13 @@ class CorpusStats(_Record):
     use. The fields and the cached ``table`` and ``bigrams`` are the whole
     state. Evaluation reads its jams from ``typable``, and :meth:`without`
     lets it recount without the units a layout lacks. :meth:`pairs_among`
-    counts its adjacent pairs of chosen units, so a pair that spans two
-    sources counts like any other; the optimizer's jam term asks for the
-    pairs of its instance's units alone. ``bigrams`` is
+    counts its adjacent pairs of chosen units; the optimizer's jam term asks
+    for the pairs of its instance's units alone. ``bigrams`` is
     ``pairs_among(ALL_UNITS)``, computed on first use, and no command builds
     it. Build instances with :meth:`read`, :meth:`from_text` or
-    :meth:`from_units`, and combine shards with :func:`merge_stats`.
+    :meth:`from_units`. :meth:`read` is the path for a corpus in several
+    sources: it joins them in order, so a pair that spans two sources counts
+    like any other.
 
     :meth:`from_text` classifies from the text's UTF-16 byte planes (see
     the module docstring); a lone surrogate is skipped like any untypable
@@ -637,17 +618,6 @@ class CorpusStats(_Record):
     def bigrams(self) -> dict[tuple[GraphemeUnit, GraphemeUnit], int]:
         """Counts of all adjacent unit pairs of ``typable``."""
         return self.pairs_among(ALL_UNITS)
-
-
-def merge_stats(a: CorpusStats, b: CorpusStats) -> CorpusStats:
-    """Statistics of ``a``'s corpus followed by ``b``'s.
-
-    Associative, with ``CorpusStats.from_text("")`` as identity. The
-    typable sequences are joined, so the pair across the seam counts and
-    shards merge to the single-pass result.
-    """
-    return CorpusStats(a.typable + b.typable, a.source_bytes + b.source_bytes,
-                       a.skipped + b.skipped)
 
 
 def format_frequency_tsv(table: FrequencyTable) -> str:

@@ -19,6 +19,9 @@ from bnkeypad.bn_text import (
 from bnkeypad.ergonomics import default_model
 from bnkeypad.layout import DEFAULT_ROLES, Layout
 
+# Each inventory unit by its text, e.g. UNIT["ক"]; a unit's text is one scalar.
+UNIT = {u.text: u for u in ALL_UNITS}
+
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS_PATH = FIXTURES / "corpus_bn.txt"
 TOY_LAYOUT_PATH = FIXTURES / "toy_layout.tsv"

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import UNIT
+
 from bnkeypad import bn_text
 from bnkeypad.bn_text import (
     ALL_UNITS,
@@ -24,14 +26,12 @@ from bnkeypad.bn_text import (
     CorpusStats,
     FrequencyTable,
     GraphemeUnit,
-    classify_char,
     count_frequencies,
     count_unit_bigrams,
     format_frequency_tsv,
     parse_unit_token,
     rank_by_frequency,
     scan_units,
-    unit_for,
     unit_token,
 )
 from bnkeypad.errors import CorpusDecodeError
@@ -92,22 +92,33 @@ def random_stream(rng: random.Random, n: int) -> str:
 # classification
 # ---------------------------------------------------------------------------
 
+def category_of(ch: str):
+    """The category ``scan_units`` gives a one-scalar text, ``None`` when it
+    skips the scalar; ``CorpusStats.from_text`` must agree."""
+    units, skipped = scan_units(ch)
+    assert (len(units), skipped) in ((1, 0), (0, 1))
+    assert all(u.codepoints == (ord(ch),) for u in units)
+    stats = CorpusStats.from_text(ch)
+    assert (stats.typable, stats.skipped) == (bytes(map(ALL_UNITS.index, units)), skipped)
+    return units[0].category if units else None
+
+
 def test_classify_examples():
-    assert classify_char("ক") is Category.CONSONANT       # ka
-    assert classify_char("অ") is Category.INDEPENDENT_VOWEL  # a
-    assert classify_char("্") is Category.CONJUNCT_JOINER  # virama
-    assert classify_char("A") is None
-    assert classify_char(" ") is Category.SPACE
-    assert classify_char("।") is Category.SYMBOL           # danda
+    assert category_of("ক") is Category.CONSONANT       # ka
+    assert category_of("অ") is Category.INDEPENDENT_VOWEL  # a
+    assert category_of("্") is Category.CONJUNCT_JOINER  # virama
+    assert category_of("A") is None
+    assert category_of(" ") is Category.SPACE
+    assert category_of("।") is Category.SYMBOL           # danda
 
 
 def test_classification_is_total_and_matches_oracle():
     scalars = list(range(0x0000, 0x0100)) + list(range(0x0950, 0x0A10)) + [0x200C, 0x200D]
     for cp in scalars:
         ch = chr(cp)
-        got = classify_char(ch)
+        got = category_of(ch)
         assert got == oracle_category(cp)
-        assert classify_char(ch) == got  # deterministic
+        assert category_of(ch) == got  # deterministic
 
 
 def test_inventory_sizes():
@@ -117,19 +128,22 @@ def test_inventory_sizes():
     assert len(SYMBOLS) == 14
     assert CONJUNCT_JOINER.codepoints == (0x09CD,)
     assert SPACE_UNIT.codepoints == (0x0020,)
-    # every unit resolves back to itself
+    # every unit's text scans back to that unit alone
     for unit in ALL_UNITS:
-        assert unit_for(unit.text) == unit
+        assert scan_units(unit.text) == ([unit], 0)
 
 
 def test_digits_and_joiners_not_typable():
     for ch in "০৯‌‍":
-        assert classify_char(ch) is None
+        assert category_of(ch) is None
 
 
-def test_classify_rejects_multichar():
-    with pytest.raises(ValueError):
-        classify_char("ab")
+def test_a_text_of_several_scalars_is_classified_one_scalar_at_a_time():
+    assert scan_units("ab") == ([], 2)
+    units = [UNIT["ক"], UNIT["্"], UNIT["ষ"]]  # a conjunct is its scalars, not one unit
+    assert scan_units("কa্ষ") == (units, 1)
+    stats = CorpusStats.from_text("কa্ষ")
+    assert (stats.typable, stats.skipped) == (CorpusStats.from_units(units).typable, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +159,7 @@ def test_count_empty():
 
 def test_count_simple():
     table = count_frequencies("কককখ")  # ka ka ka kha
-    ka, kha = unit_for("ক"), unit_for("খ")
+    ka, kha = UNIT["ক"], UNIT["খ"]
     assert table.counts == {ka: 3, kha: 1}
     assert table.total == 4
     assert table.frequency(ka) == 0.75
@@ -189,9 +203,9 @@ def test_read_corpus_bad_utf8_reports_offset(tmp_path):
 
 def test_table_invariant_checked():
     # the total is the sum of the counts, not a stored copy to keep in step
-    ka = unit_for("ক")
+    ka = UNIT["ক"]
     assert FrequencyTable._fields == ("counts",)
-    assert FrequencyTable({ka: 2, unit_for("খ"): 3}).total == 5
+    assert FrequencyTable({ka: 2, UNIT["খ"]: 3}).total == 5
     with pytest.raises(TypeError):
         FrequencyTable({ka: 2}, total=5)
 
@@ -200,13 +214,13 @@ def test_table_refuses_a_unit_outside_the_inventory():
     # format_frequency_tsv would write a row for it
     foreign = GraphemeUnit((0x41,), Category.SYMBOL, "A")
     with pytest.raises(ValueError, match=r"^GraphemeUnit\('A'\) is not a typable unit$"):
-        FrequencyTable.from_counts({unit_for("ক"): 1, foreign: 3})
+        FrequencyTable.from_counts({UNIT["ক"]: 1, foreign: 3})
 
 
 @pytest.mark.parametrize("count", [1.5, float("inf"), float("nan"), True], ids=repr)
 def test_table_refuses_a_count_that_is_not_an_int(count):
     # the error must name the unit
-    ka = unit_for("ক")
+    ka = UNIT["ক"]
     with pytest.raises(ValueError, match=re.escape(repr(ka))):
         FrequencyTable.from_counts({ka: count})
 
@@ -214,7 +228,7 @@ def test_table_refuses_a_count_that_is_not_an_int(count):
 def test_restricted_subtable():
     table = count_frequencies("ককঅা ্")
     consonants = table.restricted([Category.CONSONANT])
-    assert consonants.counts == {unit_for("ক"): 2}
+    assert consonants.counts == {UNIT["ক"]: 2}
     assert consonants.total == 2
     both = table.restricted([Category.CONSONANT, Category.SPACE])
     assert both.total == 3
@@ -226,18 +240,18 @@ def test_restricted_subtable():
 
 def test_rank_simple():
     table = count_frequencies("কককখ")
-    assert rank_by_frequency(table) == [unit_for("ক"), unit_for("খ")]
+    assert rank_by_frequency(table) == [UNIT["ক"], UNIT["খ"]]
 
 
 def test_rank_tie_breaks_by_codepoint():
     table = count_frequencies("ককখখ")
-    assert rank_by_frequency(table) == [unit_for("ক"), unit_for("খ")]
+    assert rank_by_frequency(table) == [UNIT["ক"], UNIT["খ"]]
 
 
 def test_rank_category_filter():
     table = count_frequencies("কঅা। ্")
     consonants_only = rank_by_frequency(table.restricted([Category.CONSONANT]))
-    assert consonants_only == [unit_for("ক")]
+    assert consonants_only == [UNIT["ক"]]
     ranked = rank_by_frequency(table)
     assert sorted(u.codepoints for u in ranked) == sorted(u.codepoints for u in table.counts)
 
@@ -254,7 +268,7 @@ def test_rank_is_permutation_of_filtered_keys():
 
 
 def test_rank_of_given_units_puts_missing_units_last_in_codepoint_order():
-    ka, kha, ga, gha = (unit_for(c) for c in "কখগঘ")
+    ka, kha, ga, gha = (UNIT[c] for c in "কখগঘ")
     table = FrequencyTable.from_counts({gha: 2, kha: 0, SPACE_UNIT: 5})
     # a missing unit ranks as a count of 0; a table unit not asked for is left out
     assert rank_by_frequency(table, [ga, kha, gha, ka]) == [gha, ka, kha, ga]
@@ -268,7 +282,7 @@ def test_rank_of_given_units_puts_missing_units_last_in_codepoint_order():
 def test_unit_token_roundtrip():
     for unit in ALL_UNITS:
         assert parse_unit_token(unit_token(unit)) == unit
-    assert unit_token(unit_for("ক")) == "U+0995"
+    assert unit_token(UNIT["ক"]) == "U+0995"
 
 
 @pytest.mark.parametrize("bad", ["", "0995", "U+ZZZZ", "U+0041", "U+0995+U+0996", "ka",
@@ -299,7 +313,7 @@ def reference_parse_unit_token(token: str):
     ("U+995", "ক"), ("U+09be", "া"), ("U+00995", "ক"),
 ])
 def test_parse_unit_token_accepts_non_canonical_spellings(token, char):
-    assert parse_unit_token(token) == unit_for(char) == reference_parse_unit_token(token)
+    assert parse_unit_token(token) == UNIT[char] == reference_parse_unit_token(token)
 
 
 @st.composite
@@ -341,7 +355,7 @@ def test_parse_unit_token_matches_the_reference_parser(token):
 def test_count_unit_bigrams():
     units, _ = scan_units("কখক")
     pairs = count_unit_bigrams(units)
-    ka, kha = unit_for("ক"), unit_for("খ")
+    ka, kha = UNIT["ক"], UNIT["খ"]
     assert pairs == {(ka, kha): 1, (kha, ka): 1}
     assert count_unit_bigrams([]) == {}
 

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import CORPUS_PATH, NAME_BREAKERS, TOY_LAYOUT_PATH, read_text
 
+import bnkeypad
 from bnkeypad import bn_text, cli
 from bnkeypad.bn_text import CorpusStats
 from bnkeypad.cli import main
@@ -699,6 +700,14 @@ def test_a_star_import_binds_every_public_name_and_a_plain_import_no_optimizer()
         assert len(bnkeypad.__all__) == len(set(bnkeypad.__all__))
     """)
     subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
+
+
+def test_the_readme_library_list_is_the_public_surface():
+    # each entry gives the command or the open ROADMAP item that keeps the name,
+    # so the surface grows only with a reason written down
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^- `(\w+)`: \S", library, flags=re.MULTILINE) == bnkeypad.__all__
 
 
 def test_stdout_artifacts_are_the_utf8_of_the_file_whatever_the_stream_encoding(tmp_path):

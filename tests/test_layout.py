@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import NAME_BREAKERS, TOY_LAYOUT_PATH, random_full_layout
+from conftest import NAME_BREAKERS, TOY_LAYOUT_PATH, UNIT, random_full_layout
 
 from bnkeypad.bn_text import (
     CONJUNCT_JOINER,
@@ -19,7 +19,6 @@ from bnkeypad.bn_text import (
     FrequencyTable,
     GraphemeUnit,
     rank_by_frequency,
-    unit_for,
 )
 from bnkeypad.ergonomics import DEFAULT_CONSONANT_KEYS, default_model, rank_keys
 from bnkeypad.errors import (
@@ -110,7 +109,7 @@ def test_symbol_key_frequency_ordered(model):
 def test_missing_consonant_rejected(model):
     table = descending_table()
     counts = dict(table.counts)
-    nga = unit_for("ঙ")
+    nga = UNIT["ঙ"]
     del counts[nga]
     with pytest.raises(IncompleteAlphabetError) as e:
         build_layout(FrequencyTable.from_counts(counts), model)
@@ -192,13 +191,13 @@ def test_random_frequencies_keep_invariants(model):
 # ---------------------------------------------------------------------------
 
 def test_duplicate_unit_rejected():
-    ka = unit_for("ক")
+    ka = UNIT["ক"]
     with pytest.raises(LayoutInvariantError):
         Layout(slots={"2": (ka,), "3": (ka,)})
 
 
 def test_duplicate_within_key_rejected():
-    ka = unit_for("ক")
+    ka = UNIT["ক"]
     with pytest.raises(LayoutInvariantError):
         Layout(slots={"2": (ka, ka)})
 
@@ -206,11 +205,11 @@ def test_duplicate_within_key_rejected():
 def test_unit_outside_the_typable_inventory_rejected():
     foreign = GraphemeUnit((0x41,), Category.SYMBOL, "A")
     with pytest.raises(LayoutInvariantError, match="not in the typable inventory"):
-        Layout(slots={"2": (foreign, unit_for("ক"))})
+        Layout(slots={"2": (foreign, UNIT["ক"])})
 
 
 def test_space_and_link_slots_enforced():
-    ka = unit_for("ক")
+    ka = UNIT["ক"]
     with pytest.raises(LayoutInvariantError):
         Layout(slots={"0": (SPACE_UNIT, ka)}, roles={Role.SPACE: "0"})
     with pytest.raises(LayoutInvariantError):
@@ -227,7 +226,7 @@ def test_unknown_key_and_shared_role_rejected():
 
 
 def test_missing_keys_normalized_to_empty():
-    layout = Layout(slots={"5": (unit_for("ক"),)})
+    layout = Layout(slots={"5": (UNIT["ক"],)})
     assert layout.slots["#"] == ()
     assert len(layout.slots) == 12
 
@@ -241,8 +240,8 @@ def test_position_examples(model):
     first_on_5 = layout.slots["5"][0]
     assert layout.position(first_on_5) == ("5", 1)
     assert layout.position(SPACE_UNIT) == ("0", 1)
-    orphan = Layout(slots={"5": (unit_for("ক"),)})
-    assert orphan.position(unit_for("খ")) is None
+    orphan = Layout(slots={"5": (UNIT["ক"],)})
+    assert orphan.position(UNIT["খ"]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +269,7 @@ def test_roundtrip_random_layouts(rng):
 def test_parse_toy_fixture():
     layout = load_layout(TOY_LAYOUT_PATH)
     assert layout.name == "toy"
-    assert layout.slots["2"] == (unit_for("ক"), unit_for("খ"))
+    assert layout.slots["2"] == (UNIT["ক"], UNIT["খ"])
     assert layout.slots["0"] == (SPACE_UNIT,)
     assert layout.slots["*"] == (CONJUNCT_JOINER,)
     assert layout.roles == {Role.LINK: "*", Role.SPACE: "0"}
@@ -315,7 +314,7 @@ def test_parse_ignores_comments_and_blank_lines():
            "roles\t\n"
            "2\tU+0995\n")
     layout = parse(doc)
-    assert layout.slots["2"] == (unit_for("ক"),)
+    assert layout.slots["2"] == (UNIT["ক"],)
 
 
 @pytest.mark.parametrize("separator", NAME_BREAKERS)
@@ -326,12 +325,12 @@ def test_name_that_breaks_the_name_row_is_rejected(separator):
 
 @pytest.mark.parametrize("name", ["", "a b", "ক-1", "a\x1fb", "a\u00a0b"])
 def test_other_names_round_trip(name):
-    layout = Layout(slots={"2": (unit_for("ক"),)}, name=name)
+    layout = Layout(slots={"2": (UNIT["ক"],)}, name=name)
     assert parse(serialize(layout)) == layout
 
 
 def test_hash_key_row_is_not_a_comment():
-    ka = unit_for("ক")
+    ka = UNIT["ক"]
     layout = Layout(slots={"#": (ka,)}, name="hash")
     again = parse(serialize(layout))
     assert again.slots["#"] == (ka,)

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import UNIT
+
 from bnkeypad.bn_text import (
     CONSONANTS,
     INDEPENDENT_VOWELS,
@@ -19,7 +21,6 @@ from bnkeypad.bn_text import (
     FrequencyTable,
     count_unit_bigrams,
     rank_by_frequency,
-    unit_for,
 )
 from bnkeypad.ergonomics import (
     DEFAULT_CONSONANT_KEYS,
@@ -54,7 +55,7 @@ from bnkeypad.optimize import (
 )
 from bnkeypad.transcribe import evaluate
 
-KA, KHA, GA, GHA, NGA, CA, CHA, JA = (unit_for(c) for c in "কখগঘঙচছজ")
+KA, KHA, GA, GHA, NGA, CA, CHA, JA = (UNIT[c] for c in "কখগঘঙচছজ")
 
 
 def flat_model(angle: float = 90.0) -> ErgonomicModel:

@@ -6,6 +6,7 @@ import itertools
 import json
 import pstats
 import random
+import re
 from collections import Counter
 from math import fsum
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     CORPUS_PATH,
     TOY_LAYOUT_PATH,
+    UNIT,
     adversarial_chars,
     adversarial_texts,
     random_full_layout,
@@ -29,18 +31,16 @@ from bnkeypad.bn_text import (
     FrequencyTable,
     count_frequencies,
     count_unit_bigrams,
-    merge_stats,
     scan_units,
-    unit_for,
 )
 from bnkeypad.cli import main, reproduce_paper
 from bnkeypad.ergonomics import KEYPAD_KEYS, default_model, key_cost
-from bnkeypad.errors import UntypableUnitError
+from bnkeypad.errors import CorpusDecodeError, UntypableUnitError
 from bnkeypad.layout import Layout, PlacementPolicy, Strategy, build_layout, load_layout
 from bnkeypad.optimize import restrict_bigrams
 from bnkeypad.transcribe import EvaluationReport, evaluate, transcribe
 
-KA, KHA, GA = (unit_for(c) for c in "কখগ")
+KA, KHA, GA = (UNIT[c] for c in "কখগ")
 MODEL = default_model()
 
 
@@ -186,7 +186,7 @@ def test_jam_count_equals_the_pair_table_sum(rng, runs, partial):
     assert report.jam_rate == reference_jam_rate(units, layout)
 
 
-GHA, NGA, CA = (unit_for(c) for c in "ঘঙচ")
+GHA, NGA, CA = (UNIT[c] for c in "ঘঙচ")
 
 
 @pytest.mark.parametrize("units, jams", [
@@ -211,7 +211,7 @@ def test_jam_count_on_runs_at_the_ends_and_deletions(units, jams):
     assert report.jam_rate == jams / max(1, report.unit_count - 1)
 
 
-SIGN = unit_for("।")
+SIGN = UNIT["।"]
 
 
 @pytest.mark.parametrize("units", [
@@ -364,15 +364,31 @@ def test_stats_agree_with_table_and_bigram_counts(text):
     assert (from_units.bigrams, from_units.typable) == (stats.bigrams, stats.typable)
 
 
+@pytest.fixture(scope="module")
+def shard_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("shards")
+
+
+LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def read_shards(directory, shards):
+    """``CorpusStats.read`` over one file per shard, in order; a lone surrogate
+    is written as the invalid UTF-8 that ``surrogatepass`` gives."""
+    paths = [directory / f"shard{i}.txt" for i in range(len(shards))]
+    for path, shard in zip(paths, shards):
+        path.write_bytes(shard.encode("utf-8", "surrogatepass"))
+    return CorpusStats.read(paths)
+
+
 @settings(max_examples=150, deadline=None)
 @given(texts, texts, texts)
-def test_merge_is_associative_and_equals_one_pass(a, b, c):
-    sa, sb, sc = (CorpusStats.from_text(t) for t in (a, b, c))
-    left = merge_stats(merge_stats(sa, sb), sc)
-    assert left == merge_stats(sa, merge_stats(sb, sc))
-    assert left == CorpusStats.from_text(a + b + c)
-    empty = CorpusStats.from_text("")
-    assert merge_stats(empty, sa) == sa == merge_stats(sa, empty)
+def test_reading_files_in_any_grouping_equals_one_pass(shard_dir, a, b, c):
+    whole = read_shards(shard_dir, [a, b, c])
+    assert whole == read_shards(shard_dir, [a + b, c]) == read_shards(shard_dir, [a, b + c])
+    assert whole == CorpusStats.from_text(a + b + c)
+    assert read_shards(shard_dir, ["", a]) == read_shards(shard_dir, [a])
+    assert read_shards(shard_dir, [a]) == CorpusStats.from_text(a) == read_shards(shard_dir, [a, ""])
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +417,7 @@ def facts(stats):
 
 
 def reference_scan_units(text):
-    units = [unit_for(ch) for ch in text]
+    units = [UNIT.get(ch) for ch in text]
     return [u for u in units if u is not None], units.count(None)
 
 
@@ -537,17 +553,25 @@ def test_lone_surrogate_is_one_skipped_scalar():
 
 @settings(max_examples=150, deadline=None)
 @given(adversarial_texts, st.lists(st.integers(0, 41), max_size=4))
-def test_merge_over_random_splits_equals_the_reference(text, cuts):
+def test_reading_random_splits_equals_the_reference(shard_dir, text, cuts):
     bounds = [0, *sorted(c % (len(text) + 1) for c in cuts), len(text)]
-    merged = CorpusStats.from_text("")
-    for lo, hi in zip(bounds, bounds[1:]):
-        merged = merge_stats(merged, CorpusStats.from_text(text[lo:hi]))
-    assert facts(merged) == reference_from_text(text)
+    shards = [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    found = [(i, shard[:m.start()]) for i, shard in enumerate(shards)
+             if (m := LONE_SURROGATE.search(shard))]
+    if found:
+        # a lone surrogate is not UTF-8: the error names the first shard holding one
+        i, before = found[0]
+        with pytest.raises(CorpusDecodeError) as caught:
+            read_shards(shard_dir, shards)
+        assert (caught.value.path, caught.value.byte_offset) == (
+            str(shard_dir / f"shard{i}.txt"), len(before.encode("utf-8")))
+        shards = [LONE_SURROGATE.sub("", shard) for shard in shards]
+    assert facts(read_shards(shard_dir, shards)) == reference_from_text("".join(shards))
 
 
 # the empty subset, every unit, units the text may lack, repeated units, and
 # the units of ``texts``, so that runs of one unit make self pairs
-TEXT_UNITS = [u for u in map(unit_for, "কখগা ি্।") if u is not None]
+TEXT_UNITS = [UNIT[c] for c in "কখগা ি্।"]
 unit_subsets = st.one_of(
     st.just(()),
     st.just(ALL_UNITS),
@@ -756,8 +780,7 @@ def test_bigrams_cross_corpus_files_like_their_concatenation(tmp_path, capsys):
                      "--corpus", *map(str, corpus)]) == 0
         outputs.append(json.loads(capsys.readouterr().out))
     assert outputs[0] == outputs[1]
-    stats = merge_stats(*(CorpusStats.from_text(p.read_text(encoding="utf-8"))
-                          for p in parts))
+    stats = CorpusStats.read(parts)
     assert stats.bigrams[(KA, KHA)] == 1
     assert stats == CorpusStats.from_text(whole.read_text(encoding="utf-8"))
 

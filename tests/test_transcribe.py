@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adversarial_texts, random_full_layout, random_text
+from conftest import UNIT, adversarial_texts, random_full_layout, random_text
 
 from bnkeypad.bn_text import (
     ALL_UNITS,
@@ -17,14 +17,13 @@ from bnkeypad.bn_text import (
     CorpusStats,
     GraphemeUnit,
     scan_units,
-    unit_for,
 )
 from bnkeypad.ergonomics import KEYPAD_KEYS, key_cost
 from bnkeypad.errors import CorruptTraceError, UntypableUnitError
 from bnkeypad.layout import DEFAULT_ROLES, Layout, PlacementPolicy, Strategy, build_layout
 from bnkeypad.transcribe import KeystrokeTrace, decode, evaluate, evaluate_many, transcribe
 
-KA, KHA, GA, GHA, CA = (unit_for(c) for c in "কখগঘচ")
+KA, KHA, GA, GHA, CA = (UNIT[c] for c in "কখগঘচ")
 
 
 def toy_layout():
@@ -32,8 +31,8 @@ def toy_layout():
         slots={
             "2": (KA,),
             "4": (KHA, GA),
-            "5": (GHA, CA, unit_for("ছ")),
-            "7": (unit_for("জ"), unit_for("ঝ")),
+            "5": (GHA, CA, UNIT["ছ"]),
+            "7": (UNIT["জ"], UNIT["ঝ"]),
             "0": (SPACE_UNIT,),
             "*": (CONJUNCT_JOINER,),
         },
@@ -79,7 +78,7 @@ def oracle_metrics(units, layout, model):
 
 def test_multitap_press_counts():
     layout = toy_layout()
-    trace = transcribe([unit_for("ছ")], layout)  # slot 3 of key 5
+    trace = transcribe([UNIT["ছ"]], layout)  # slot 3 of key 5
     assert trace.presses == ("5", "5", "5")
     assert trace.boundaries == ((0, (0, 3)),)
     assert trace.jam_positions == ()
@@ -103,7 +102,7 @@ def test_adjacent_units_on_same_key_jam():
 
 def test_untypable_unit_reports_position():
     layout = toy_layout()
-    missing = unit_for("হ")
+    missing = UNIT["হ"]
     with pytest.raises(UntypableUnitError) as e:
         transcribe([KA, missing], layout)
     assert e.value.position == 1
@@ -114,7 +113,7 @@ def test_untypable_unit_reports_position():
 
 def test_skipping_collapses_adjacency():
     layout = toy_layout()
-    missing = unit_for("হ")
+    missing = UNIT["হ"]
     trace = transcribe([KHA, missing, GA], layout, skip_untypable=True)
     assert trace.jam_positions == (0,)  # kha and ga are now adjacent, same key
 
@@ -127,7 +126,7 @@ def test_decode_inverse_examples():
     layout = toy_layout()
     trace = KeystrokeTrace(presses=("5", "5", "5"), boundaries=((0, (0, 3)),),
                            jam_positions=())
-    assert decode(trace, layout) == [unit_for("ছ")]
+    assert decode(trace, layout) == [UNIT["ছ"]]
     empty = KeystrokeTrace(presses=(), boundaries=(), jam_positions=())
     assert decode(empty, layout) == []
 
@@ -288,7 +287,7 @@ def test_metrics_match_oracle_on_random_inputs(model):
 def test_moving_unit_to_earlier_slot_never_hurts(model):
     # same key, unit moved from slot 3 to slot 1; texts avoid the swapped partner
     before = toy_layout()
-    chha = unit_for("ছ")
+    chha = UNIT["ছ"]
     slots = dict(before.slots)
     slots["5"] = (chha, CA, GHA)  # chha promoted, gha demoted
     after = Layout(slots=slots, roles=before.roles, name="after")
